@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 from .certify import (
     Certificate,
     NetworkConfig,
-    build_certificate,
     build_certificate_fully_controlled,
-    build_certificate_normalized,
     certificate_matrix,
     coupling_gain_feasible,
     evaluate_certificate,
@@ -32,20 +30,10 @@ from .graph import (
     FollowerGraph,
     build_graph,
     connected_components,
-    incidence,
-    is_leader_connected,
     laplacian,
     leader_mask,
 )
-from .matrixkit import (
-    Spectrum,
-    SymMatrix,
-    is_negative_definite,
-    kron,
-    power_dominant,
-    solve_linear,
-    sym_eigenvalues,
-)
+from .matrixkit import SymMatrix, power_dominant
 from .pdesim import (
     DiscreteOperator,
     ErrorSeries,
@@ -54,7 +42,6 @@ from .pdesim import (
     analytic_open_loop_spectrum,
     assemble_operator,
     fit_decay_rate,
-    l2_norm,
     simulate,
     spectral_abscissa,
     sync_errors,
@@ -80,14 +67,11 @@ __all__ = [
     "NetworkConfig",
     "PRESET_NAMES",
     "SimConfig",
-    "Spectrum",
     "SymMatrix",
     "Trajectory",
     "analytic_open_loop_spectrum",
     "assemble_operator",
-    "build_certificate",
     "build_certificate_fully_controlled",
-    "build_certificate_normalized",
     "build_graph",
     "certificate_matrix",
     "connected_components",
@@ -98,13 +82,8 @@ __all__ = [
     "evaluate_certificate",
     "fit_decay_rate",
     "forcing_profile",
-    "incidence",
-    "is_leader_connected",
-    "is_negative_definite",
     "k_window_full",
     "k_window_partial",
-    "kron",
-    "l2_norm",
     "laplacian",
     "leader_mask",
     "power_dominant",
@@ -112,9 +91,7 @@ __all__ = [
     "schur_reduction",
     "search_g",
     "simulate",
-    "solve_linear",
     "spectral_abscissa",
-    "sym_eigenvalues",
     "sync_errors",
     "trapezoid_weights",
     "wirtinger_check",

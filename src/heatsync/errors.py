@@ -21,16 +21,12 @@ class NoConvergence(HeatSyncError):
     """An iterative solver hit its iteration cap above tolerance."""
 
 
-class SingularMatrix(HeatSyncError):
-    """A pivot fell below the singularity threshold during elimination."""
-
-
 class DimensionMismatch(HeatSyncError):
     """Operands have incompatible shapes."""
 
 
 class InvalidSimplification(HeatSyncError):
-    """A normalized-form builder was called on a non-normalized config."""
+    """A normalized-form construction was asked of a non-normalized config."""
 
 
 class GraphNotConnected(HeatSyncError):

@@ -15,7 +15,6 @@ import numpy as np
 from .certify import (
     Certificate,
     NetworkConfig,
-    _max_eig_fast,
     certificate_matrix,
     evaluate_certificate,
 )
@@ -120,19 +119,19 @@ def _ternary_search_g(cfg, bracket, g_tol, margin):
     if not g_lo < g_hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
 
-    def top_eig(g: float) -> float:
-        return _max_eig_fast(certificate_matrix(cfg.with_gains(g=g)))
+    def cert_at(g: float) -> Certificate:
+        return evaluate_certificate(certificate_matrix(cfg.with_gains(g=g)), margin)
 
     lo, hi = g_lo, g_hi
     while hi - lo > g_tol:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if top_eig(m1) <= top_eig(m2):
+        if cert_at(m1).max_eig <= cert_at(m2).max_eig:
             hi = m2
         else:
             lo = m1
     g_best = 0.5 * (lo + hi)
-    cert = evaluate_certificate(certificate_matrix(cfg.with_gains(g=g_best)), margin)
+    cert = cert_at(g_best)
     if not cert.feasible:
         raise InfeasibleInBracket(g_best=g_best, max_eig=cert.max_eig)
     return g_best, cert

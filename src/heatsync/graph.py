@@ -1,9 +1,9 @@
-"""Follower network topology: Laplacian, incidence, components, leader mask.
+"""Follower network topology: Laplacian, components, leader mask.
 
 Node indices are 1-based everywhere in this module, matching the on-disk
 config format.  Matrices are built with integer arithmetic so structural
-identities (zero row sums, U^T U = L) hold exactly; promotion to floating
-point happens where certificates are assembled.
+identities (zero row sums) hold exactly; promotion to floating point happens
+where certificates are assembled.
 """
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ class FollowerGraph:
     @property
     def leader_count(self) -> int:
         return len(self.leader_set)
-
-    def degree(self, node: int) -> int:
-        return sum(1 for (a, b) in self.edges if node in (a, b))
 
 
 def build_graph(n, edges, leader_set) -> FollowerGraph:
@@ -76,19 +73,6 @@ def laplacian(g: FollowerGraph) -> np.ndarray:
     return lap
 
 
-def incidence(g: FollowerGraph) -> np.ndarray:
-    """Oriented edge-node incidence matrix U with U^T U = laplacian(g).
-
-    One row per edge, +1 at the lower-numbered endpoint.  The orientation is
-    arbitrary for all uses here; fixing it keeps outputs reproducible.
-    """
-    u = np.zeros((len(g.edges), g.n), dtype=np.int64)
-    for r, (i, j) in enumerate(g.edges):
-        u[r, i - 1] = 1
-        u[r, j - 1] = -1
-    return u
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -119,13 +103,6 @@ def connected_components(g: FollowerGraph) -> list[tuple[int, ...]]:
     for v in range(g.n):
         groups.setdefault(uf.find(v), []).append(v + 1)
     return [tuple(sorted(members)) for _, members in sorted(groups.items())]
-
-
-def is_leader_connected(g: FollowerGraph) -> bool:
-    """True iff every in-domain component contains a leader-connected node."""
-    return all(
-        any(v in g.leader_set for v in comp) for comp in connected_components(g)
-    )
 
 
 def leader_mask(g: FollowerGraph) -> np.ndarray:

@@ -1,21 +1,15 @@
 """Dense real linear algebra used by the certificates and the simulator.
 
-Two independent routes exist for definiteness questions on purpose:
-``sym_eigenvalues`` is a hand-rolled cyclic Jacobi iteration (slow, accurate,
-no library dependence) and serves as the oracle; ``is_negative_definite``
-is the cheap production path via a Cholesky attempt on the negated, shifted
-matrix.  Tests hold the two to agreement.
+Certificate verdicts come from one LAPACK ``eigvalsh`` call in
+``certify.evaluate_certificate``; this module holds the symmetric matrix
+type those verdicts are taken on and the power iteration behind the
+spectral diagnostics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-from .errors import NoConvergence, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -40,126 +34,6 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) plus the Jacobi iteration bookkeeping."""
-
-    eigenvalues: np.ndarray
-    iterations: int
-    residual: float
-
-
-def _as_sym(a) -> SymMatrix:
-    return a if isinstance(a, SymMatrix) else SymMatrix(a)
-
-
-def sym_eigenvalues(a, tol: float = 1e-11, max_sweeps: int = 100) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Convergence: the largest off-diagonal magnitude drops below
-    ``tol * max(1, ||A||_F)``.  Quadratic convergence makes a handful of
-    sweeps enough at the certificate sizes used here (dim <= ~40).
-
-    Raises NoConvergence if the sweep cap is hit above tolerance.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    w = _as_sym(a).mat.copy()
-    n = w.shape[0]
-    if n == 0:
-        raise ValueError("empty matrix has no spectrum")
-    if n == 1:
-        return Spectrum(eigenvalues=w.diagonal().copy(), iterations=0, residual=0.0)
-    threshold = tol * max(1.0, float(np.linalg.norm(w, "fro")))
-
-    def max_off(m):
-        off = m - np.diag(m.diagonal())
-        return float(np.abs(off).max())
-
-    rotations = 0
-    for _ in range(max_sweeps):
-        if max_off(w) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * rp - s * rq
-                w[q, :] = s * rp + c * rq
-                cp, cq = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * cp - s * cq
-                w[:, q] = s * cp + c * cq
-                w[p, q] = w[q, p] = 0.0
-                rotations += 1
-    residual = max_off(w)
-    if residual > threshold:
-        raise NoConvergence(
-            f"jacobi residual {residual:.3e} above {threshold:.3e} "
-            f"after {max_sweeps} sweeps"
-        )
-    return Spectrum(
-        eigenvalues=np.sort(w.diagonal()), iterations=rotations, residual=residual
-    )
-
-
-def is_negative_definite(a, margin: float = 0.0) -> bool:
-    """True iff -(A + margin*I) is positive definite (Cholesky succeeds).
-
-    Equivalent to max eigenvalue < -margin; any pivot failure means False.
-    """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    m = _as_sym(a).mat
-    shifted = -(m + margin * np.eye(m.shape[0]))
-    try:
-        np.linalg.cholesky(shifted)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (thin wrapper, kept for a uniform call surface)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def solve_linear(a, rhs, pivot_rtol: float = 1e-14) -> np.ndarray:
-    """Solve a x = rhs by LU with partial pivoting.
-
-    Raises SingularMatrix when the smallest pivot falls below
-    ``pivot_rtol * ||a||_inf``.
-    """
-    a = np.asarray(a, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} != dimension {a.shape[0]}")
-    norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    if norm == 0.0:
-        raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # exact-zero pivots are reported below via SingularMatrix
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a)
-    min_pivot = float(np.abs(np.diag(lu)).min())
-    if min_pivot <= pivot_rtol * norm:
-        raise SingularMatrix(
-            f"pivot {min_pivot:.3e} below {pivot_rtol:.0e} * ||a||_inf = "
-            f"{pivot_rtol * norm:.3e}"
-        )
-    return lu_solve((lu, piv), rhs)
 
 
 def power_dominant(

@@ -49,16 +49,20 @@ class SimConfig:
     def __post_init__(self):
         if self.nx < 16:
             raise ValueError(f"nx must be >= 16, got {self.nx}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.source not in SOURCE_SELECTORS:
             raise ValueError(f"source must be one of {SOURCE_SELECTORS}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
+        ic = self.initial_conditions
+        if ic is not None and not isinstance(ic, str):
+            if not all(np.isfinite(np.asarray(part, dtype=float)).all() for part in ic):
+                raise ValueError("initial conditions must be finite")
 
     @property
     def grid(self) -> np.ndarray:
@@ -78,15 +82,25 @@ class DiscreteOperator:
     """Spatially discretized closed-loop generator.
 
     ``full`` acts on the stacked state (z_1 .. z_N, z_leader) of size
-    (N+1) * nx; ``error_subsystem`` acts on the stacked follower errors
-    (size N * nx) and is what the spectral diagnostics use.  ``weights``
-    are the trapezoid quadrature weights of the grid.
+    (N+1) * nx.  ``weights`` are the trapezoid quadrature weights of the
+    grid.
     """
 
     full: np.ndarray
-    error_subsystem: np.ndarray
     grid: np.ndarray
     weights: np.ndarray
+
+    @property
+    def error_subsystem(self) -> np.ndarray:
+        """Generator of the stacked follower errors z_i - z_leader (N*nx square).
+
+        The coupling rows sum to zero and the leader block is the same heat
+        stencil as every follower block, so in error coordinates the leader
+        drops out: the error generator is the leading follower block of
+        ``full``, returned as a view.  The spectral diagnostics use it.
+        """
+        m = self.full.shape[0] - self.grid.size
+        return self.full[:m, :m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,19 +170,14 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     k_vec = net.k_vector
     g_vec = net.g_vector
 
-    def fill_common(a: np.ndarray, n_blocks: int) -> None:
-        for b in range(n_blocks):
-            a[b * nx : (b + 1) * nx, b * nx : (b + 1) * nx] = heat
-        idx = np.arange(nx)
-        for i in range(n):
-            for j in range(n):
-                if lap[i, j] != 0.0:
-                    a[i * nx + idx, j * nx + idx] += g_vec[i] * lap[i, j]
-
     full = np.zeros(((n + 1) * nx, (n + 1) * nx))
-    fill_common(full, n + 1)
-    err = np.zeros((n * nx, n * nx))
-    fill_common(err, n)
+    for b in range(n + 1):
+        full[b * nx : (b + 1) * nx, b * nx : (b + 1) * nx] = heat
+    idx = np.arange(nx)
+    for i in range(n):
+        for j in range(n):
+            if lap[i, j] != 0.0:
+                full[i * nx + idx, j * nx + idx] += g_vec[i] * lap[i, j]
 
     flux = 2.0 * net.beta / dx
     for i in range(n):
@@ -177,10 +186,7 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
             row = i * nx
             full[row, i * nx : (i + 1) * nx] += -flux * kappa * w
             full[row, n * nx : (n + 1) * nx] += +flux * kappa * w
-            err[row, i * nx : (i + 1) * nx] += -flux * kappa * w
-    return DiscreteOperator(
-        full=full, error_subsystem=err, grid=sim.grid, weights=w
-    )
+    return DiscreteOperator(full=full, grid=sim.grid, weights=w)
 
 
 def _resolve_initial_conditions(
@@ -260,14 +266,6 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
         z=stacked[:, : n * nx].reshape(len(times), n, nx).transpose(1, 0, 2),
         z_leader=stacked[:, n * nx :],
     )
-
-
-def l2_norm(field: np.ndarray, dx: float) -> float:
-    """Trapezoid-rule L2 norm of a sampled field on a uniform grid."""
-    field = np.asarray(field, dtype=float)
-    w = np.full(field.shape[-1], dx)
-    w[0] = w[-1] = dx / 2.0
-    return float(np.sqrt(field**2 @ w))
 
 
 def sync_errors(traj: Trajectory) -> ErrorSeries:

@@ -20,14 +20,12 @@ from heatsync import (
     demo_graph,
     evaluate_certificate,
     fit_decay_rate,
-    is_negative_definite,
     k_window_full,
     k_window_partial,
     schur_reduction,
     search_g,
     simulate,
     spectral_abscissa,
-    sym_eigenvalues,
     sync_errors,
     wirtinger_check,
 )
@@ -35,6 +33,7 @@ from heatsync.cli import main
 from heatsync.errors import InfeasibleInBracket
 
 from conftest import random_connected_graph
+from oracles import is_negative_definite, sym_eigenvalues
 
 PI2 = np.pi**2
 

@@ -3,19 +3,16 @@ import pytest
 
 from heatsync import (
     NetworkConfig,
-    build_certificate,
+    SymMatrix,
     build_certificate_fully_controlled,
-    build_certificate_normalized,
     build_graph,
     certificate_matrix,
     coupling_gain_feasible,
     demo_graph,
     evaluate_certificate,
-    is_negative_definite,
     laplacian,
     schur_reduction,
     search_g,
-    sym_eigenvalues,
     wirtinger_check,
 )
 from heatsync.errors import (
@@ -26,6 +23,7 @@ from heatsync.errors import (
 )
 
 from conftest import random_connected_graph
+from oracles import is_negative_definite, normalized_certificate, sym_eigenvalues
 
 PI2 = np.pi**2
 
@@ -54,6 +52,23 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(graph=demo_graph(), alpha=0.0, weight=-np.eye(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "k", "g", "k_vector", "g_vector", "weight"]
+    )
+    def test_rejects_non_finite_numbers(self, field, bad):
+        values = {"alpha": 0.0, "beta": 1.0, "k": 3.0, "g": -2.0}
+        if field == "weight":
+            weight = np.eye(5)
+            weight[0, 0] = bad
+            values["weight"] = weight
+        elif field.endswith("_vector"):
+            values[field[0]] = [1.0, 1.0, bad, 1.0, 1.0]
+        else:
+            values[field] = bad
+        with pytest.raises(ValueError):
+            NetworkConfig(graph=demo_graph(), **values)
+
     def test_normalized_detection(self, demo_net):
         assert demo_net.is_normalized
         assert not NetworkConfig(graph=demo_graph(), alpha=0.0, beta=2.0).is_normalized
@@ -69,23 +84,23 @@ class TestGeneralBuilder:
     def test_single_agent_closed_form(self):
         g = build_graph(1, [], [1])
         cfg = NetworkConfig(graph=g, alpha=0.0, beta=1.0, k=3.0, g=-7.0)
-        mat = build_certificate(cfg).mat
+        mat = certificate_matrix(cfg).mat
         assert np.array_equal(mat, np.array([[-PI2 / 2, 3.0], [3.0, -6.0]]))
-        assert evaluate_certificate(build_certificate(cfg)).feasible
+        assert evaluate_certificate(certificate_matrix(cfg)).feasible
 
     def test_demo_scenario_feasible(self, demo_net):
-        cert = evaluate_certificate(build_certificate(demo_net), margin=1e-9)
+        cert = evaluate_certificate(certificate_matrix(demo_net), margin=1e-9)
         assert cert.feasible
         assert cert.max_eig < -1e-9
         assert cert.margin == pytest.approx(-cert.max_eig)
 
     def test_all_couplings_off(self):
         cfg = NetworkConfig(graph=demo_graph(), alpha=0.0, k=0.0, g=0.0)
-        mat = build_certificate(cfg).mat
+        mat = certificate_matrix(cfg).mat
         expected = np.zeros((10, 10))
         expected[:5, :5] = -(PI2 / 2) * np.eye(5)
         assert np.array_equal(mat, expected)
-        cert = evaluate_certificate(build_certificate(cfg))
+        cert = evaluate_certificate(certificate_matrix(cfg))
         assert cert.max_eig == pytest.approx(0.0, abs=1e-12)
         assert not cert.feasible
 
@@ -95,9 +110,42 @@ class TestGeneralBuilder:
         b = rng.standard_normal((5, 5))
         weight = b @ b.T + 5 * np.eye(5)
         cfg = NetworkConfig(graph=g, alpha=0.0, beta=2.0, k=3.0, g=-2.0, weight=weight)
-        mat = build_certificate(cfg).mat
+        mat = certificate_matrix(cfg).mat
         assert mat.shape == (10, 10)
         assert np.array_equal(mat, mat.T)
+
+
+class TestEvaluateCertificate:
+    def test_margin_is_zero_unless_feasible(self):
+        # the top eigenvalue sits inside the feasibility margin band
+        cert = evaluate_certificate(SymMatrix(np.diag([-5e-10, -1.0])), margin=1e-9)
+        assert cert.max_eig == -5e-10
+        assert not cert.feasible
+        assert cert.margin == 0.0
+        cert = evaluate_certificate(SymMatrix(np.diag([-2e-9, -1.0])), margin=1e-9)
+        assert cert.feasible
+        assert cert.margin == -cert.max_eig == 2e-9
+
+    def test_agrees_with_jacobi_oracle(self):
+        # random certificates, half of them shifted so that the top
+        # eigenvalue lands within 1e-12 of -margin
+        rng = np.random.default_rng(39)
+        margin = 1e-9
+        near = 0
+        for trial in range(300):
+            cfg = random_normalized_config(rng)
+            mat = certificate_matrix(cfg).mat
+            if trial % 2:
+                offset = float(rng.uniform(-1e-12, 1e-12))
+                shift = np.linalg.eigvalsh(mat)[-1] + margin + offset
+                mat = mat - shift * np.eye(mat.shape[0])
+            cert = evaluate_certificate(SymMatrix(mat), margin)
+            top = sym_eigenvalues(mat).eigenvalues[-1]
+            assert abs(cert.max_eig - top) <= 1e-10
+            assert cert.feasible == (cert.max_eig < -margin)
+            assert cert.margin == (-cert.max_eig if cert.feasible else 0.0)
+            near += abs(cert.max_eig + margin) <= 1e-11
+        assert near >= 100
 
 
 class TestFullyControlledBuilder:
@@ -121,9 +169,7 @@ class TestBuilderConsistency:
         rng = np.random.default_rng(32)
         for _ in range(50):
             cfg = random_normalized_config(rng)
-            a = build_certificate(cfg).mat
-            b = build_certificate_normalized(cfg).mat
-            assert np.array_equal(a, b)
+            assert np.array_equal(certificate_matrix(cfg).mat, normalized_certificate(cfg))
 
     def test_full_mask_decomposition(self):
         # with every agent leader-connected the normalized certificate is the
@@ -136,7 +182,7 @@ class TestBuilderConsistency:
             gg = float(rng.uniform(-5.0, 0.0))
             alpha = float(rng.uniform(-1.0, 1.0))
             cfg = NetworkConfig(graph=g_all, alpha=alpha, k=k, g=gg)
-            lhs = build_certificate_normalized(cfg).mat
+            lhs = certificate_matrix(cfg).mat
             rhs = build_certificate_fully_controlled(g.n, alpha, k).mat.copy()
             rhs[g.n :, g.n :] += gg * laplacian(g_all).astype(float)
             assert np.array_equal(lhs, rhs)
@@ -149,25 +195,14 @@ class TestBuilderConsistency:
             NetworkConfig(graph=g, alpha=0.0, k=3.0, g=-2.0, weight=2 * np.eye(5)),
         ):
             with pytest.raises(InvalidSimplification):
-                build_certificate_normalized(cfg)
-            with pytest.raises(InvalidSimplification):
                 schur_reduction(cfg)
             with pytest.raises(InvalidSimplification):
                 coupling_gain_feasible(cfg)
 
-    def test_dispatch_picks_working_builder(self, demo_net):
-        assert np.array_equal(
-            certificate_matrix(demo_net).mat, build_certificate_normalized(demo_net).mat
-        )
-        general = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=2.0, k=3.0, g=-2.0)
-        assert np.array_equal(
-            certificate_matrix(general).mat, build_certificate(general).mat
-        )
-
 
 class TestSchurReduction:
     def test_demo_equivalence(self, demo_net):
-        omega_nd = evaluate_certificate(build_certificate_normalized(demo_net)).feasible
+        omega_nd = evaluate_certificate(certificate_matrix(demo_net)).feasible
         d_min = sym_eigenvalues(schur_reduction(demo_net)).eigenvalues[0]
         assert omega_nd and d_min > 0
 
@@ -193,7 +228,7 @@ class TestSchurReduction:
         checked = 0
         while checked < 200:
             cfg = random_normalized_config(rng)
-            omega = build_certificate_normalized(cfg)
+            omega = certificate_matrix(cfg)
             top = sym_eigenvalues(omega).eigenvalues[-1]
             if abs(top) <= 1e-8:  # boundary band excluded
                 continue
@@ -207,7 +242,7 @@ class TestSchurReduction:
         # outside the mask, with 2*alpha on the rows of unconnected agents
         alpha = 0.7
         cfg = NetworkConfig(graph=demo_graph(), alpha=alpha, k=3.0, g=0.0)
-        mat = build_certificate_normalized(cfg).mat
+        mat = certificate_matrix(cfg).mat
         lower = mat[5:, 5:]
         for agent in (4, 5):  # not leader-connected
             row = lower[agent - 1]
@@ -250,7 +285,7 @@ class TestCouplingGainExistence:
                 continue
             found += 1
             for gg in [0.0] + [-(10.0**e) for e in range(0, 7)]:
-                m = build_certificate_normalized(cfg.with_gains(g=gg))
+                m = certificate_matrix(cfg.with_gains(g=gg))
                 assert not is_negative_definite(m, 1e-9)
 
     def test_completeness_positive_verdict_means_search_succeeds(self):
@@ -286,8 +321,8 @@ class TestPermutationEquivariance:
             p = np.zeros((n, n))
             p[perm, np.arange(n)] = 1.0
             block = np.kron(np.eye(2), p)
-            a = build_certificate_normalized(cfg).mat
-            b = build_certificate_normalized(cfg_rel).mat
+            a = certificate_matrix(cfg).mat
+            b = certificate_matrix(cfg_rel).mat
             assert np.allclose(block @ a @ block.T, b, atol=1e-12)
             ev_a = sym_eigenvalues(a).eigenvalues
             ev_b = sym_eigenvalues(b).eigenvalues

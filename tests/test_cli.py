@@ -63,6 +63,36 @@ class TestParsing:
         cfg = write_config(tmp_path / "g.json", {"alpha": 0.0})
         assert main(["certify", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "command, block, key, value",
+        [
+            ("certify", None, "k", float("nan")),
+            ("simulate", None, "k", float("nan")),
+            ("simulate", "sim", "dt", float("nan")),
+            (
+                "simulate",
+                "sim",
+                "initial_conditions",
+                {"followers": [[float("nan")] * 21] * 3, "leader": [0.0] * 21},
+            ),
+        ],
+    )
+    def test_nan_number_exits_2(self, tmp_path, capsys, command, block, key, value):
+        # json reads NaN and Infinity literals; they must not reach a verdict
+        payload = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "k": 3.0,
+            "g": -2.0,
+            "sim": {"nx": 21, "dt": 0.01, "t_end": 0.1},
+        }
+        (payload[block] if block else payload)[key] = value
+        cfg = write_config(tmp_path / "nan.json", payload)
+        args = [command, cfg] + (["--out", str(tmp_path / "out")] if command == "simulate" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert "feasible" not in captured.out
+
 
 class TestCertify:
     def test_feasible_preset(self, preset_config, tmp_path, capsys):

@@ -5,14 +5,41 @@ from heatsync import (
     build_graph,
     connected_components,
     demo_graph,
-    incidence,
-    is_leader_connected,
+    design,
     laplacian,
     leader_mask,
 )
-from heatsync.errors import DuplicateEdge, IndexOutOfRange, SelfLoop
+from heatsync.errors import (
+    DuplicateEdge,
+    IndexOutOfRange,
+    SelfLoop,
+    UncontrollableComponent,
+)
 
 from conftest import random_graph
+
+
+def incidence(g):
+    """Oriented edge-node incidence matrix U, +1 at the lower-numbered endpoint.
+
+    Built edge by edge, independently of ``laplacian``, so that U^T U = L
+    pins the Laplacian.
+    """
+    u = np.zeros((len(g.edges), g.n), dtype=np.int64)
+    for r, (i, j) in enumerate(g.edges):
+        u[r, i - 1] = 1
+        u[r, j - 1] = -1
+    return u
+
+
+def design_accepts(g):
+    """False iff ``design`` rejects the graph as having a component without
+    a leader-connected node (UncontrollableComponent)."""
+    try:
+        design(g, alpha=0.0)
+    except UncontrollableComponent:
+        return False
+    return True
 
 
 def bfs_components(n, edges):
@@ -164,17 +191,17 @@ class TestComponents:
 
 class TestLeaderConnectivity:
     def test_demo_true(self):
-        assert is_leader_connected(demo_graph())
+        assert design_accepts(demo_graph())
 
     def test_isolated_node_false(self):
-        assert not is_leader_connected(build_graph(3, [(1, 2)], [1]))
+        assert not design_accepts(build_graph(3, [(1, 2)], [1]))
 
     def test_all_leaders_true(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             g = random_graph(rng)
             g_all = build_graph(g.n, g.edges, range(1, g.n + 1))
-            assert is_leader_connected(g_all)
+            assert design_accepts(g_all)
 
     def test_definitional_cross_check(self):
         rng = np.random.default_rng(13)
@@ -184,7 +211,7 @@ class TestLeaderConnectivity:
                 any(v in g.leader_set for v in comp)
                 for comp in connected_components(g)
             )
-            assert is_leader_connected(g) == by_components
+            assert design_accepts(g) == by_components
 
 
 class TestLeaderMask:

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from heatsync import (
-    SymMatrix,
-    is_negative_definite,
-    kron,
-    laplacian,
-    power_dominant,
-    solve_linear,
-    sym_eigenvalues,
-)
-from heatsync.errors import NoConvergence, SingularMatrix
-from heatsync import demo_graph
+from heatsync import SymMatrix, evaluate_certificate, power_dominant
+from heatsync.errors import NoConvergence
+
+from oracles import is_negative_definite, sym_eigenvalues
 
 
 class TestSymMatrix:
@@ -90,66 +83,14 @@ class TestNegativeDefinite:
             top = sym_eigenvalues(s).eigenvalues[-1]
             if abs(top + margin) <= 1e-8:  # boundary band excluded
                 continue
-            assert is_negative_definite(s, margin) == (top < -margin)
+            verdict = top < -margin
+            assert is_negative_definite(s, margin) == verdict
+            assert evaluate_certificate(SymMatrix(s), margin).feasible == verdict
             checked += 1
 
     def test_rejects_negative_margin(self):
         with pytest.raises(ValueError):
             is_negative_definite(-np.eye(2), margin=-1.0)
-
-
-class TestKron:
-    def test_identity_factor_is_blockdiag(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), b)
-        assert np.array_equal(out[:2, :2], b)
-        assert np.array_equal(out[2:, 2:], b)
-        assert np.array_equal(out[:2, 2:], np.zeros((2, 2)))
-
-    def test_scalar_one_is_identity_map(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(kron(a, np.array([[1.0]])), a)
-
-    def test_demo_laplacian_blocks_sum_to_zero(self):
-        lap = laplacian(demo_graph()).astype(float)
-        out = kron(lap, np.eye(3))
-        assert out.shape == (15, 15)
-        assert np.allclose(out.sum(axis=1), 0.0)
-
-    def test_eigenvalues_are_pairwise_products(self):
-        rng = np.random.default_rng(24)
-        for _ in range(20):
-            na, nb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            a = rng.standard_normal((na, na))
-            a = (a + a.T) / 2
-            b = rng.standard_normal((nb, nb))
-            b = (b + b.T) / 2
-            products = np.sort(np.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel())
-            assert np.allclose(np.sort(np.linalg.eigvalsh(kron(a, b))), products, atol=1e-9)
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(solve_linear(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        assert np.allclose(solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
-
-    def test_random_multiply_back(self):
-        rng = np.random.default_rng(25)
-        a = rng.standard_normal((50, 50)) + 50 * np.eye(50)  # well conditioned
-        b = rng.standard_normal(50)
-        x = solve_linear(a, b)
-        assert np.abs(a @ x - b).max() <= 1e-10 * (1 + np.abs(b).max())
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
-
-    def test_zero_matrix_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear(np.zeros((2, 2)), [1.0, 1.0])
 
 
 class TestPowerDominant:

@@ -5,6 +5,7 @@ from heatsync import (
     ErrorSeries,
     NetworkConfig,
     SimConfig,
+    Trajectory,
     analytic_open_loop_spectrum,
     assemble_operator,
     build_graph,
@@ -14,7 +15,6 @@ from heatsync import (
     certificate_matrix,
     fit_decay_rate,
     k_window_partial,
-    l2_norm,
     search_g,
     simulate,
     spectral_abscissa,
@@ -44,6 +44,13 @@ class TestSimConfig:
             SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(t_end=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SimConfig(dt=bad)
+            with pytest.raises(ValueError):
+                SimConfig(t_end=bad)
+            with pytest.raises(ValueError):
+                SimConfig(nx=16, initial_conditions=(np.zeros((2, 16)), np.full(16, bad)))
         with pytest.raises(ValueError):
             SimConfig(source="mystery")
         with pytest.raises(ValueError):
@@ -52,18 +59,28 @@ class TestSimConfig:
             SimConfig(output_stride=0)
 
 
+def l2_norm(field: np.ndarray) -> float:
+    """The per-agent L2 norm sync_errors reports for a one-frame field."""
+    nx = field.size
+    traj = Trajectory(
+        times=np.zeros(1),
+        grid=np.linspace(0.0, 1.0, nx),
+        z=field[np.newaxis, np.newaxis, :],
+        z_leader=np.zeros((1, nx)),
+    )
+    return float(sync_errors(traj).per_agent_l2[0, 0])
+
+
 class TestL2Norm:
     def test_constant_one(self):
-        assert l2_norm(np.ones(101), dx=0.01) == pytest.approx(1.0, abs=1e-14)
+        assert l2_norm(np.ones(101)) == pytest.approx(1.0, abs=1e-14)
 
     def test_half_sine(self):
         x = np.linspace(0, 1, 201)
-        assert l2_norm(np.sin(np.pi * x), dx=1 / 200) == pytest.approx(
-            np.sqrt(0.5), abs=1e-4
-        )
+        assert l2_norm(np.sin(np.pi * x)) == pytest.approx(np.sqrt(0.5), abs=1e-4)
 
     def test_zero_field(self):
-        assert l2_norm(np.zeros(50), dx=1 / 49) == 0.0
+        assert l2_norm(np.zeros(50)) == 0.0
 
 
 class TestOperator:
@@ -104,6 +121,31 @@ class TestOperator:
         heat_row = np.zeros(nx)
         heat_row[0], heat_row[1] = -2.0 / dx**2, 2.0 / dx**2
         assert np.allclose(op.error_subsystem[0, :nx], heat_row - flux * w)
+
+    def test_error_subsystem_is_leading_block_view(self):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            graph = random_connected_graph(rng)
+            n, nx = graph.n, 17
+            net = NetworkConfig(
+                graph=graph,
+                alpha=float(rng.uniform(-1.0, 1.0)),
+                beta=float(rng.uniform(0.5, 2.0)),
+                k=list(rng.uniform(0.0, 5.0, n)),
+                g=list(rng.uniform(-3.0, 0.0, n)),
+            )
+            op = assemble_operator(net, SimConfig(nx=nx, source="off"))
+            err = op.error_subsystem
+            assert np.array_equal(err, op.full[: n * nx, : n * nx])
+            assert np.shares_memory(err, op.full)
+            # it generates the error dynamics: d/dt (z_i - z_l) from the
+            # closed loop equals err applied to the stacked errors
+            y = rng.standard_normal((n + 1) * nx)
+            dy = (op.full @ y).reshape(n + 1, nx)
+            errors = (y.reshape(n + 1, nx)[:n] - y[n * nx :]).reshape(-1)
+            expected = (dy[:n] - dy[n]).reshape(-1)
+            scale = np.abs(op.full).max() * np.abs(y).max()
+            assert np.abs(err @ errors - expected).max() <= 1e-12 * scale
 
     def test_demo_error_subsystem_is_stable(self, demo_net):
         sim = SimConfig(nx=81, dt=0.01, source="off")
