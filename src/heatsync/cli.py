@@ -240,9 +240,12 @@ def cmd_design(args) -> int:
 
 def _parse_snapshots(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        times = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad snapshot list {text!r}: {exc}") from exc
+    if not np.isfinite(times).all():
+        raise ConfigError(f"snapshot times must be finite, got {text!r}")
+    return times
 
 
 def cmd_simulate(args) -> int:
@@ -315,6 +318,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad --{name} range {text!r}: {exc}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"--{name} bounds must be finite, got {text!r}")
     if count < 2:
         raise ConfigError(f"--{name} needs at least 2 points, got {count}")
     return np.linspace(lo, hi, count)

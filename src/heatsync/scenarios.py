@@ -54,9 +54,19 @@ def demo_initial_profiles(
     return followers, leader
 
 
+def forcing_shape(x: np.ndarray) -> np.ndarray:
+    """Spatial factor 1 + cos(2 pi x) of the demo forcing."""
+    return 1.0 + np.cos(2 * np.pi * np.asarray(x, dtype=float))
+
+
+def forcing_amplitude(t: float) -> float:
+    """Temporal factor sin(pi t) of the demo forcing."""
+    return np.sin(np.pi * t)
+
+
 def forcing_profile(x: np.ndarray, t: float) -> np.ndarray:
     """Shared source term (1 + cos(2 pi x)) sin(pi t) of the demo scenario."""
-    return (1.0 + np.cos(2 * np.pi * np.asarray(x, dtype=float))) * np.sin(np.pi * t)
+    return forcing_shape(x) * forcing_amplitude(t)
 
 
 def preset_gains(name: str) -> tuple[float, float]:

@@ -6,15 +6,28 @@ hand-rolled cyclic Jacobi iteration (slow, accurate, no LAPACK),
 ``normalized_certificate`` writes the certificate in its closed normalized
 form.  Production decides certificates from one ``eigvalsh`` call in
 ``heatsync.evaluate_certificate``; the tests check it against these.
+``dense_operator`` assembles the closed-loop generator entry by entry as a
+dense array, and ``dense_simulate`` steps it with a dense LU and the source
+evaluated afresh every step; production builds the generator as CSR and
+steps it with one SuperLU factorization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
-from heatsync import SymMatrix, laplacian, leader_mask
+from heatsync import (
+    SymMatrix,
+    Trajectory,
+    forcing_profile,
+    laplacian,
+    leader_mask,
+    trapezoid_weights,
+)
 from heatsync.errors import NoConvergence
+from heatsync.pdesim import _check_finite, _resolve_initial_conditions
 
 
 @dataclass(frozen=True)
@@ -118,3 +131,86 @@ def normalized_certificate(cfg) -> np.ndarray:
     top = np.hstack([-(np.pi**2 / 2.0) * eye, k * mask])
     bottom = np.hstack([k * mask, 2.0 * cfg.alpha * eye - 2.0 * k * mask + g * lap])
     return np.vstack([top, bottom])
+
+
+def _neumann_heat_block(nx: int, dx: float, beta: float, alpha: float) -> np.ndarray:
+    # Second difference with ghost elimination at both Neumann rows.
+    t = np.zeros((nx, nx))
+    t[0, 0], t[0, 1] = -2.0, 2.0
+    idx = np.arange(1, nx - 1)
+    t[idx, idx - 1] = 1.0
+    t[idx, idx] = -2.0
+    t[idx, idx + 1] = 1.0
+    t[nx - 1, nx - 2], t[nx - 1, nx - 1] = 2.0, -2.0
+    return (beta / dx**2) * t + alpha * np.eye(nx)
+
+
+def dense_operator(net, sim) -> np.ndarray:
+    """The closed-loop generator on (z_1 .. z_N, z_leader), assembled densely.
+
+    Heat blocks on the diagonal, g_i * l_ij added pointwise across agent
+    blocks, then the feedback flux -(2 beta / dx) k_i m_i * w on follower
+    x=0 rows against their own block and +(...) against the leader's.
+    """
+    n, nx = net.n, sim.nx
+    dx = sim.dx
+    w = trapezoid_weights(nx)
+    heat = _neumann_heat_block(nx, dx, net.beta, net.alpha)
+    lap = laplacian(net.graph).astype(float)
+    mask = leader_mask(net.graph).astype(float).diagonal()
+    k_vec = net.k_vector
+    g_vec = net.g_vector
+
+    full = np.zeros(((n + 1) * nx, (n + 1) * nx))
+    for b in range(n + 1):
+        full[b * nx : (b + 1) * nx, b * nx : (b + 1) * nx] = heat
+    idx = np.arange(nx)
+    for i in range(n):
+        for j in range(n):
+            if lap[i, j] != 0.0:
+                full[i * nx + idx, j * nx + idx] += g_vec[i] * lap[i, j]
+
+    flux = 2.0 * net.beta / dx
+    for i in range(n):
+        kappa = k_vec[i] * mask[i]
+        if kappa != 0.0:
+            row = i * nx
+            full[row, i * nx : (i + 1) * nx] += -flux * kappa * w
+            full[row, n * nx : (n + 1) * nx] += +flux * kappa * w
+    return full
+
+
+def dense_simulate(net, sim) -> Trajectory:
+    """Crank-Nicolson / backward Euler on ``dense_operator`` with a dense LU.
+
+    Samples like ``heatsync.simulate`` and raises Divergence by the same
+    rule (``_check_finite``).
+    """
+    n, nx = net.n, sim.nx
+    a = dense_operator(net, sim)
+    eye = np.eye(a.shape[0])
+    crank = sim.scheme == "crank_nicolson"
+    h = sim.dt / 2.0 if crank else sim.dt
+    lu = lu_factor(eye - h * a)
+    explicit = eye + h * a
+    followers0, leader0 = _resolve_initial_conditions(net, sim)
+    y = np.concatenate([followers0.reshape(-1), leader0])
+    x = sim.grid
+    frames, times = [y.copy()], [0.0]
+    for step in range(1, sim.n_steps + 1):
+        t_src = (step - 1) * sim.dt + sim.dt / 2.0 if crank else step * sim.dt
+        rhs = explicit @ y if crank else y.copy()
+        if sim.source == "paper":
+            rhs += sim.dt * np.tile(forcing_profile(x, t_src), n + 1)
+        y = lu_solve(lu, rhs)
+        _check_finite(y, n, nx, step, sim.dt)
+        if step % sim.output_stride == 0 or step == sim.n_steps:
+            frames.append(y.copy())
+            times.append(step * sim.dt)
+    stacked = np.array(frames)
+    return Trajectory(
+        times=np.array(times),
+        grid=x,
+        z=stacked[:, : n * nx].reshape(len(times), n, nx).transpose(1, 0, 2),
+        z_leader=stacked[:, n * nx :],
+    )

@@ -211,6 +211,16 @@ class TestSimulate:
         header = (out_dir / "avg_error.csv").read_text().splitlines()[0]
         assert header == "x,ebar_t_0.1,ebar_t_0.25"
 
+    @pytest.mark.parametrize("snapshots", ["nan", "0.1,inf", "-inf,0.5"])
+    def test_non_finite_snapshot_exits_2(self, explicit_config, tmp_path, capsys, snapshots):
+        out_dir = tmp_path / "snap"
+        code = main(
+            ["simulate", explicit_config, "--out", str(out_dir), f"--snapshots={snapshots}"]
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "blowup.json",
@@ -354,6 +364,17 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "k_range, g_range",
+        [("nan:1:3", "-2:0:2"), ("1:inf:3", "-2:0:2"), ("1:9:3", "-inf:0:2"), ("1:9:3", "-2:nan:2")],
+    )
+    def test_non_finite_range_exits_2(self, explicit_config, tmp_path, capsys, k_range, g_range):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", explicit_config, "--k", k_range, "--g", g_range, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, preset_config, tmp_path):
@@ -380,3 +401,16 @@ class TestPackaging:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        # certify and design need only numpy; the simulator imports scipy
+        # when it runs
+        code = (
+            "import sys, heatsync.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse import eye_array
+from scipy.sparse.linalg import splu
 
 from heatsync import (
     ErrorSeries,
@@ -14,6 +18,7 @@ from heatsync import (
     evaluate_certificate,
     certificate_matrix,
     fit_decay_rate,
+    forcing_profile,
     k_window_partial,
     search_g,
     simulate,
@@ -24,6 +29,7 @@ from heatsync import (
 from heatsync.errors import DimensionMismatch, Divergence, NonPositiveSeries
 
 from conftest import random_connected_graph
+from oracles import dense_operator, dense_simulate
 
 PI2 = np.pi**2
 
@@ -34,6 +40,42 @@ def single_agent(leader=True):
 
 def leader_profile(x):
     return 2.0 + np.cos(np.pi * x) + 2.0 * np.cos(7.0 * x)
+
+
+def heterogeneous_nets(rng, count):
+    """Random connected networks with per-agent gains and a leader set that
+    misses at least one follower; one leader-connected gain is zero."""
+    nets = []
+    while len(nets) < count:
+        graph = random_connected_graph(rng, n_min=3)
+        if graph.leader_count == graph.n:
+            continue
+        n = graph.n
+        k = rng.uniform(0.5, 5.0, n)
+        k[min(graph.leader_set) - 1] = 0.0
+        nets.append(
+            NetworkConfig(
+                graph=graph,
+                alpha=float(rng.uniform(-1.0, 1.0)),
+                beta=float(rng.uniform(0.5, 2.0)),
+                k=list(k),
+                g=list(rng.uniform(-3.0, 0.0, n)),
+            )
+        )
+    return nets
+
+
+def random_profiles(rng, n, nx):
+    x = np.linspace(0.0, 1.0, nx)
+    modes = np.cos(np.outer(np.arange(4), np.pi * x))
+    return rng.normal(size=(n, 4)) @ modes, rng.normal(size=4) @ modes
+
+
+def relative_gap(traj, ref):
+    assert np.array_equal(traj.times, ref.times)
+    got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
+    want = np.concatenate([ref.z.reshape(-1), ref.z_leader.reshape(-1)])
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestSimConfig:
@@ -94,12 +136,12 @@ class TestOperator:
     def test_decoupled_blocks(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.5, k=0.0, g=0.0)
         sim = SimConfig(nx=21, source="off")
-        op = assemble_operator(net, sim)
-        block = op.full[:21, :21]
+        full = assemble_operator(net, sim).full.toarray()
+        block = full[:21, :21]
         for b in range(1, 6):
             sl = slice(b * 21, (b + 1) * 21)
-            assert np.array_equal(op.full[sl, sl], block)
-        off = op.full.copy()
+            assert np.array_equal(full[sl, sl], block)
+        off = full.copy()
         for b in range(6):
             sl = slice(b * 21, (b + 1) * 21)
             off[sl, sl] = 0.0
@@ -109,18 +151,19 @@ class TestOperator:
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=0.0)
         sim = SimConfig(nx=21, source="off")
         op = assemble_operator(net, sim)
+        full, err = op.full.toarray(), op.error_subsystem.toarray()
         nx = 21
         dx = 1.0 / 20
         w = trapezoid_weights(nx)
         flux = 2.0 / dx * 3.0
         # agent 1 is leader-connected: its x=0 row couples to the leader block
-        assert np.allclose(op.full[0, 5 * nx :], flux * w)
+        assert np.allclose(full[0, 5 * nx :], flux * w)
         # agent 4 is not: no leader coupling on its x=0 row
-        assert np.abs(op.full[3 * nx, 5 * nx :]).max() == 0.0
+        assert np.abs(full[3 * nx, 5 * nx :]).max() == 0.0
         # the error operator carries the same feedback on its own block only
         heat_row = np.zeros(nx)
         heat_row[0], heat_row[1] = -2.0 / dx**2, 2.0 / dx**2
-        assert np.allclose(op.error_subsystem[0, :nx], heat_row - flux * w)
+        assert np.allclose(err[0, :nx], heat_row - flux * w)
 
     def test_error_subsystem_is_leading_block_view(self):
         rng = np.random.default_rng(61)
@@ -135,17 +178,26 @@ class TestOperator:
                 g=list(rng.uniform(-3.0, 0.0, n)),
             )
             op = assemble_operator(net, SimConfig(nx=nx, source="off"))
-            err = op.error_subsystem
-            assert np.array_equal(err, op.full[: n * nx, : n * nx])
-            assert np.shares_memory(err, op.full)
+            full, err = op.full.toarray(), op.error_subsystem.toarray()
+            assert np.array_equal(err, full[: n * nx, : n * nx])
             # it generates the error dynamics: d/dt (z_i - z_l) from the
             # closed loop equals err applied to the stacked errors
             y = rng.standard_normal((n + 1) * nx)
-            dy = (op.full @ y).reshape(n + 1, nx)
+            dy = (full @ y).reshape(n + 1, nx)
             errors = (y.reshape(n + 1, nx)[:n] - y[n * nx :]).reshape(-1)
             expected = (dy[:n] - dy[n]).reshape(-1)
-            scale = np.abs(op.full).max() * np.abs(y).max()
+            scale = np.abs(full).max() * np.abs(y).max()
             assert np.abs(err @ errors - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("nx", [16, 33, 101])
+    def test_matches_dense_oracle(self, demo_net, nx):
+        rng = np.random.default_rng(nx)
+        nets = [demo_net, demo_net.with_gains(k=0.0)] + heterogeneous_nets(rng, 3)
+        for net in nets:
+            sim = SimConfig(nx=nx, source="off")
+            full = assemble_operator(net, sim).full
+            assert full.format == "csr"
+            assert np.array_equal(full.toarray(), dense_operator(net, sim))
 
     def test_demo_error_subsystem_is_stable(self, demo_net):
         sim = SimConfig(nx=81, dt=0.01, source="off")
@@ -217,6 +269,70 @@ class TestSimulate:
             simulate(net, sim)
         assert exc.value.step > 0
         assert exc.value.agent == 1
+
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+    def test_matches_dense_stepper(self, demo_net, scheme):
+        rng = np.random.default_rng(71)
+        cases = [(demo_net, "sectionV", "paper")]
+        for net in heterogeneous_nets(rng, 3):
+            cases.append((net, random_profiles(rng, net.n, 33), "paper"))
+            cases.append((net, random_profiles(rng, net.n, 33), "off"))
+        for net, ic, source in cases:
+            sim = SimConfig(
+                nx=33, dt=2e-3, t_end=0.3, source=source, scheme=scheme,
+                output_stride=5, initial_conditions=ic,
+            )
+            assert relative_gap(simulate(net, sim), dense_simulate(net, sim)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "alpha, followers, scheme",
+        [
+            (60.0, [1.0, 0.0, 0.0], "crank_nicolson"),
+            (60.0, [0.0, 1.0, 0.0], "backward_euler"),
+            (45.0, [0.0, 0.0, -1.0], "crank_nicolson"),
+            # I - (dt/2) A is exactly singular: no state after step 1
+            (2000.0, [1.0, 0.0, 0.0], "crank_nicolson"),
+        ],
+    )
+    def test_divergence_matches_dense_stepper(self, alpha, followers, scheme):
+        net = NetworkConfig(
+            graph=build_graph(3, [], []), alpha=alpha, k=0.0, g=0.0
+        )
+        nx = 17
+        ic = (np.outer(followers, np.ones(nx)), np.zeros(nx))
+        sim = SimConfig(
+            nx=nx, dt=1e-3, t_end=5.0, source="off", scheme=scheme,
+            initial_conditions=ic,
+        )
+        with pytest.raises(Divergence) as got:
+            simulate(net, sim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dense LU warns when singular
+            with pytest.raises(Divergence) as want:
+                dense_simulate(net, sim)
+        assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
+        assert got.value.t == want.value.t
+
+    def test_source_is_bit_identical_to_per_step_evaluation(self, demo_net):
+        # simulate scales one tiled spatial profile by sin(pi t); stepping the
+        # same factorization with forcing_profile evaluated afresh every step
+        # must give the same bits
+        sim = SimConfig(nx=41, dt=1e-3, t_end=0.2, output_stride=1,
+                        initial_conditions="sectionV")
+        traj = simulate(demo_net, sim)
+        a = assemble_operator(demo_net, sim).full
+        eye = eye_array(a.shape[0], format="csr")
+        lu = splu((eye - (sim.dt / 2.0) * a).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        explicit = eye + (sim.dt / 2.0) * a
+        followers, leader = demo_initial_profiles(sim.grid)
+        y = np.concatenate([followers.reshape(-1), leader])
+        for step in range(1, sim.n_steps + 1):
+            t_src = (step - 1) * sim.dt + sim.dt / 2.0
+            rhs = explicit @ y
+            rhs += sim.dt * np.tile(forcing_profile(sim.grid, t_src), 6)
+            y = lu.solve(rhs)
+            assert np.array_equal(y[:-41].reshape(5, 41), traj.z[:, step])
+            assert np.array_equal(y[-41:], traj.z_leader[step])
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
