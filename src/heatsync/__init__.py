@@ -10,11 +10,13 @@ __version__ = "0.1.0"
 from .certify import (
     Certificate,
     NetworkConfig,
+    SymMatrix,
     build_certificate_fully_controlled,
     certificate_matrix,
     coupling_gain_feasible,
     evaluate_certificate,
     schur_reduction,
+    trapezoid_weights,
     wirtinger_check,
 )
 from .gains import (
@@ -33,7 +35,6 @@ from .graph import (
     laplacian,
     leader_mask,
 )
-from .matrixkit import SymMatrix, power_dominant
 from .pdesim import (
     DiscreteOperator,
     ErrorSeries,
@@ -45,7 +46,6 @@ from .pdesim import (
     simulate,
     spectral_abscissa,
     sync_errors,
-    trapezoid_weights,
 )
 from .scenarios import (
     PRESET_NAMES,
@@ -86,7 +86,6 @@ __all__ = [
     "k_window_partial",
     "laplacian",
     "leader_mask",
-    "power_dominant",
     "preset_gains",
     "schur_reduction",
     "search_g",

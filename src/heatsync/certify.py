@@ -30,11 +30,42 @@ from .errors import (
     InvalidSimplification,
 )
 from .graph import FollowerGraph, connected_components, laplacian, leader_mask
-from .matrixkit import SymMatrix
 
 _HALF_PI_SQ = np.pi**2 / 2.0
 
 Gains = Union[float, Sequence[float]]
+
+
+@dataclass(frozen=True)
+class SymMatrix:
+    """Dense symmetric matrix; the constructor symmetrizes its input.
+
+    ``asym_residual`` records how far the raw input was from symmetric,
+    so accidental asymmetry upstream stays observable.
+    """
+
+    mat: np.ndarray
+    asym_residual: float
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        sym = (a + a.T) / 2.0
+        object.__setattr__(self, "mat", sym)
+        object.__setattr__(self, "asym_residual", float(np.abs(a - a.T).max(initial=0.0)))
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+
+def trapezoid_weights(nx: int) -> np.ndarray:
+    """Trapezoid quadrature weights of the uniform nx-point grid on [0, 1]."""
+    dx = 1.0 / (nx - 1)
+    w = np.full(nx, dx)
+    w[0] = w[-1] = dx / 2.0
+    return w
 
 
 def _as_gain_vector(value: Gains, n: int, name: str) -> np.ndarray:
@@ -296,8 +327,7 @@ def wirtinger_check(samples, dx: float) -> tuple[float, float]:
     dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * dx)
     dh[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * dx)
     dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dx)
-    w = np.full(h.size, dx)
-    w[0] = w[-1] = dx / 2.0
+    w = trapezoid_weights(h.size)
     lhs = float(w @ dh**2)
     rhs = float(np.pi**2 / 4.0 * (w @ h**2))
     return lhs, rhs

@@ -9,7 +9,9 @@ form.  Production decides certificates from one ``eigvalsh`` call in
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array, and ``dense_simulate`` steps it with a dense LU and the source
 evaluated afresh every step; production builds the generator as CSR and
-steps it with one SuperLU factorization.
+steps it with one SuperLU factorization.  ``dense_abscissa`` takes every
+eigenvalue of the dense Crank-Nicolson propagator of the error subsystem;
+production asks ARPACK for the dominant one through the sparse factors.
 """
 from __future__ import annotations
 
@@ -178,6 +180,18 @@ def dense_operator(net, sim) -> np.ndarray:
             full[row, i * nx : (i + 1) * nx] += -flux * kappa * w
             full[row, n * nx : (n + 1) * nx] += +flux * kappa * w
     return full
+
+
+def dense_abscissa(net, sim) -> float:
+    """log(max |eigvals|)/dt of the dense Crank-Nicolson error propagator.
+
+    The error subsystem is the leading N*nx block of ``dense_operator``.
+    """
+    m = net.n * sim.nx
+    a = dense_operator(net, sim)[:m, :m]
+    eye = np.eye(m)
+    propagator = np.linalg.solve(eye - (sim.dt / 2.0) * a, eye + (sim.dt / 2.0) * a)
+    return float(np.log(np.abs(np.linalg.eigvals(propagator)).max()) / sim.dt)
 
 
 def dense_simulate(net, sim) -> Trajectory:

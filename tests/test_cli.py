@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from heatsync.cli import main
+from heatsync.cli import load_scenario, main
+
+from conftest import random_connected_graph
+from oracles import dense_abscissa
 
 
 def write_config(path, payload):
@@ -263,6 +267,39 @@ class TestSpectrum:
         assert "spectral abscissa" in out
         abscissa = float(out.strip().splitlines()[-1].split()[-1])
         assert abscissa == pytest.approx(-1.0, rel=0.02)
+
+    def test_random_16_agent_network(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        graph = random_connected_graph(rng, n_max=16, n_min=16)
+        cfg = write_config(
+            tmp_path / "net16.json",
+            {
+                "graph": {
+                    "n": graph.n,
+                    "edges": [list(e) for e in graph.edges],
+                    "leader_set": sorted(graph.leader_set),
+                },
+                "alpha": 0.5,
+                "k": list(rng.uniform(0.5, 5.0, graph.n)),
+                "g": list(rng.uniform(-3.0, 0.0, graph.n)),
+                "sim": {"nx": 50, "dt": 0.001, "source": "off"},
+            },
+        )
+        assert main(["spectrum", cfg]) == 0
+        abscissa = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
+        scn = load_scenario(cfg)
+        assert abs(abscissa - dense_abscissa(scn.net, scn.sim)) <= 1e-9
+
+    def test_stdout_byte_identical(self, preset_config):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "heatsync", "spectrum", preset_config],
+                capture_output=True,
+            )
+            for _ in range(2)
+        ]
+        assert all(run.returncode == 0 for run in runs)
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestSweep:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
 
-from heatsync import SymMatrix, evaluate_certificate, power_dominant
+from heatsync import SymMatrix, evaluate_certificate
 from heatsync.errors import NoConvergence
 
 from oracles import is_negative_definite, sym_eigenvalues
@@ -92,31 +91,3 @@ class TestNegativeDefinite:
         with pytest.raises(ValueError):
             is_negative_definite(-np.eye(2), margin=-1.0)
 
-
-class TestPowerDominant:
-    def test_diagonal(self):
-        rho, converged = power_dominant(np.diag([0.5, 0.9]))
-        assert converged and abs(rho - 0.9) <= 1e-8
-
-    def test_zero_matrix(self):
-        rho, converged = power_dominant(np.zeros((4, 4)))
-        assert converged and rho == 0.0
-
-    def test_heat_propagator_conserved_mode(self):
-        # one-step matrix of the pure-Neumann heat step: the constant vector
-        # is an exact fixed point, so the spectral radius is exactly 1
-        nx, dt = 61, 0.01
-        dx = 1.0 / (nx - 1)
-        t = np.zeros((nx, nx))
-        t[0, 0], t[0, 1] = -2.0, 2.0
-        idx = np.arange(1, nx - 1)
-        t[idx, idx - 1] = t[idx, idx + 1] = 1.0
-        t[idx, idx] = -2.0
-        t[nx - 1, nx - 2], t[nx - 1, nx - 1] = 2.0, -2.0
-        a = t / dx**2
-        lu = lu_factor(np.eye(nx) - dt / 2 * a)
-        phi = lu_solve(lu, np.eye(nx) + dt / 2 * a)
-        ones = np.ones(nx)
-        assert np.allclose(phi @ ones, ones, atol=1e-10)  # fixed point directly
-        rho, converged = power_dominant(phi)
-        assert converged and abs(rho - 1.0) <= 1e-6

@@ -20,16 +20,17 @@ from heatsync import (
     fit_decay_rate,
     forcing_profile,
     k_window_partial,
+    preset_gains,
     search_g,
     simulate,
     spectral_abscissa,
     sync_errors,
     trapezoid_weights,
 )
-from heatsync.errors import DimensionMismatch, Divergence, NonPositiveSeries
+from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
 
 from conftest import random_connected_graph
-from oracles import dense_operator, dense_simulate
+from oracles import dense_abscissa, dense_operator, dense_simulate
 
 PI2 = np.pi**2
 
@@ -441,6 +442,28 @@ class TestSpectral:
         dominant = max(analytic_open_loop_spectrum(alpha, 1.0, 8))
         got = spectral_abscissa(net, sim)
         assert abs(got - dominant) <= max(0.02 * abs(dominant), 1e-4)
+        assert abs(got - dense_abscissa(net, sim)) <= 1e-9
+
+    @pytest.mark.parametrize("preset", ["sectionV", "fig5_k0", "fig6_g0"])
+    def test_abscissa_matches_dense_oracle_on_presets(self, preset):
+        # fig5_k0 and fig6_g0 have an exact zero mode (an uncontrolled
+        # constant or an uncoupled agent without leader access)
+        k, g = preset_gains(preset)
+        net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=k, g=g)
+        sim = SimConfig(nx=101, dt=1e-3, source="off")
+        assert abs(spectral_abscissa(net, sim) - dense_abscissa(net, sim)) <= 1e-9
+
+    def test_abscissa_matches_dense_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(61)
+        for net in heterogeneous_nets(rng, 3):
+            sim = SimConfig(nx=41, dt=1e-3, source="off")
+            assert abs(spectral_abscissa(net, sim) - dense_abscissa(net, sim)) <= 1e-9
+
+    def test_singular_implicit_matrix_raises_no_convergence(self):
+        # alpha = 2/dt puts the constant mode of I - (dt/2) A exactly at zero
+        net = NetworkConfig(graph=build_graph(3, [], []), alpha=200.0, k=0.0, g=0.0)
+        with pytest.raises(NoConvergence):
+            spectral_abscissa(net, SimConfig(nx=17, dt=0.01, source="off"))
 
     def test_grid_convergence_second_order(self, demo_net):
         totals = {}
