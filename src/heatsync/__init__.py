@@ -11,7 +11,6 @@ from .certify import (
     Certificate,
     NetworkConfig,
     SymMatrix,
-    build_certificate_fully_controlled,
     certificate_matrix,
     coupling_gain_feasible,
     evaluate_certificate,
@@ -24,7 +23,6 @@ from .gains import (
     GainDesign,
     Interval,
     design,
-    k_window_full,
     k_window_partial,
     search_g,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "Trajectory",
     "analytic_open_loop_spectrum",
     "assemble_operator",
-    "build_certificate_fully_controlled",
     "build_graph",
     "certificate_matrix",
     "connected_components",
@@ -82,7 +79,6 @@ __all__ = [
     "evaluate_certificate",
     "fit_decay_rate",
     "forcing_profile",
-    "k_window_full",
     "k_window_partial",
     "laplacian",
     "leader_mask",

@@ -32,6 +32,8 @@ from .errors import (
 from .graph import FollowerGraph, connected_components, laplacian, leader_mask
 
 _HALF_PI_SQ = np.pi**2 / 2.0
+# A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
+FEASIBILITY_MARGIN = 1e-9
 
 Gains = Union[float, Sequence[float]]
 
@@ -82,10 +84,10 @@ class NetworkConfig:
     """One scenario: graph topology plus physical and control parameters.
 
     ``k`` is the boundary feedback gain (scalar or one value per follower;
-    values on followers without leader access are inert because the leader
-    mask multiplies them away).  ``g`` is the in-domain coupling gain, with
-    the sign convention that the coupling term is ``+ g * L @ z``, so
-    attractive coupling means g < 0.  ``weight`` is the Lyapunov weight
+    values on followers without leader access are inert: ``boundary_gains``
+    multiplies them by the leader mask).  ``g`` is the in-domain coupling
+    gain, with the sign convention that the coupling term is ``+ g * L @ z``,
+    so attractive coupling means g < 0.  ``weight`` is the Lyapunov weight
     matrix; None means identity.
     """
 
@@ -126,6 +128,11 @@ class NetworkConfig:
     @property
     def k_vector(self) -> np.ndarray:
         return _as_gain_vector(self.k, self.n, "k")
+
+    @property
+    def boundary_gains(self) -> np.ndarray:
+        """k_i * m_i: zero on followers without a leader link, whatever k says."""
+        return self.k_vector * leader_mask(self.graph).astype(float).diagonal()
 
     @property
     def g_vector(self) -> np.ndarray:
@@ -181,8 +188,8 @@ class Certificate:
     margin: float
 
 
-def _require_followers(cfg_or_n) -> int:
-    n = cfg_or_n if isinstance(cfg_or_n, int) else cfg_or_n.n
+def _require_followers(cfg: NetworkConfig) -> int:
+    n = cfg.n
     if n < 1:
         raise DimensionMismatch("certificates need at least one follower")
     return n
@@ -191,7 +198,7 @@ def _require_followers(cfg_or_n) -> int:
 def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     """The 2N x 2N certificate matrix.
 
-    Blocks, with P the weight, Kbar = diag(k) @ M the masked boundary gains,
+    Blocks, with P the weight, Kbar = diag(k_i m_i) the masked boundary gains,
     G = diag(g) and L the follower Laplacian::
 
         [ -(beta*pi^2/2) P     beta P Kbar                              ]
@@ -204,9 +211,7 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     n = _require_followers(cfg)
     p = cfg.weight_matrix
     lap = laplacian(cfg.graph).astype(float)
-    mask = leader_mask(cfg.graph).astype(float)
-    kbar = np.diag(cfg.k_vector) @ mask
-    pkbar = p @ kbar
+    pkbar = p @ np.diag(cfg.boundary_gains)
     pgl = p @ (np.diag(cfg.g_vector) @ lap)
     top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * p, cfg.beta * pkbar])
     lower_right = 2.0 * cfg.alpha * p - cfg.beta * (pkbar + pkbar.T) + (pgl + pgl.T) / 2.0
@@ -215,22 +220,6 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     if full.shape != (2 * n, 2 * n):
         raise DimensionMismatch(f"unexpected certificate shape {full.shape}")
     return SymMatrix(full)
-
-
-def build_certificate_fully_controlled(n: int, alpha: float, k: float) -> SymMatrix:
-    """Certificate for the fully controlled, uncoupled case, 2n x 2n::
-
-        [ -(pi^2/2) I_n    k I_n          ]
-        [ k I_n            2(alpha-k) I_n ]
-
-    This is the 2x2 scalar kernel expanded over n agents; when it is negative
-    definite, adding any coupling g <= 0 keeps the full certificate feasible.
-    """
-    n = _require_followers(int(n))
-    eye = np.eye(n)
-    top = np.hstack([-_HALF_PI_SQ * eye, k * eye])
-    bottom = np.hstack([k * eye, 2.0 * (alpha - k) * eye])
-    return SymMatrix(np.vstack([top, bottom]))
 
 
 def schur_reduction(cfg: NetworkConfig) -> SymMatrix:
@@ -284,7 +273,9 @@ def coupling_gain_feasible(cfg: NetworkConfig) -> bool:
     return value < 0.0
 
 
-def evaluate_certificate(matrix: SymMatrix, margin: float = 1e-9) -> Certificate:
+def evaluate_certificate(
+    matrix: SymMatrix, margin: float = FEASIBILITY_MARGIN
+) -> Certificate:
     """Decide feasibility of a certificate matrix from its top eigenvalue.
 
     One ``eigvalsh`` call gives ``max_eig``; the certificate is feasible

@@ -19,11 +19,19 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    FEASIBILITY_MARGIN,
     NetworkConfig,
     certificate_matrix,
     evaluate_certificate,
 )
-from .errors import Divergence, HeatSyncError, NoConvergence
+from .errors import (
+    Divergence,
+    DuplicateEdge,
+    HeatSyncError,
+    IndexOutOfRange,
+    NoConvergence,
+    SelfLoop,
+)
 from .gains import design as design_gains
 from .graph import FollowerGraph, build_graph
 from .pdesim import (
@@ -43,7 +51,6 @@ from .scenarios import (
     preset_gains,
 )
 
-FEASIBILITY_MARGIN = 1e-9
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
 
 
@@ -64,10 +71,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row; string cells are written as they are, numbers via _fmt."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+
+
 def _graph_from_dict(d: dict) -> FollowerGraph:
     try:
         return build_graph(d["n"], d.get("edges", []), d.get("leader_set", []))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, DuplicateEdge, IndexOutOfRange, SelfLoop) as exc:
         raise ConfigError(f"bad graph block: {exc}") from exc
 
 
@@ -127,9 +142,6 @@ def load_scenario(path) -> Scenario:
             scheme=sim_block.get("scheme", "crank_nicolson"),
             output_stride=int(sim_block.get("output_stride", 10)),
             initial_conditions=initial,
-            leader_seventh_harmonic=bool(
-                sim_block.get("leader_seventh_harmonic", False)
-            ),
         )
     except ConfigError:
         raise
@@ -174,7 +186,7 @@ def _report_path(config_path, kind: str) -> Path:
 
 def cmd_certify(args) -> int:
     scn = load_scenario(args.config)
-    cert = evaluate_certificate(certificate_matrix(scn.net), FEASIBILITY_MARGIN)
+    cert = evaluate_certificate(certificate_matrix(scn.net))
     print(f"certificate size: {2 * scn.net.n} x {2 * scn.net.n}")
     print(f"max eigenvalue:   {_fmt(cert.max_eig)}")
     print(f"feasible:         {'true' if cert.feasible else 'false'}")
@@ -262,33 +274,24 @@ def cmd_simulate(args) -> int:
     n = scn.net.n
 
     err_path = out_dir / "errors.csv"
-    with err_path.open("w") as fh:
-        cols = ["t"] + [f"err_agent_{i + 1}" for i in range(n)] + ["err_total", "pairwise_max"]
-        fh.write(",".join(cols) + "\n")
-        for fi, t in enumerate(series.times):
-            row = [_fmt(t)]
-            row += [_fmt(series.per_agent_l2[i, fi]) for i in range(n)]
-            row += [_fmt(series.total_l2[fi]), _fmt(series.pairwise_max[fi])]
-            fh.write(",".join(row) + "\n")
-
+    _write_csv(
+        err_path,
+        ["t"] + [f"err_agent_{i + 1}" for i in range(n)] + ["err_total", "pairwise_max"],
+        zip(series.times, *series.per_agent_l2, series.total_l2, series.pairwise_max),
+    )
     bdy_path = out_dir / "boundary.csv"
-    with bdy_path.open("w") as fh:
-        cols = ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"]
-        fh.write(",".join(cols) + "\n")
-        for fi, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(traj.z[i, fi, -1]) for i in range(n)]
-            row.append(_fmt(traj.z_leader[fi, -1]))
-            fh.write(",".join(row) + "\n")
-
+    _write_csv(
+        bdy_path,
+        ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"],
+        zip(traj.times, *traj.z[:, :, -1], traj.z_leader[:, -1]),
+    )
     snap_idx = [int(np.argmin(np.abs(series.times - t))) for t in snapshots]
     avg_path = out_dir / "avg_error.csv"
-    with avg_path.open("w") as fh:
-        cols = ["x"] + [f"ebar_t_{t:g}" for t in snapshots]
-        fh.write(",".join(cols) + "\n")
-        for xi, x in enumerate(series.grid):
-            row = [_fmt(x)] + [_fmt(series.avg_error_field[fi, xi]) for fi in snap_idx]
-            fh.write(",".join(row) + "\n")
+    _write_csv(
+        avg_path,
+        ["x"] + [f"ebar_t_{t:g}" for t in snapshots],
+        zip(series.grid, *series.avg_error_field[snap_idx]),
+    )
 
     manifest = _resolved_params(scn, "simulate")
     manifest["snapshots"] = ";".join(f"{t:g}" for t in snapshots)
@@ -334,28 +337,26 @@ def cmd_sweep(args) -> int:
     run_sim = bool(args.simulate)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
     successes = 0
-    with out_path.open("w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in k_values:
-            for g in g_values:
-                row = [_fmt(k), _fmt(g)]
-                try:
-                    cfg = scn.net.with_gains(k=float(k), g=float(g))
-                    cert = evaluate_certificate(
-                        certificate_matrix(cfg), FEASIBILITY_MARGIN
-                    )
-                    row += [_fmt(cert.max_eig), "true" if cert.feasible else "false"]
-                    if run_sim:
-                        traj = simulate(cfg, scn.sim)
-                        series = sync_errors(traj)
-                        t_end = scn.sim.t_end
-                        window = (min(0.5, t_end / 5.0), min(2.0, t_end))
-                        row.append(_fmt(fit_decay_rate(series, window)))
-                    successes += 1
-                except (HeatSyncError, ValueError):
-                    # failed cell: keep the gains, blank the metric columns
-                    row = row[:2] + [""] * (len(cols) - 2)
-                fh.write(",".join(row) + "\n")
+    rows = []
+    for k in k_values:
+        for g in g_values:
+            row = [k, g]
+            try:
+                cfg = scn.net.with_gains(k=float(k), g=float(g))
+                cert = evaluate_certificate(certificate_matrix(cfg))
+                row += [cert.max_eig, "true" if cert.feasible else "false"]
+                if run_sim:
+                    traj = simulate(cfg, scn.sim)
+                    series = sync_errors(traj)
+                    t_end = scn.sim.t_end
+                    window = (min(0.5, t_end / 5.0), min(2.0, t_end))
+                    row.append(fit_decay_rate(series, window))
+                successes += 1
+            except (HeatSyncError, ValueError):
+                # failed cell: keep the gains, blank the metric columns
+                row = row[:2] + [""] * (len(cols) - 2)
+            rows.append(row)
+    _write_csv(out_path, cols, rows)
     print(f"wrote {out_path} ({len(k_values) * len(g_values)} cells)")
     return 0 if successes > 0 else 1
 

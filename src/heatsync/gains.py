@@ -20,7 +20,6 @@ from .certify import (
 )
 from .errors import (
     EmptyWindow,
-    GraphNotConnected,
     InfeasibleInBracket,
     InvalidLeaderCount,
     UncontrollableComponent,
@@ -28,6 +27,7 @@ from .errors import (
 from .graph import FollowerGraph, connected_components
 
 _PI_SQ = np.pi**2
+_G_TOL = 1e-6  # width at which the ternary search on g stops
 
 
 @dataclass(frozen=True)
@@ -76,27 +76,6 @@ class GainDesign:
     per_component: tuple[ComponentPlan, ...]
 
 
-def k_window_full(alpha: float) -> Interval:
-    """Admissible boundary gain interval when every agent hears the leader.
-
-    Empty iff alpha >= pi^2/4.  Otherwise the open interval
-
-        pi^2/2 - (pi/2) sqrt(pi^2 - 4 alpha) < k < pi^2/2 + (pi/2) sqrt(...)
-
-    intersected with the trace condition k > alpha - pi^2/4 (which is in
-    fact implied by the interval, but is intersected rather than assumed
-    redundant).
-    """
-    if alpha >= _PI_SQ / 4.0:
-        return _EMPTY
-    radius = 0.5 * np.pi * np.sqrt(_PI_SQ - 4.0 * alpha)
-    lo = max(alpha - _PI_SQ / 4.0, _PI_SQ / 2.0 - radius)
-    hi = _PI_SQ / 2.0 + radius
-    if lo >= hi:
-        return _EMPTY
-    return Interval(lo=lo, hi=hi)
-
-
 def k_window_partial(alpha: float, n: int, s: int) -> Interval:
     """Admissible boundary gain interval with s of n agents leader-connected.
 
@@ -104,7 +83,8 @@ def k_window_partial(alpha: float, n: int, s: int) -> Interval:
 
         pi^2/2 - (pi/2) sqrt(pi^2 - 4 (n/s) alpha) < k < pi^2/2 + (pi/2) sqrt(...)
 
-    For s = n this coincides with the fully controlled interval.
+    s = n is the fully controlled case, in which the window depends on
+    alpha alone.
     """
     if not 1 <= s <= n:
         raise InvalidLeaderCount(f"need 1 <= s <= n, got s={s}, n={n}")
@@ -114,16 +94,27 @@ def k_window_partial(alpha: float, n: int, s: int) -> Interval:
     return Interval(lo=_PI_SQ / 2.0 - radius, hi=_PI_SQ / 2.0 + radius)
 
 
-def _ternary_search_g(cfg, bracket, g_tol, margin):
+def search_g(
+    cfg: NetworkConfig, bracket: tuple[float, float] = (-1e4, 0.0)
+) -> tuple[float, Certificate]:
+    """Minimize the certificate's top eigenvalue over a coupling-gain bracket.
+
+    Any g already on ``cfg`` is ignored.  The minimizer is returned together
+    with its certificate when feasible; otherwise InfeasibleInBracket carries
+    the best (g, max eigenvalue) pair found.  The certificate block-decomposes
+    over the connected components of the follower graph, so one search covers
+    a disconnected graph too; a component with no leader link stays
+    infeasible for every g and ends in InfeasibleInBracket.
+    """
     g_lo, g_hi = float(bracket[0]), float(bracket[1])
     if not g_lo < g_hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
 
     def cert_at(g: float) -> Certificate:
-        return evaluate_certificate(certificate_matrix(cfg.with_gains(g=g)), margin)
+        return evaluate_certificate(certificate_matrix(cfg.with_gains(g=g)))
 
     lo, hi = g_lo, g_hi
-    while hi - lo > g_tol:
+    while hi - lo > _G_TOL:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if cert_at(m1).max_eig <= cert_at(m2).max_eig:
@@ -137,32 +128,7 @@ def _ternary_search_g(cfg, bracket, g_tol, margin):
     return g_best, cert
 
 
-def search_g(
-    cfg: NetworkConfig,
-    bracket: tuple[float, float] = (-1e4, 0.0),
-    g_tol: float = 1e-6,
-    margin: float = 1e-9,
-) -> tuple[float, Certificate]:
-    """Minimize the certificate's top eigenvalue over a coupling-gain bracket.
-
-    Any g already on ``cfg`` is ignored.  The minimizer is returned together
-    with its certificate when feasible; otherwise InfeasibleInBracket carries
-    the best (g, max eigenvalue) pair found.  The follower graph must be
-    connected; disconnected graphs need a per-component design (see
-    ``design``).
-    """
-    if len(connected_components(cfg.graph)) != 1:
-        raise GraphNotConnected("coupling-gain search needs a connected graph")
-    return _ternary_search_g(cfg, bracket, g_tol, margin)
-
-
-def design(
-    graph: FollowerGraph,
-    alpha: float,
-    beta: float = 1.0,
-    bracket: tuple[float, float] = (-1e4, 0.0),
-    margin: float = 1e-9,
-) -> GainDesign:
+def design(graph: FollowerGraph, alpha: float, beta: float = 1.0) -> GainDesign:
     """Full synthesis pipeline for a common boundary gain and coupling gain.
 
     Per connected component of the follower graph the admissible window is
@@ -197,11 +163,8 @@ def design(
     narrowest = min(plans, key=lambda p: p.window.width)
     k = narrowest.window.midpoint
 
-    # The certificate block-decomposes over components, so one search on the
-    # whole network covers the disconnected case too (every component has a
-    # leader node by the check above); skip the single-component guard.
     base = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=0.0)
-    g, cert = _ternary_search_g(base, bracket=bracket, g_tol=1e-6, margin=margin)
+    g, cert = search_g(base)
     return GainDesign(
         k=k,
         g=g,

@@ -31,21 +31,36 @@ class FollowerGraph:
         return len(self.leader_set)
 
 
+def _as_int(value, what: str) -> int:
+    try:
+        exact = int(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact is None or exact != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return exact
+
+
 def build_graph(n, edges, leader_set) -> FollowerGraph:
     """Validate and freeze a follower graph.
 
     Edges are unordered pairs of distinct nodes in 1..n; duplicates (in either
-    orientation) and self-loops are rejected.  ``leader_set`` may be empty;
-    per-component leader requirements are enforced by the gain-design stage,
-    not here.
+    orientation) and self-loops are rejected.  ``n`` and node ids must be
+    integers (integral floats pass); anything else raises ValueError rather
+    than being truncated.  ``leader_set`` may be empty; per-component leader
+    requirements are enforced by the gain-design stage, not here.
     """
-    n = int(n)
+    n = _as_int(n, "follower count")
     if n < 0:
         raise IndexOutOfRange(f"follower count must be >= 0, got {n}")
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of nodes") from None
+        i, j = _as_int(i, "edge node"), _as_int(j, "edge node")
         if i == j:
             raise SelfLoop(f"edge ({i},{j}) is a self-loop")
         if not (1 <= i <= n and 1 <= j <= n):
@@ -55,7 +70,7 @@ def build_graph(n, edges, leader_set) -> FollowerGraph:
             raise DuplicateEdge(f"edge {e} given more than once")
         seen.add(e)
         norm.append(e)
-    leaders = frozenset(int(v) for v in leader_set)
+    leaders = frozenset(_as_int(v, "leader node") for v in leader_set)
     for v in leaders:
         if not (1 <= v <= n):
             raise IndexOutOfRange(f"leader node {v} outside 1..{n}")

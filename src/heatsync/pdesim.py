@@ -24,7 +24,7 @@ import numpy as np
 
 from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
-from .graph import laplacian, leader_mask
+from .graph import laplacian
 from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
 
 if TYPE_CHECKING:
@@ -54,7 +54,6 @@ class SimConfig:
     scheme: str = "crank_nicolson"
     output_stride: int = 10
     initial_conditions: object = None
-    leader_seventh_harmonic: bool = False
 
     def __post_init__(self):
         if self.nx < 16:
@@ -180,7 +179,7 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
         sp.csr_array(coupling), sp.eye_array(nx), format="csr"
     )
 
-    kappa = net.k_vector * leader_mask(net.graph).astype(float).diagonal()
+    kappa = net.boundary_gains
     fed = np.flatnonzero(kappa != 0.0)
     if fed.size:
         flux = 2.0 * net.beta / dx
@@ -225,7 +224,7 @@ def _resolve_initial_conditions(
             raise DimensionMismatch(
                 f"the sectionV profiles define 5 followers, config has {net.n}"
             )
-        return demo_initial_profiles(x, sim.leader_seventh_harmonic)
+        return demo_initial_profiles(x)
     followers, leader = ic
     followers = np.asarray(followers, dtype=float)
     leader = np.asarray(leader, dtype=float)

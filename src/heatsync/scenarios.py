@@ -30,14 +30,11 @@ def demo_graph() -> FollowerGraph:
     return build_graph(5, DEMO_EDGES, DEMO_LEADERS)
 
 
-def demo_initial_profiles(
-    x: np.ndarray, leader_seventh_harmonic: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def demo_initial_profiles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Initial profiles of the five demo followers and the leader.
 
-    The leader profile carries a 2*cos(7x) term whose argument is 7x, not
-    7*pi*x; pass ``leader_seventh_harmonic=True`` to use the harmonic
-    variant 2*cos(7*pi*x) instead.
+    The leader profile is 2 + cos(pi x) + 2 cos(7x): the argument of its last
+    term is 7x, not 7*pi*x.
     """
     x = np.asarray(x, dtype=float)
     followers = np.vstack(
@@ -49,8 +46,7 @@ def demo_initial_profiles(
             0.5 * np.cos(7 * np.pi * x),
         ]
     )
-    mode = 7 * np.pi * x if leader_seventh_harmonic else 7 * x
-    leader = 2.0 + np.cos(np.pi * x) + 2.0 * np.cos(mode)
+    leader = 2.0 + np.cos(np.pi * x) + 2.0 * np.cos(7 * x)
     return followers, leader
 
 

@@ -20,7 +20,6 @@ from heatsync import (
     demo_graph,
     evaluate_certificate,
     fit_decay_rate,
-    k_window_full,
     k_window_partial,
     schur_reduction,
     search_g,
@@ -70,7 +69,7 @@ def test_c02_gain_window_exactness():
     ks = np.linspace(-1.0, 12.0, 40)
     for alpha in alphas:
         for k in ks:
-            w = k_window_full(float(alpha))
+            w = k_window_partial(float(alpha), 1, 1)
             if not w.empty and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
                 continue
             kernel = np.array([[-PI2 / 2, k], [k, 2 * (alpha - k)]])
@@ -264,7 +263,7 @@ def test_c09_spectral_diagnostics():
     # closed loop is stable even though the open loop grows
     grows = got[0.5] > 0
     all_leaders = build_graph(5, demo_graph().edges, [1, 2, 3, 4, 5])
-    k_mid = k_window_full(0.5).midpoint
+    k_mid = k_window_partial(0.5, 1, 1).midpoint
     closed = NetworkConfig(graph=all_leaders, alpha=0.5, k=k_mid, g=0.0)
     closed_abscissa = spectral_abscissa(
         closed, SimConfig(nx=81, dt=1e-3, source="off")

@@ -4,7 +4,6 @@ import pytest
 from heatsync import (
     NetworkConfig,
     SymMatrix,
-    build_certificate_fully_controlled,
     build_graph,
     certificate_matrix,
     coupling_gain_feasible,
@@ -148,19 +147,35 @@ class TestEvaluateCertificate:
         assert near >= 100
 
 
+def fully_controlled_kernel(n, alpha, k):
+    """The 2x2 kernel [[-pi^2/2, k], [k, 2(alpha - k)]] expanded over n agents."""
+    return np.kron(np.array([[-PI2 / 2, k], [k, 2.0 * (alpha - k)]]), np.eye(n))
+
+
+def fully_controlled_certificate(n, alpha, k):
+    """certificate_matrix of n uncoupled agents that all hear the leader."""
+    edgeless = build_graph(n, [], range(1, n + 1))
+    return certificate_matrix(NetworkConfig(graph=edgeless, alpha=alpha, k=k, g=0.0))
+
+
 class TestFullyControlledBuilder:
     def test_single_agent(self):
-        mat = build_certificate_fully_controlled(1, 0.0, 3.0).mat
+        mat = fully_controlled_certificate(1, 0.0, 3.0).mat
         assert np.array_equal(mat, np.array([[-PI2 / 2, 3.0], [3.0, -6.0]]))
 
     def test_gains_off_infeasible(self):
-        m = build_certificate_fully_controlled(3, 0.0, 0.0)
+        m = fully_controlled_certificate(3, 0.0, 0.0)
+        assert np.array_equal(m.mat, fully_controlled_kernel(3, 0.0, 0.0))
         assert not evaluate_certificate(m).feasible
 
     def test_eigenvalue_multiplicity(self):
         # expanding the 2x2 kernel over n agents replicates its spectrum
-        base = sym_eigenvalues(build_certificate_fully_controlled(1, 0.0, 3.0)).eigenvalues
-        two = sym_eigenvalues(build_certificate_fully_controlled(2, 0.0, 3.0)).eigenvalues
+        one = fully_controlled_certificate(1, 0.0, 3.0)
+        pair = fully_controlled_certificate(2, 0.0, 3.0)
+        assert np.array_equal(one.mat, fully_controlled_kernel(1, 0.0, 3.0))
+        assert np.array_equal(pair.mat, fully_controlled_kernel(2, 0.0, 3.0))
+        base = sym_eigenvalues(one).eigenvalues
+        two = sym_eigenvalues(pair).eigenvalues
         assert np.allclose(two, np.sort(np.repeat(base, 2)), atol=1e-9)
 
 
@@ -183,7 +198,7 @@ class TestBuilderConsistency:
             alpha = float(rng.uniform(-1.0, 1.0))
             cfg = NetworkConfig(graph=g_all, alpha=alpha, k=k, g=gg)
             lhs = certificate_matrix(cfg).mat
-            rhs = build_certificate_fully_controlled(g.n, alpha, k).mat.copy()
+            rhs = fully_controlled_kernel(g.n, alpha, k)
             rhs[g.n :, g.n :] += gg * laplacian(g_all).astype(float)
             assert np.array_equal(lhs, rhs)
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from heatsync.certify import FEASIBILITY_MARGIN
 from heatsync.cli import load_scenario, main
 
 from conftest import random_connected_graph
@@ -97,6 +98,40 @@ class TestParsing:
         assert "config error:" in captured.err
         assert "feasible" not in captured.out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("edges", [[1]]),
+            ("edges", [[1, 2, 3]]),
+            ("edges", [[2, 2]]),
+            ("edges", [[1, 4]]),
+            ("edges", [[1, 2], [2, 1]]),
+            ("leader_set", [1.5]),
+            ("leader_set", [4]),
+            ("n", 2.7),
+        ],
+        ids=[
+            "edge-of-one-node",
+            "edge-of-three-nodes",
+            "self-loop",
+            "edge-node-out-of-range",
+            "duplicate-edge",
+            "fractional-leader",
+            "leader-out-of-range",
+            "fractional-n",
+        ],
+    )
+    def test_malformed_graph_exits_2(self, tmp_path, capsys, key, value):
+        # a graph block that is not a valid graph is a config error, never
+        # a traceback, a domain outcome or a silently truncated graph
+        graph = {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]}
+        graph[key] = value
+        cfg = write_config(tmp_path / "graph.json", {"graph": graph, "k": 3.0, "g": -2.0})
+        assert main(["certify", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert "feasible" not in captured.out
+
 
 class TestCertify:
     def test_feasible_preset(self, preset_config, tmp_path, capsys):
@@ -150,6 +185,19 @@ class TestDesign:
         assert report["g"] < 0
         # the design report is itself a valid scenario: feed it back
         assert main(["certify", str(report_path)]) == 0
+
+    def test_reports_carry_the_certificate_margin(self, tmp_path, preset_config):
+        # design's report carries no margin key; certifying it writes one
+        plant = write_config(
+            tmp_path / "plant.json",
+            {"graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]}},
+        )
+        assert main(["design", plant]) == 0
+        assert main(["certify", str(tmp_path / "plant.design.json")]) == 0
+        assert main(["certify", preset_config]) == 0
+        for name in ("plant.design.certify.json", "scenario.certify.json"):
+            report = json.loads((tmp_path / name).read_text())
+            assert report["feasibility_margin"] == FEASIBILITY_MARGIN
 
     def test_gains_in_config_warned_and_ignored(self, explicit_config, capsys):
         assert main(["design", explicit_config]) == 0

@@ -3,19 +3,16 @@ import pytest
 
 from heatsync import (
     NetworkConfig,
-    build_certificate_fully_controlled,
     build_graph,
     certificate_matrix,
     demo_graph,
     design,
     evaluate_certificate,
-    k_window_full,
     k_window_partial,
     search_g,
 )
 from heatsync.errors import (
     EmptyWindow,
-    GraphNotConnected,
     InfeasibleInBracket,
     InvalidLeaderCount,
     UncontrollableComponent,
@@ -34,18 +31,20 @@ def kernel_2x2_negative_definite(alpha, k):
 
 
 class TestWindowFull:
+    """Every agent hears the leader: the (n, s) = (1, 1) window."""
+
     def test_alpha_zero(self):
-        w = k_window_full(0.0)
+        w = k_window_partial(0.0, 1, 1)
         assert not w.empty
         assert w.lo == pytest.approx(0.0, abs=1e-12)
         assert w.hi == pytest.approx(PI2, abs=1e-12)
 
     def test_critical_alpha_empty(self):
-        assert k_window_full(PI2 / 4).empty
-        assert k_window_full(PI2 / 4 + 1.0).empty
+        assert k_window_partial(PI2 / 4, 1, 1).empty
+        assert k_window_partial(PI2 / 4 + 1.0, 1, 1).empty
 
     def test_alpha_minus_one_endpoints(self):
-        w = k_window_full(-1.0)
+        w = k_window_partial(-1.0, 1, 1)
         radius = np.pi / 2 * np.sqrt(PI2 + 4.0)
         assert w.lo == pytest.approx(max(-1 - PI2 / 4, PI2 / 2 - radius), abs=1e-12)
         assert w.hi == pytest.approx(PI2 / 2 + radius, abs=1e-12)
@@ -60,7 +59,7 @@ class TestWindowFull:
         for _ in range(300):
             alpha = float(rng.uniform(-2.0, PI2 / 4 + 1.0))
             k = float(rng.uniform(-1.0, 12.0))
-            w = k_window_full(alpha)
+            w = k_window_partial(alpha, 1, 1)
             if not w.empty and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
                 continue
             inside = w.contains(k)
@@ -78,13 +77,13 @@ class TestWindowPartial:
         assert k_window_partial(0.0, 5, 3).contains(3.0)
 
     def test_full_leader_set_matches_full_window(self):
-        for alpha in (-1.5, -0.2, 0.0, 1.0, 2.0):
-            wf = k_window_full(alpha)
+        # the window depends on n/s only, so every s = n gives the same one
+        for alpha in (-1.5, -0.2, 0.0, 1.0, 2.0, PI2 / 4):
+            wf = k_window_partial(alpha, 1, 1)
             wp = k_window_partial(alpha, 6, 6)
             assert wf.empty == wp.empty
             if not wf.empty:
-                assert wf.lo == pytest.approx(wp.lo, abs=1e-12)
-                assert wf.hi == pytest.approx(wp.hi, abs=1e-12)
+                assert (wf.lo, wf.hi) == (wp.lo, wp.hi)
 
     def test_empty_above_threshold(self):
         assert k_window_partial(3 * PI2 / 20, 5, 3).empty  # threshold exactly
@@ -119,7 +118,7 @@ class TestSearchG:
 
     def test_fully_controlled_zero_gain_feasible(self):
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)], [1, 2, 3, 4])
-        cfg = NetworkConfig(graph=g, alpha=0.0, k=k_window_full(0.0).midpoint, g=0.0)
+        cfg = NetworkConfig(graph=g, alpha=0.0, k=k_window_partial(0.0, 1, 1).midpoint, g=0.0)
         g_star, cert = search_g(cfg, bracket=(-100.0, 0.0))
         assert cert.feasible
         # with all agents controlled, g = 0 is feasible on its own
@@ -134,11 +133,25 @@ class TestSearchG:
             assert exc.value.max_eig > 0
             assert bracket[0] <= exc.value.g_best <= bracket[1]
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_matches_design(self):
+        # the certificate block-decomposes over components, so one search on
+        # the whole network is what design runs when every component has a
+        # leader link
         g = build_graph(3, [(1, 2)], [1, 3])
-        cfg = NetworkConfig(graph=g, alpha=0.0, k=3.0, g=0.0)
-        with pytest.raises(GraphNotConnected):
+        gd = design(g, alpha=0.0)
+        g_star, cert = search_g(NetworkConfig(graph=g, alpha=0.0, k=gd.k, g=0.0))
+        assert cert.feasible
+        assert g_star == gd.g
+        assert cert.max_eig == gd.certificate.max_eig
+
+    def test_component_without_leader_link_infeasible(self):
+        # node 3 is isolated and unheard: its block [[-pi^2/2, 0], [0, 2 alpha]]
+        # keeps the eigenvalue 2 alpha > 0 whatever g is
+        g = build_graph(3, [(1, 2)], [1, 2])
+        cfg = NetworkConfig(graph=g, alpha=0.1, k=3.0, g=0.0)
+        with pytest.raises(InfeasibleInBracket) as exc:
             search_g(cfg)
+        assert exc.value.max_eig == pytest.approx(0.2, abs=1e-12)
 
     def test_objective_is_midpoint_convex(self, demo_net):
         lo, hi = -50.0, 0.0
