@@ -49,7 +49,6 @@ from .scenarios import (
     PRESET_NAMES,
     demo_graph,
     demo_initial_profiles,
-    forcing_profile,
     preset_gains,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "design",
     "evaluate_certificate",
     "fit_decay_rate",
-    "forcing_profile",
     "k_window_partial",
     "laplacian",
     "leader_mask",

@@ -33,7 +33,7 @@ from .errors import (
     SelfLoop,
 )
 from .gains import design as design_gains
-from .graph import FollowerGraph, build_graph
+from .graph import FollowerGraph, _as_int, build_graph
 from .pdesim import (
     SimConfig,
     analytic_open_loop_spectrum,
@@ -135,12 +135,12 @@ def load_scenario(path) -> Scenario:
                 initial = (initial["followers"], initial["leader"])
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(
-            nx=int(sim_block.get("nx", 101)),
+            nx=_as_int(sim_block.get("nx", 101), "sim.nx"),
             dt=float(sim_block.get("dt", 1e-3)),
             t_end=t_end,
             source=source,
             scheme=sim_block.get("scheme", "crank_nicolson"),
-            output_stride=int(sim_block.get("output_stride", 10)),
+            output_stride=_as_int(sim_block.get("output_stride", 10), "sim.output_stride"),
             initial_conditions=initial,
         )
     except ConfigError:

@@ -2,23 +2,24 @@
 
 Method of lines on a uniform grid over [0, 1]: second-order central
 differences with ghost-point elimination at the Neumann rows, so the whole
-closed loop (including the nonlocal boundary feedback, which couples the
-x=0 node of an agent to the trapezoid weights of that agent and the leader)
-is one constant linear operator.  That operator is stored as a CSR matrix:
-heat stencils on the diagonal blocks, pointwise coupling off them, and one
-dense x=0 row per leader-connected follower (0.2 % nonzeros at N=32,
-nx=101).  Time
-stepping is Crank-Nicolson by default (unconditionally stable, second
-order, source at the half step); backward Euler is available for stiff
-debugging.  The implicit matrix gets one SuperLU factorization per run,
-and the spectral abscissa runs ARPACK on the Crank-Nicolson propagator
-through the same kind of factorization.  scipy is imported inside the
-functions that need it, so the certificate and design paths never load it.
+closed loop, nonlocal boundary feedback included, is one constant linear
+operator.  It is held in the cosine basis cos(j pi x), which diagonalizes
+the ghost-point stencil exactly (fast diagonalization, Lynch, Rice & Thomas
+1964): every mode of every agent decays at its own rate, the in-domain
+coupling acts on each mode alike, and the trapezoid integral that the
+boundary feedback reads is the j=0 coefficient.  So the generator is block
+lower-triangular over the modes: mode 0 carries the feedback and every
+other mode reads only mode 0.  Time stepping is Crank-Nicolson by default
+(unconditionally stable, second order, source at the half step); backward
+Euler is available for stiff debugging.  A step solves one
+(N+1)-square system per mode with inverses formed once per run, and the
+spectral abscissa is read off the eigenvalues of the same blocks.  Only
+numpy is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,6 @@ from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
 from .graph import laplacian
 from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import SuperLU
 
 _DIVERGENCE_LIMIT = 1e12
 
@@ -88,26 +85,58 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Spatially discretized closed-loop generator.
+    """Spatially discretized closed-loop generator in the cosine basis.
 
-    ``full`` is a CSR matrix acting on the stacked state
-    (z_1 .. z_N, z_leader) of size (N+1) * nx.
+    A state is a matrix Y of modal coefficients with one row per agent
+    (z_1 .. z_N, z_leader) and one column per mode j = 0 .. nx-1; agent a's
+    field on the grid is ``modes @ Y[a]``.  The generator maps Y to
+    ``Y * rates + coupling @ Y - outer(feedback @ Y[:, 0], node0)``:
+    ``rates`` are the heat stencil's eigenvalues, ``coupling`` is
+    G L (+) 0, and row i of ``feedback`` is (2 beta/dx) k_i m_i
+    (e_i - e_leader), the flux that the boundary feedback on the trapezoid
+    integral Y[:, 0] injects at the x=0 node, ``node0`` in modal coordinates.
     """
 
-    full: csr_array
-    grid: np.ndarray
+    grid: np.ndarray  # (nx,)
+    modes: np.ndarray  # (nx, nx), cos(j pi x_i)
+    rates: np.ndarray  # (nx,), alpha - (4 beta/dx^2) sin^2(j pi dx/2)
+    coupling: np.ndarray  # (N+1, N+1), or (N, N) for the error subsystem
+    feedback: np.ndarray  # same shape as coupling
+
+    @cached_property
+    def inverse_modes(self) -> np.ndarray:
+        """Inverse of ``modes``: grid values to modal coefficients.
+
+        The modes are orthogonal under the trapezoid weights w, which gives
+        the inverse in closed form, diag(1, 2, .., 2, 1) modes^T diag(w),
+        exact to rounding and the same bits on every BLAS; its row 0 is w,
+        so the j=0 coefficient is the trapezoid integral.
+        """
+        scale = np.full(self.grid.size, 2.0)
+        scale[0] = scale[-1] = 1.0
+        return scale[:, np.newaxis] * self.modes.T * trapezoid_weights(self.grid.size)
 
     @property
-    def error_subsystem(self) -> csr_array:
-        """Generator of the stacked follower errors z_i - z_leader (N*nx square).
+    def node0(self) -> np.ndarray:
+        """The x=0 grid node in modal coordinates, modes^-1 e_0."""
+        return self.inverse_modes[:, 0]
 
-        The coupling rows sum to zero and the leader block is the same heat
-        stencil as every follower block, so in error coordinates the leader
-        drops out: the error generator is the leading follower block of
-        ``full``, sliced out as CSR.  The spectral diagnostics use it.
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The generator applied to modal coefficients ``y``."""
+        flux = np.outer(self.feedback @ y[:, 0], self.node0)
+        return y * self.rates + self.coupling @ y - flux
+
+    @property
+    def error_subsystem(self) -> DiscreteOperator:
+        """Generator of the follower errors z_i - z_leader.
+
+        The coupling rows sum to zero and the leader obeys the same heat
+        equation as every follower, so in error coordinates the leader
+        drops out: the error generator keeps the leading N x N blocks of
+        ``coupling`` and ``feedback``.  The spectral diagnostics use it.
         """
-        m = self.full.shape[0] - self.grid.size
-        return self.full[:m, :m]
+        n = len(self.coupling) - 1
+        return replace(self, coupling=self.coupling[:n, :n], feedback=self.feedback[:n, :n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,74 +169,57 @@ class ErrorSeries:
     pairwise_max: np.ndarray  # (n_frames,), max_{i<j} ||z_i - z_j||_L2
 
 
-def _neumann_heat_stencil(nx: int, dx: float, beta: float, alpha: float) -> csr_array:
-    """Neumann heat stencil (beta/dx^2) t + alpha I as a CSR matrix.
-
-    ``t`` is the second difference with ghost elimination at both Neumann
-    rows: (-2, 2) in the first row, (2, -2) in the last, (1, -2, 1) between.
-    """
-    import scipy.sparse as sp
-
-    scale = beta / dx**2
-    upper = np.full(nx - 1, scale)
-    lower = np.full(nx - 1, scale)
-    upper[0] = lower[-1] = scale * 2.0
-    main = np.full(nx, scale * -2.0 + alpha)
-    return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1], format="csr")
-
-
 def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     """Build the discrete closed-loop generator for a scenario.
 
-    Every agent block is the Neumann heat stencil; follower x=0 rows pick up
+    Every agent obeys the Neumann heat stencil; follower x=0 nodes pick up
     the boundary feedback flux -(2 beta / dx) * k_i m_i * trapezoid(z_i - z_l)
     from eliminating the ghost node against the prescribed boundary slope,
-    and the in-domain coupling adds g_i * l_ij pointwise across agent blocks.
-    The leader block is pure Neumann and feeds back to nothing.  So the
-    generator is kron(I, T) + kron(G L (+) 0, I) plus one dense x=0 row per
-    leader-connected follower, assembled in that order as CSR.
+    and the in-domain coupling adds g_i * l_ij pointwise across agents.  The
+    leader is pure Neumann and feeds back to nothing.
     """
-    import scipy.sparse as sp
-
     n, nx = net.n, sim.nx
-    dx = sim.dx
-    w = trapezoid_weights(nx)
-    heat = _neumann_heat_stencil(nx, dx, net.beta, net.alpha)
+    j = np.arange(nx)
+    # cos(j pi x_i) with x_i = i/(nx-1) and the phase i*j reduced mod
+    # 2(nx-1): the argument stays below 2 pi, so the modes are exact to rounding
+    modes = np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
+    rates = net.alpha - 4.0 * net.beta / sim.dx**2 * np.sin(np.pi * j * sim.dx / 2) ** 2
     coupling = np.zeros((n + 1, n + 1))
     coupling[:n, :n] = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
-    full = sp.kron(sp.eye_array(n + 1), heat, format="csr") + sp.kron(
-        sp.csr_array(coupling), sp.eye_array(nx), format="csr"
+    flux = (2.0 * net.beta / sim.dx) * net.boundary_gains
+    feedback = np.zeros((n + 1, n + 1))
+    feedback[:n, :n] = np.diag(flux)
+    feedback[:n, n] = -flux
+    return DiscreteOperator(
+        grid=sim.grid, modes=modes, rates=rates, coupling=coupling, feedback=feedback
     )
 
-    kappa = net.boundary_gains
-    fed = np.flatnonzero(kappa != 0.0)
-    if fed.size:
-        flux = 2.0 * net.beta / dx
-        cells = np.arange(nx)
-        rows = np.repeat(fed * nx, 2 * nx)
-        blocks = np.stack([fed * nx, np.full_like(fed, n * nx)], axis=1)
-        cols = (blocks[:, :, np.newaxis] + cells).reshape(-1)
-        vals = np.concatenate(
-            [(-flux * kappa[fed])[:, np.newaxis] * w, (+flux * kappa[fed])[:, np.newaxis] * w],
-            axis=1,
-        ).reshape(-1)
-        full = full + sp.coo_array((vals, (rows, cols)), shape=full.shape).tocsr()
-    return DiscreteOperator(full=full, grid=sim.grid)
 
+def _implicit_solver(op: DiscreteOperator, h: float):
+    """The map R -> (I - h A)^-1 R on modal coefficients, A the generator of ``op``.
 
-def _factor_implicit(a: csr_array, h: float) -> SuperLU:
-    """SuperLU factors of I - h*A.
-
-    The ordering is minimum degree on the symmetrized pattern
-    (``MMD_AT_PLUS_A``): the feedback rows are dense, and SuperLU's default
-    column ordering fills the factors 4-10x more on them.  Raises
-    RuntimeError when the matrix is exactly singular.
+    Mode j's block is (1 - h rates_j) I - h coupling, and mode 0's also
+    carries h node0_0 feedback; each is inverted once, with no assumption
+    on the coupling's eigenvectors (per-agent g is fine).  A solve does mode
+    0 first, moves its feedback flux onto the other modes' right-hand
+    sides, and applies their inverses.  Raises LinAlgError when a block is
+    exactly singular.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
+    node0 = op.node0
+    blocks = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * np.eye(len(op.coupling))
+    blocks -= h * op.coupling
+    blocks[0] += h * node0[0] * op.feedback
+    inverses = np.linalg.inv(blocks)
+    shed = h * node0[1:]
 
-    m = sp.eye_array(a.shape[0], format="csr") - h * a
-    return splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = np.empty_like(r)
+        y[:, 0] = inverses[0] @ r[:, 0]
+        rest = r[:, 1:] - np.outer(op.feedback @ y[:, 0], shed)
+        y[:, 1:] = (inverses[1:] @ rest.T[:, :, np.newaxis])[:, :, 0].T
+        return y
+
+    return solve
 
 
 def _resolve_initial_conditions(
@@ -248,50 +260,47 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     """Run the closed loop and sample every ``output_stride`` steps.
 
     Crank-Nicolson: (I - dt/2 A) y_{n+1} = (I + dt/2 A) y_n + dt f(t_n + dt/2);
-    backward Euler uses the source at the step end.  The implicit matrix is
-    factored once (``_factor_implicit``), so each step is one CSR product
-    and one pair of triangular solves.
-    Raises Divergence (with step and agent) if the state leaves the finite
-    range; an exactly singular implicit matrix diverges at step 1.
+    backward Euler uses the source at the step end.  The state is stepped
+    in modal coordinates (``_implicit_solver``) and mapped to the grid
+    every step.  Raises Divergence (with step and agent) if the field
+    leaves the finite range; an exactly singular implicit matrix diverges
+    at step 1.
     """
-    import scipy.sparse as sp
-
     n, nx = net.n, sim.nx
-    a = assemble_operator(net, sim).full
-    size = (n + 1) * nx
+    op = assemble_operator(net, sim)
     crank = sim.scheme == "crank_nicolson"
     h = sim.dt / 2.0 if crank else sim.dt
-    m_explicit = sp.eye_array(size, format="csr") + h * a if crank else None
     try:
-        lu = _factor_implicit(a, h)
-    except RuntimeError:  # exactly singular: no state after step 1 is defined
-        _check_finite(np.full(size, np.nan), n, nx, 1, sim.dt)
+        solve = _implicit_solver(op, h)
+    except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
+        _check_finite(np.full((n + 1, nx), np.nan), n, nx, 1, sim.dt)
 
     followers0, leader0 = _resolve_initial_conditions(net, sim)
-    y = np.concatenate([followers0.reshape(-1), leader0])
-    x = sim.grid
-    # the source is shape(x) * amplitude(t) on every block; tile the shape once
-    source = np.tile(forcing_shape(x), n + 1) if sim.source == "paper" else None
+    z = np.vstack([followers0, leader0])
+    y = z @ op.inverse_modes.T
+    # the source is shape(x) * amplitude(t) on every agent: one modal row
+    source = op.inverse_modes @ forcing_shape(sim.grid) if sim.source == "paper" else None
 
-    frames = [y.copy()]
+    frames = [z]
     times = [0.0]
     n_steps = sim.n_steps
     for step in range(1, n_steps + 1):
         t_src = (step - 1) * sim.dt + sim.dt / 2.0 if crank else step * sim.dt
-        rhs = m_explicit @ y if crank else y.copy()
+        rhs = y + h * op.apply(y) if crank else y.copy()
         if source is not None:
             rhs += sim.dt * (source * forcing_amplitude(t_src))
-        y = lu.solve(rhs)
-        _check_finite(y, n, nx, step, sim.dt)
+        y = solve(rhs)
+        z = y @ op.modes.T
+        _check_finite(z, n, nx, step, sim.dt)
         if step % sim.output_stride == 0 or step == n_steps:
-            frames.append(y.copy())
+            frames.append(z)
             times.append(step * sim.dt)
     stacked = np.array(frames)
     return Trajectory(
         times=np.array(times),
-        grid=x,
-        z=stacked[:, : n * nx].reshape(len(times), n, nx).transpose(1, 0, 2),
-        z_leader=stacked[:, n * nx :],
+        grid=sim.grid,
+        z=stacked[:, :n].transpose(1, 0, 2),
+        z_leader=stacked[:, n],
     )
 
 
@@ -301,20 +310,18 @@ def sync_errors(traj: Trajectory) -> ErrorSeries:
     The total is the root of the summed squared per-agent errors, and the
     summed error field is the plain sum of the error fields over agents.
     """
-    n = traj.n_agents
-    nx = traj.grid.size
-    w = trapezoid_weights(nx)
+    w = trapezoid_weights(traj.grid.size)
     e = traj.errors()
     per_sq = np.einsum("atx,x->at", e**2, w)
     per = np.sqrt(per_sq)
     total = np.sqrt(per_sq.sum(axis=0))
     avg_field = e.sum(axis=0)
-    n_frames = traj.times.size
-    pair = np.zeros(n_frames)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = traj.z[i] - traj.z[j]
-            pair = np.maximum(pair, np.sqrt(np.einsum("tx,x->t", diff**2, w)))
+    z = traj.z
+    pair = np.zeros(traj.times.size)
+    for i in range(traj.n_agents):
+        d = z[i] - z[i + 1 :]
+        dist = np.sqrt(np.einsum("jtx,x->jt", d**2, w))
+        pair = np.maximum(pair, dist.max(axis=0, initial=0.0))
     return ErrorSeries(
         times=traj.times.copy(),
         grid=traj.grid.copy(),
@@ -349,38 +356,28 @@ def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
 
     rho is the spectral radius of the Crank-Nicolson one-step propagator
     (I - dt/2 A)^-1 (I + dt/2 A) of the error subsystem (leader and source
-    excluded).  ARPACK finds it from products with the propagator, each one
-    CSR product and one solve with the factored implicit matrix, started
-    from a fixed-seed vector so results are reproducible.  The value is
-    dt-exact: on the demo it is -0.835599, -0.835594 and -0.835594 at
-    dt = 1e-2, 1e-3 and 1e-4.  It is still floored by the time
-    discretization: very stiff spatial modes keep |one-step factor| close
-    to 1, so dt must be small enough for the physical slow mode to
-    dominate.  Raises NoConvergence if ARPACK does not converge or the
-    implicit matrix is exactly singular.
+    excluded), that is max |(1 + h lam)/(1 - h lam)| over the eigenvalues
+    lam of A, h = dt/2.  A is block lower-triangular over the cosine modes,
+    so its eigenvalues are those of the N x N mode blocks:
+    rates_0 + eig(coupling - node0_0 feedback) for the constant mode and
+    rates_j + eig(coupling) for the others.  The value is dt-exact: on the
+    demo it is -0.835599, -0.835594 and -0.835594 at dt = 1e-2, 1e-3 and
+    1e-4.  It is still floored by the time discretization: very stiff
+    spatial modes keep |one-step factor| close to 1, so dt must be small
+    enough for the physical slow mode to dominate.  Raises NoConvergence
+    if I - (dt/2) A is exactly singular.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
-    a = assemble_operator(net, sim).error_subsystem
-    size = a.shape[0]
+    op = assemble_operator(net, sim).error_subsystem
     h = sim.dt / 2.0
-    try:
-        lu = _factor_implicit(a, h)
-    except RuntimeError as exc:
-        raise NoConvergence(f"I - (dt/2) A is exactly singular: {exc}") from exc
-    explicit = sp.eye_array(size, format="csr") + h * a
-    propagator = LinearOperator(
-        (size, size), matvec=lambda v: lu.solve(explicit @ v), dtype=float
-    )
-    start = np.random.default_rng(1234).standard_normal(size)
-    try:
-        top = eigs(propagator, k=1, which="LM", v0=start, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
-    return float(np.log(abs(top[0])) / sim.dt)
+    lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * op.feedback)
+    lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(op.coupling)
+    lam = np.concatenate([lam0, lam_rest.reshape(-1)])
+    if (1.0 - h * lam == 0.0).any():
+        raise NoConvergence("I - (dt/2) A is exactly singular")
+    rho = np.abs((1.0 + h * lam) / (1.0 - h * lam)).max()
+    return float(np.log(rho) / sim.dt)
 
 
 def analytic_open_loop_spectrum(

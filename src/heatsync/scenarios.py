@@ -60,11 +60,6 @@ def forcing_amplitude(t: float) -> float:
     return np.sin(np.pi * t)
 
 
-def forcing_profile(x: np.ndarray, t: float) -> np.ndarray:
-    """Shared source term (1 + cos(2 pi x)) sin(pi t) of the demo scenario."""
-    return forcing_shape(x) * forcing_amplitude(t)
-
-
 def preset_gains(name: str) -> tuple[float, float]:
     """(boundary gain, coupling gain) for a preset token."""
     if name == "sectionV":

@@ -7,11 +7,12 @@ hand-rolled cyclic Jacobi iteration (slow, accurate, no LAPACK),
 form.  Production decides certificates from one ``eigvalsh`` call in
 ``heatsync.evaluate_certificate``; the tests check it against these.
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
-dense array, and ``dense_simulate`` steps it with a dense LU and the source
-evaluated afresh every step; production builds the generator as CSR and
-steps it with one SuperLU factorization.  ``dense_abscissa`` takes every
-eigenvalue of the dense Crank-Nicolson propagator of the error subsystem;
-production asks ARPACK for the dominant one through the sparse factors.
+dense array on the grid, and ``dense_simulate`` steps it with a dense LU
+and the source evaluated afresh every step (``forcing_profile``);
+production holds the generator in the cosine basis and steps it one mode
+at a time.  ``dense_abscissa`` takes every eigenvalue of the dense
+Crank-Nicolson propagator of the error subsystem; production reads them
+off the (N x N) mode blocks.
 """
 from __future__ import annotations
 
@@ -23,13 +24,13 @@ from scipy.linalg import lu_factor, lu_solve
 from heatsync import (
     SymMatrix,
     Trajectory,
-    forcing_profile,
     laplacian,
     leader_mask,
     trapezoid_weights,
 )
 from heatsync.errors import NoConvergence
 from heatsync.pdesim import _check_finite, _resolve_initial_conditions
+from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,11 @@ def normalized_certificate(cfg) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+def forcing_profile(x: np.ndarray, t: float) -> np.ndarray:
+    """Shared source term (1 + cos(2 pi x)) sin(pi t) of the demo scenario."""
+    return forcing_shape(x) * forcing_amplitude(t)
+
+
 def _neumann_heat_block(nx: int, dx: float, beta: float, alpha: float) -> np.ndarray:
     # Second difference with ghost elimination at both Neumann rows.
     t = np.zeros((nx, nx))
@@ -228,3 +234,14 @@ def dense_simulate(net, sim) -> Trajectory:
         z=stacked[:, : n * nx].reshape(len(times), n, nx).transpose(1, 0, 2),
         z_leader=stacked[:, n * nx :],
     )
+
+
+def pairwise_max(traj) -> np.ndarray:
+    """max over agent pairs i < j of the trapezoid L2 norm of z_i - z_j, pair by pair."""
+    w = trapezoid_weights(traj.grid.size)
+    pair = np.zeros(traj.times.size)
+    for i in range(traj.n_agents):
+        for j in range(i + 1, traj.n_agents):
+            diff = traj.z[i] - traj.z[j]
+            pair = np.maximum(pair, np.sqrt(np.einsum("tx,x->t", diff**2, w)))
+    return pair

@@ -132,6 +132,27 @@ class TestParsing:
         assert "config error:" in captured.err
         assert "feasible" not in captured.out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("nx", 41.9), ("output_stride", 2.5), ("nx", float("inf")), ("output_stride", "10")],
+        ids=["fractional-nx", "fractional-stride", "infinite-nx", "string-stride"],
+    )
+    def test_non_integral_sim_count_exits_2(self, tmp_path, capsys, key, value):
+        # grid size and output stride are counts: never truncated or coerced
+        sim = {"nx": 41, "dt": 0.01, key: value}
+        cfg = write_config(tmp_path / "sim.json", {"scenario_preset": "sectionV", "sim": sim})
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_sim_count_accepted(self, tmp_path):
+        sim = {"nx": 41.0, "dt": 0.01, "output_stride": 5.0}
+        cfg = write_config(tmp_path / "sim.json", {"scenario_preset": "sectionV", "sim": sim})
+        scn = load_scenario(cfg)
+        assert (scn.sim.nx, scn.sim.output_stride) == (41, 5)
+        assert isinstance(scn.sim.nx, int) and isinstance(scn.sim.output_stride, int)
+
 
 class TestCertify:
     def test_feasible_preset(self, preset_config, tmp_path, capsys):
@@ -487,15 +508,25 @@ class TestPackaging:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
-    def test_cli_import_loads_no_scipy(self):
-        # certify and design need only numpy; the simulator imports scipy
-        # when it runs
+    def test_cli_import_loads_no_scipy(self, preset_config, tmp_path):
+        # the package needs only numpy: a process that runs every command on
+        # the preset never imports scipy
+        out = str(tmp_path / "out")
+        commands = [
+            ["certify", preset_config],
+            ["design", preset_config],
+            ["simulate", preset_config, "--out", out],
+            ["spectrum", preset_config],
+            ["sweep", preset_config, "--k", "1:9:2", "--g", "-4:0:2",
+             "--out", out + "/sweep.csv", "--simulate"],
+        ]
         code = (
-            "import sys, heatsync.cli; "
+            "import sys; from heatsync.cli import main; "
+            f"print([main(a) for a in {commands!r}]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]

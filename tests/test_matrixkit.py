@@ -1,3 +1,8 @@
+"""SymMatrix and the eigenvalue and definiteness oracles of tests/oracles.py.
+
+The file keeps the name of the module these once lived in, so that the ids
+of its tests stay stable.
+"""
 import numpy as np
 import pytest
 

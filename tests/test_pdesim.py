@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import eye_array
-from scipy.sparse.linalg import splu
 
 from heatsync import (
     ErrorSeries,
@@ -18,7 +16,6 @@ from heatsync import (
     evaluate_certificate,
     certificate_matrix,
     fit_decay_rate,
-    forcing_profile,
     k_window_partial,
     preset_gains,
     search_g,
@@ -28,9 +25,10 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
+from heatsync.pdesim import _implicit_solver
 
 from conftest import random_connected_graph
-from oracles import dense_abscissa, dense_operator, dense_simulate
+from oracles import dense_abscissa, dense_operator, dense_simulate, pairwise_max
 
 PI2 = np.pi**2
 
@@ -126,45 +124,64 @@ class TestL2Norm:
         assert l2_norm(np.zeros(50)) == 0.0
 
 
+def grid_apply(op, z):
+    """The generator of ``op`` applied to grid values z, one row per agent."""
+    return op.apply(z @ op.inverse_modes.T) @ op.modes.T
+
+
+def grid_matrix(op):
+    """The generator of ``op`` as a matrix on the stacked grid values."""
+    m, nx = op.coupling.shape[0], op.grid.size
+    units = np.eye(m * nx).reshape(m * nx, m, nx)
+    return np.array([grid_apply(op, u).reshape(-1) for u in units]).T
+
+
 class TestOperator:
     def test_leader_alone_constant_in_kernel(self):
         g0 = build_graph(0, [], [])
         net = NetworkConfig(graph=g0, alpha=0.0, beta=1.0)
         op = assemble_operator(net, SimConfig(nx=33, source="off"))
-        assert op.full.shape == (33, 33)
-        assert np.abs(op.full @ np.ones(33)).max() == 0.0
+        assert op.coupling.shape == op.feedback.shape == (1, 1)
+        # the constant field is mode 0, and mode 0 decays at rate alpha
+        assert np.array_equal(op.modes[:, 0], np.ones(33))
+        assert op.rates[0] == 0.0
+        constant = np.zeros((1, 33))
+        constant[0, 0] = 1.0
+        assert np.abs(op.apply(constant)).max() == 0.0
 
     def test_decoupled_blocks(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.5, k=0.0, g=0.0)
-        sim = SimConfig(nx=21, source="off")
-        full = assemble_operator(net, sim).full.toarray()
-        block = full[:21, :21]
-        for b in range(1, 6):
-            sl = slice(b * 21, (b + 1) * 21)
-            assert np.array_equal(full[sl, sl], block)
-        off = full.copy()
-        for b in range(6):
-            sl = slice(b * 21, (b + 1) * 21)
-            off[sl, sl] = 0.0
-        assert np.abs(off).max() == 0.0
+        op = assemble_operator(net, SimConfig(nx=21, source="off"))
+        assert op.rates[0] == 0.5
+        assert op.coupling.shape == (6, 6)
+        assert not op.coupling.any()
+        assert not op.feedback.any()
+        y = np.random.default_rng(3).standard_normal((6, 21))
+        assert np.array_equal(op.apply(y), y * op.rates)
 
     def test_boundary_feedback_row_structure(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=0.0)
         sim = SimConfig(nx=21, source="off")
         op = assemble_operator(net, sim)
-        full, err = op.full.toarray(), op.error_subsystem.toarray()
+        err = op.error_subsystem
         nx = 21
         dx = 1.0 / 20
         w = trapezoid_weights(nx)
         flux = 2.0 / dx * 3.0
-        # agent 1 is leader-connected: its x=0 row couples to the leader block
-        assert np.allclose(full[0, 5 * nx :], flux * w)
-        # agent 4 is not: no leader coupling on its x=0 row
-        assert np.abs(full[3 * nx, 5 * nx :]).max() == 0.0
+        # agent 1 is leader-connected: its flux reads its own and the leader's integral
+        expected = np.zeros(6)
+        expected[0], expected[5] = flux, -flux
+        assert np.allclose(op.feedback[0], expected, rtol=1e-15, atol=0.0)
+        # agent 4 is not: no feedback on its row
+        assert not op.feedback[3].any()
         # the error operator carries the same feedback on its own block only
+        assert np.allclose(err.feedback[0], expected[:5], rtol=1e-15, atol=0.0)
+        full, err_full = grid_matrix(op), grid_matrix(err)
+        assert np.allclose(full[0, 5 * nx :], flux * w)
+        assert np.abs(full[3 * nx, 5 * nx :]).max() <= 1e-12 * flux
         heat_row = np.zeros(nx)
         heat_row[0], heat_row[1] = -2.0 / dx**2, 2.0 / dx**2
-        assert np.allclose(err[0, :nx], heat_row - flux * w)
+        assert np.allclose(err_full[0, :nx], heat_row - flux * w)
 
     def test_error_subsystem_is_leading_block_view(self):
         rng = np.random.default_rng(61)
@@ -178,27 +195,44 @@ class TestOperator:
                 k=list(rng.uniform(0.0, 5.0, n)),
                 g=list(rng.uniform(-3.0, 0.0, n)),
             )
-            op = assemble_operator(net, SimConfig(nx=nx, source="off"))
-            full, err = op.full.toarray(), op.error_subsystem.toarray()
-            assert np.array_equal(err, full[: n * nx, : n * nx])
+            sim = SimConfig(nx=nx, source="off")
+            op = assemble_operator(net, sim)
+            err = op.error_subsystem
+            assert np.array_equal(err.coupling, op.coupling[:n, :n])
+            assert np.array_equal(err.feedback, op.feedback[:n, :n])
+            assert err.modes is op.modes and err.rates is op.rates
             # it generates the error dynamics: d/dt (z_i - z_l) from the
-            # closed loop equals err applied to the stacked errors
-            y = rng.standard_normal((n + 1) * nx)
-            dy = (full @ y).reshape(n + 1, nx)
-            errors = (y.reshape(n + 1, nx)[:n] - y[n * nx :]).reshape(-1)
-            expected = (dy[:n] - dy[n]).reshape(-1)
-            scale = np.abs(full).max() * np.abs(y).max()
-            assert np.abs(err @ errors - expected).max() <= 1e-12 * scale
+            # closed loop equals err applied to the errors
+            z = rng.standard_normal((n + 1, nx))
+            dz = grid_apply(op, z)
+            expected = dz[:n] - dz[n]
+            scale = np.abs(dense_operator(net, sim)).max() * np.abs(z).max()
+            assert np.abs(grid_apply(err, z[:n] - z[n]) - expected).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("nx", [16, 33, 101])
     def test_matches_dense_oracle(self, demo_net, nx):
+        # normwise: |error| / (|A|_inf |z|_inf) for the product, and the
+        # residual of the implicit solve over |I - hA|_inf |z|_inf
         rng = np.random.default_rng(nx)
         nets = [demo_net, demo_net.with_gains(k=0.0)] + heterogeneous_nets(rng, 3)
         for net in nets:
             sim = SimConfig(nx=nx, source="off")
-            full = assemble_operator(net, sim).full
-            assert full.format == "csr"
-            assert np.array_equal(full.toarray(), dense_operator(net, sim))
+            op = assemble_operator(net, sim)
+            dense = dense_operator(net, sim)
+            m = net.n + 1
+            y = rng.standard_normal((m, nx))
+            z = y @ op.modes.T
+            got = op.apply(y) @ op.modes.T
+            want = (dense @ z.reshape(-1)).reshape(m, nx)
+            norm = np.abs(dense).sum(axis=1).max()
+            assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
+            for h in (sim.dt / 2.0, sim.dt):
+                implicit = np.eye(m * nx) - h * dense
+                r = rng.standard_normal((m, nx))
+                z = _implicit_solver(op, h)(r @ op.inverse_modes.T) @ op.modes.T
+                residual = implicit @ z.reshape(-1) - r.reshape(-1)
+                bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z).max()
+                assert np.abs(residual).max() <= bound
 
     def test_demo_error_subsystem_is_stable(self, demo_net):
         sim = SimConfig(nx=81, dt=0.01, source="off")
@@ -314,27 +348,6 @@ class TestSimulate:
         assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
         assert got.value.t == want.value.t
 
-    def test_source_is_bit_identical_to_per_step_evaluation(self, demo_net):
-        # simulate scales one tiled spatial profile by sin(pi t); stepping the
-        # same factorization with forcing_profile evaluated afresh every step
-        # must give the same bits
-        sim = SimConfig(nx=41, dt=1e-3, t_end=0.2, output_stride=1,
-                        initial_conditions="sectionV")
-        traj = simulate(demo_net, sim)
-        a = assemble_operator(demo_net, sim).full
-        eye = eye_array(a.shape[0], format="csr")
-        lu = splu((eye - (sim.dt / 2.0) * a).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        explicit = eye + (sim.dt / 2.0) * a
-        followers, leader = demo_initial_profiles(sim.grid)
-        y = np.concatenate([followers.reshape(-1), leader])
-        for step in range(1, sim.n_steps + 1):
-            t_src = (step - 1) * sim.dt + sim.dt / 2.0
-            rhs = explicit @ y
-            rhs += sim.dt * np.tile(forcing_profile(sim.grid, t_src), 6)
-            y = lu.solve(rhs)
-            assert np.array_equal(y[:-41].reshape(5, 41), traj.z[:, step])
-            assert np.array_equal(y[-41:], traj.z_leader[step])
-
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
         with pytest.raises(DimensionMismatch):
@@ -350,6 +363,22 @@ class TestSimulate:
 
 
 class TestSyncErrors:
+    def test_pairwise_max_matches_pair_loop(self, demo_net):
+        # same arithmetic per pair as the loop over all pairs, so equal bits
+        rng = np.random.default_rng(81)
+        trajs = [simulate(demo_net, SimConfig(nx=41, t_end=0.5, initial_conditions="sectionV"))]
+        for n in (1, 2, 7):
+            trajs.append(
+                Trajectory(
+                    times=np.arange(4.0),
+                    grid=np.linspace(0.0, 1.0, 17),
+                    z=rng.standard_normal((n, 4, 17)),
+                    z_leader=rng.standard_normal((4, 17)),
+                )
+            )
+        for traj in trajs:
+            assert np.array_equal(sync_errors(traj).pairwise_max, pairwise_max(traj))
+
     def test_zero_on_synchronized_state(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=3.0, g=-2.0)
         nx = 41
