@@ -12,9 +12,7 @@ from .certify import (
     NetworkConfig,
     SymMatrix,
     certificate_matrix,
-    coupling_gain_feasible,
     evaluate_certificate,
-    schur_reduction,
     trapezoid_weights,
     wirtinger_check,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "build_graph",
     "certificate_matrix",
     "connected_components",
-    "coupling_gain_feasible",
     "demo_graph",
     "demo_initial_profiles",
     "design",
@@ -81,7 +78,6 @@ __all__ = [
     "laplacian",
     "leader_mask",
     "preset_gains",
-    "schur_reduction",
     "search_g",
     "simulate",
     "spectral_abscissa",

@@ -3,33 +3,27 @@
 The sufficient condition for leader synchronization is negative definiteness
 of a 2N x 2N block matrix assembled from the physics (reaction alpha,
 diffusion beta), the boundary gains, the in-domain coupling gains and the
-follower Laplacian.  ``certificate_matrix`` builds it in the general form
-(matrix Lyapunov weight, per-agent gains, arbitrary beta); in the normalized
-regime (beta = 1, identity weight, common scalar gains) the same matrix is
+follower Laplacian.  ``certificate_matrix`` builds it for per-agent gains
+and any beta; with beta = 1 and common scalar gains it reads
 
     [ -(pi^2/2) I    k M                     ]
     [ k M            2 alpha I - 2 k M + g L ]
 
 a linear matrix inequality in the coupling gain.  The coupling term enters
-the lower-right block once (as g*L in the normalized form); for g <= 0 this
+the lower-right block once (as g*L for a scalar gain); for g <= 0 this
 is the conservative reading and it is the one all the closed-form gain
 windows are derived from.  ``evaluate_certificate`` decides feasibility
 from the top eigenvalue of one LAPACK ``eigvalsh`` call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GraphNotConnected,
-    GridTooCoarse,
-    InvalidSimplification,
-)
-from .graph import FollowerGraph, connected_components, laplacian, leader_mask
+from .errors import DimensionMismatch, GridTooCoarse
+from .graph import FollowerGraph, laplacian, leader_mask
 
 _HALF_PI_SQ = np.pi**2 / 2.0
 # A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
@@ -87,8 +81,7 @@ class NetworkConfig:
     values on followers without leader access are inert: ``boundary_gains``
     multiplies them by the leader mask).  ``g`` is the in-domain coupling
     gain, with the sign convention that the coupling term is ``+ g * L @ z``,
-    so attractive coupling means g < 0.  ``weight`` is the Lyapunov weight
-    matrix; None means identity.
+    so attractive coupling means g < 0.
     """
 
     graph: FollowerGraph
@@ -96,7 +89,6 @@ class NetworkConfig:
     beta: float = 1.0
     k: Gains = 0.0
     g: Gains = 0.0
-    weight: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         # JSON configs may carry NaN or Infinity; no verdict means anything then.
@@ -107,19 +99,6 @@ class NetworkConfig:
         for name in ("k", "g"):
             if not np.isfinite(_as_gain_vector(getattr(self, name), self.graph.n, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if self.weight is not None:
-            w = np.asarray(self.weight, dtype=float)
-            n = self.graph.n
-            if w.shape != (n, n):
-                raise DimensionMismatch(f"weight must be {n}x{n}, got {w.shape}")
-            if not np.isfinite(w).all():
-                raise ValueError("weight matrix must be finite")
-            w = (w + w.T) / 2.0
-            try:
-                np.linalg.cholesky(w)
-            except np.linalg.LinAlgError:
-                raise ValueError("weight matrix must be positive definite")
-            object.__setattr__(self, "weight", w)
 
     @property
     def n(self) -> int:
@@ -146,23 +125,6 @@ class NetworkConfig:
     def g_scalar(self) -> float | None:
         return float(self.g) if np.isscalar(self.g) else None
 
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        return np.eye(self.n) if self.weight is None else self.weight
-
-    @property
-    def is_normalized(self) -> bool:
-        """Unit diffusion, identity weight, common scalar gains."""
-        identity_weight = self.weight is None or np.array_equal(
-            self.weight, np.eye(self.n)
-        )
-        return (
-            self.beta == 1.0
-            and identity_weight
-            and self.k_scalar is not None
-            and self.g_scalar is not None
-        )
-
     def with_gains(self, k: Gains | None = None, g: Gains | None = None):
         changes = {}
         if k is not None:
@@ -188,89 +150,29 @@ class Certificate:
     margin: float
 
 
-def _require_followers(cfg: NetworkConfig) -> int:
-    n = cfg.n
-    if n < 1:
-        raise DimensionMismatch("certificates need at least one follower")
-    return n
-
-
 def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     """The 2N x 2N certificate matrix.
 
-    Blocks, with P the weight, Kbar = diag(k_i m_i) the masked boundary gains,
-    G = diag(g) and L the follower Laplacian::
+    Blocks, with Kbar = diag(k_i m_i) the masked boundary gains, G = diag(g)
+    and L the follower Laplacian::
 
-        [ -(beta*pi^2/2) P     beta P Kbar                              ]
-        [ beta (P Kbar)^T      2 alpha P - beta(P Kbar + (P Kbar)^T)
-                                 + sym(P G L)                           ]
+        [ -(beta*pi^2/2) I     beta Kbar                              ]
+        [ beta Kbar            2 alpha I - 2 beta Kbar + sym(G L)     ]
 
     where sym(X) = (X + X^T)/2.  Negative definiteness certifies exponential
     leader synchronization in the L2 norm.
     """
-    n = _require_followers(cfg)
-    p = cfg.weight_matrix
-    lap = laplacian(cfg.graph).astype(float)
-    pkbar = p @ np.diag(cfg.boundary_gains)
-    pgl = p @ (np.diag(cfg.g_vector) @ lap)
-    top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * p, cfg.beta * pkbar])
-    lower_right = 2.0 * cfg.alpha * p - cfg.beta * (pkbar + pkbar.T) + (pgl + pgl.T) / 2.0
-    bottom = np.hstack([cfg.beta * pkbar.T, lower_right])
-    full = np.vstack([top, bottom])
-    if full.shape != (2 * n, 2 * n):
-        raise DimensionMismatch(f"unexpected certificate shape {full.shape}")
-    return SymMatrix(full)
-
-
-def schur_reduction(cfg: NetworkConfig) -> SymMatrix:
-    """N x N Schur complement of the normalized certificate::
-
-        D = 2 k M - 2 alpha I - g L - (2 k^2 / pi^2) M
-
-    The full 2N x 2N certificate is negative definite iff D is positive
-    definite (the upper-left block is unconditionally negative).
-    """
-    n = _require_followers(cfg)
-    if not cfg.is_normalized:
-        raise InvalidSimplification(
-            "schur reduction is defined for the normalized regime only"
-        )
-    k = cfg.k_scalar
-    g = cfg.g_scalar
-    lap = laplacian(cfg.graph).astype(float)
-    mask = leader_mask(cfg.graph).astype(float)
+    n = cfg.n
+    if n < 1:
+        raise DimensionMismatch("certificates need at least one follower")
     eye = np.eye(n)
-    d = 2.0 * k * mask - 2.0 * cfg.alpha * eye - g * lap - (2.0 * k**2 / np.pi**2) * mask
-    return SymMatrix(d)
-
-
-def coupling_gain_feasible(cfg: NetworkConfig) -> bool:
-    """Existence test for an in-domain gain making the certificate feasible.
-
-    For a connected follower graph the Laplacian kernel is the span of the
-    all-ones vector, so by Finsler's lemma a feasible g exists iff the
-    quadratic form of Q = 2 alpha I - 2 k M + (2 k^2/pi^2) M at the all-ones
-    vector is negative, i.e. 2 k s - 2 alpha N - (2 k^2/pi^2) s > 0 with s
-    the leader count.  The coupling gain cannot influence this quantity
-    because L annihilates the all-ones vector.
-
-    Raises GraphNotConnected on disconnected graphs, where the kernel is
-    larger and this scalar test would be incomplete.
-    """
-    n = _require_followers(cfg)
-    if not cfg.is_normalized:
-        raise InvalidSimplification(
-            "feasibility test is defined for the normalized regime only"
-        )
-    if len(connected_components(cfg.graph)) != 1:
-        raise GraphNotConnected(
-            "kernel test needs a connected follower graph; "
-            "apply it per connected component instead"
-        )
-    k = cfg.k_scalar
-    s = cfg.graph.leader_count
-    value = 2.0 * cfg.alpha * n - 2.0 * k * s + (2.0 * k**2 / np.pi**2) * s
-    return value < 0.0
+    lap = laplacian(cfg.graph).astype(float)
+    kbar = np.diag(cfg.boundary_gains)
+    gl = np.diag(cfg.g_vector) @ lap
+    top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * eye, cfg.beta * kbar])
+    lower_right = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar.T) + (gl + gl.T) / 2.0
+    bottom = np.hstack([cfg.beta * kbar.T, lower_right])
+    return SymMatrix(np.vstack([top, bottom]))
 
 
 def evaluate_certificate(

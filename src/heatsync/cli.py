@@ -33,7 +33,7 @@ from .errors import (
     SelfLoop,
 )
 from .gains import design as design_gains
-from .graph import FollowerGraph, _as_int, build_graph
+from .graph import FollowerGraph, build_graph
 from .pdesim import (
     SimConfig,
     analytic_open_loop_spectrum,
@@ -86,6 +86,19 @@ def _graph_from_dict(d: dict) -> FollowerGraph:
         raise ConfigError(f"bad graph block: {exc}") from exc
 
 
+def _number(value, what: str) -> float:
+    # bool is an int subclass; neither it nor a numeric string is a number here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _gains(value, what: str):
+    if isinstance(value, list):
+        return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+    return _number(value, what)
+
+
 def load_scenario(path) -> Scenario:
     """Read and resolve a scenario config file.
 
@@ -124,28 +137,28 @@ def load_scenario(path) -> Scenario:
             if "graph" not in raw:
                 raise ConfigError("config needs a 'graph' block or a scenario_preset")
             graph = _graph_from_dict(raw["graph"])
-            alpha = float(raw.get("alpha", 0.0))
-            beta = float(raw.get("beta", 1.0))
-            k = raw.get("k", 0.0)
-            g = raw.get("g", 0.0)
+            alpha = _number(raw.get("alpha", 0.0), "alpha")
+            beta = _number(raw.get("beta", 1.0), "beta")
+            k = _gains(raw.get("k", 0.0), "k")
+            g = _gains(raw.get("g", 0.0), "g")
             source = sim_block.get("source", "off")
-            t_end = float(sim_block.get("t_end", 2.5))
+            t_end = _number(sim_block.get("t_end", 2.5), "sim.t_end")
             initial = sim_block.get("initial_conditions")
             if isinstance(initial, dict):
                 initial = (initial["followers"], initial["leader"])
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(
-            nx=_as_int(sim_block.get("nx", 101), "sim.nx"),
-            dt=float(sim_block.get("dt", 1e-3)),
+            nx=sim_block.get("nx", 101),
+            dt=_number(sim_block.get("dt", 1e-3), "sim.dt"),
             t_end=t_end,
             source=source,
             scheme=sim_block.get("scheme", "crank_nicolson"),
-            output_stride=_as_int(sim_block.get("output_stride", 10), "sim.output_stride"),
+            output_stride=sim_block.get("output_stride", 10),
             initial_conditions=initial,
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return Scenario(net=net, sim=sim, preset=preset, raw=raw)
 
@@ -250,22 +263,28 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _parse_snapshots(text: str) -> list[float]:
+def _in_horizon(t: float, t_end: float) -> bool:
+    return 0.0 <= t <= t_end + 1e-12
+
+
+def _parse_snapshots(text: str, t_end: float) -> list[float]:
     try:
         times = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad snapshot list {text!r}: {exc}") from exc
     if not np.isfinite(times).all():
         raise ConfigError(f"snapshot times must be finite, got {text!r}")
+    if not all(_in_horizon(t, t_end) for t in times):
+        raise ConfigError(f"snapshot times must lie in [0, {t_end:g}], got {text!r}")
     return times
 
 
 def cmd_simulate(args) -> int:
     scn = load_scenario(args.config)
     snapshots = (
-        _parse_snapshots(args.snapshots)
+        _parse_snapshots(args.snapshots, scn.sim.t_end)
         if args.snapshots
-        else [t for t in DEFAULT_SNAPSHOTS if t <= scn.sim.t_end + 1e-12]
+        else [t for t in DEFAULT_SNAPSHOTS if _in_horizon(t, scn.sim.t_end)]
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

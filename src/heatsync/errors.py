@@ -25,14 +25,6 @@ class DimensionMismatch(HeatSyncError):
     """Operands have incompatible shapes."""
 
 
-class InvalidSimplification(HeatSyncError):
-    """A normalized-form construction was asked of a non-normalized config."""
-
-
-class GraphNotConnected(HeatSyncError):
-    """An operation requires a connected follower graph."""
-
-
 class GridTooCoarse(HeatSyncError):
     """Too few samples for the requested quadrature."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
-from .graph import laplacian
+from .graph import _as_int, laplacian
 from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
 
 _DIVERGENCE_LIMIT = 1e12
@@ -53,6 +53,9 @@ class SimConfig:
     initial_conditions: object = None
 
     def __post_init__(self):
+        # counts are never truncated: 41.0 is stored as 41, 41.9 is rejected
+        object.__setattr__(self, "nx", _as_int(self.nx, "nx"))
+        object.__setattr__(self, "output_stride", _as_int(self.output_stride, "output_stride"))
         if self.nx < 16:
             raise ValueError(f"nx must be >= 16, got {self.nx}")
         if not (np.isfinite(self.dt) and self.dt > 0):

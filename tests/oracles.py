@@ -3,9 +3,13 @@
 None of these runs on a production path.  ``sym_eigenvalues`` is a
 hand-rolled cyclic Jacobi iteration (slow, accurate, no LAPACK),
 ``is_negative_definite`` decides definiteness by a Cholesky attempt, and
-``normalized_certificate`` writes the certificate in its closed normalized
-form.  Production decides certificates from one ``eigvalsh`` call in
+``closed_form_certificate`` writes the certificate out block by block.
+Production decides certificates from one ``eigvalsh`` call in
 ``heatsync.evaluate_certificate``; the tests check it against these.
+``schur_reduction`` and ``coupling_gain_feasible`` restate feasibility of
+a certificate with beta = 1 and common scalar gains as an N x N
+positive-definiteness test and a sign test on the Laplacian kernel; each
+asserts that its config lies in that regime.
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
 and the source evaluated afresh every step (``forcing_profile``);
@@ -24,6 +28,7 @@ from scipy.linalg import lu_factor, lu_solve
 from heatsync import (
     SymMatrix,
     Trajectory,
+    connected_components,
     laplacian,
     leader_mask,
     trapezoid_weights,
@@ -120,20 +125,64 @@ def is_negative_definite(a, margin: float = 0.0) -> bool:
         return False
 
 
-def normalized_certificate(cfg) -> np.ndarray:
-    """The certificate of a normalized config (beta=1, P=I, scalar gains)::
+def closed_form_certificate(cfg) -> np.ndarray:
+    """The certificate written block by block, for any beta and per-agent gains::
 
-        [ -(pi^2/2) I    k M                     ]
-        [ k M            2 alpha I - 2 k M + g L ]
+        [ -(beta pi^2/2) I    beta K M                          ]
+        [ beta K M            2 alpha I - 2 beta K M + sym(G L) ]
+
+    with K = diag(k), M the leader mask, G = diag(g), sym(X) = (X + X^T)/2.
     """
-    assert cfg.is_normalized
-    k, g, n = cfg.k_scalar, cfg.g_scalar, cfg.n
+    n = cfg.n
+    lap = laplacian(cfg.graph).astype(float)
+    kbar = np.diag(cfg.k_vector) @ leader_mask(cfg.graph).astype(float)
+    gl = cfg.g_vector[:, None] * lap
+    eye = np.eye(n)
+    top = np.hstack([-(cfg.beta * np.pi**2 / 2.0) * eye, cfg.beta * kbar])
+    bottom = np.hstack(
+        [cfg.beta * kbar, 2.0 * cfg.alpha * eye - 2.0 * cfg.beta * kbar + (gl + gl.T) / 2.0]
+    )
+    return np.vstack([top, bottom])
+
+
+def _assert_normalized(cfg) -> None:
+    # the closed forms below hold for unit diffusion and common scalar gains
+    assert cfg.beta == 1.0 and cfg.k_scalar is not None and cfg.g_scalar is not None
+
+
+def schur_reduction(cfg) -> SymMatrix:
+    """N x N Schur complement of a normalized certificate (beta=1, scalar gains)::
+
+        D = 2 k M - 2 alpha I - g L - (2 k^2 / pi^2) M
+
+    The full 2N x 2N certificate is negative definite iff D is positive
+    definite (the upper-left block is unconditionally negative).
+    """
+    _assert_normalized(cfg)
+    k, g = cfg.k_scalar, cfg.g_scalar
     lap = laplacian(cfg.graph).astype(float)
     mask = leader_mask(cfg.graph).astype(float)
-    eye = np.eye(n)
-    top = np.hstack([-(np.pi**2 / 2.0) * eye, k * mask])
-    bottom = np.hstack([k * mask, 2.0 * cfg.alpha * eye - 2.0 * k * mask + g * lap])
-    return np.vstack([top, bottom])
+    eye = np.eye(cfg.n)
+    return SymMatrix(
+        2.0 * k * mask - 2.0 * cfg.alpha * eye - g * lap - (2.0 * k**2 / np.pi**2) * mask
+    )
+
+
+def coupling_gain_feasible(cfg) -> bool:
+    """Whether some in-domain gain makes a normalized certificate feasible.
+
+    For a connected follower graph the Laplacian kernel is the span of the
+    all-ones vector, so by Finsler's lemma a feasible g exists iff the
+    quadratic form of Q = 2 alpha I - 2 k M + (2 k^2/pi^2) M at the all-ones
+    vector is negative, i.e. 2 k s - 2 alpha N - (2 k^2/pi^2) s > 0 with s
+    the leader count.  The coupling gain cannot influence this quantity
+    because L annihilates the all-ones vector.  On a disconnected graph the
+    kernel is larger and this scalar test would be incomplete.
+    """
+    _assert_normalized(cfg)
+    assert len(connected_components(cfg.graph)) == 1
+    k, n, s = cfg.k_scalar, cfg.n, cfg.graph.leader_count
+    return 2.0 * cfg.alpha * n - 2.0 * k * s + (2.0 * k**2 / np.pi**2) * s < 0.0
 
 
 def forcing_profile(x: np.ndarray, t: float) -> np.ndarray:

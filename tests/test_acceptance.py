@@ -16,12 +16,10 @@ from heatsync import (
     SimConfig,
     build_graph,
     certificate_matrix,
-    coupling_gain_feasible,
     demo_graph,
     evaluate_certificate,
     fit_decay_rate,
     k_window_partial,
-    schur_reduction,
     search_g,
     simulate,
     spectral_abscissa,
@@ -32,7 +30,12 @@ from heatsync.cli import main
 from heatsync.errors import InfeasibleInBracket
 
 from conftest import random_connected_graph
-from oracles import is_negative_definite, sym_eigenvalues
+from oracles import (
+    coupling_gain_feasible,
+    is_negative_definite,
+    schur_reduction,
+    sym_eigenvalues,
+)
 
 PI2 = np.pi**2
 

@@ -6,23 +6,22 @@ from heatsync import (
     SymMatrix,
     build_graph,
     certificate_matrix,
-    coupling_gain_feasible,
     demo_graph,
     evaluate_certificate,
     laplacian,
-    schur_reduction,
     search_g,
     wirtinger_check,
 )
-from heatsync.errors import (
-    GraphNotConnected,
-    GridTooCoarse,
-    InfeasibleInBracket,
-    InvalidSimplification,
-)
+from heatsync.errors import GridTooCoarse, InfeasibleInBracket
 
-from conftest import random_connected_graph
-from oracles import is_negative_definite, normalized_certificate, sym_eigenvalues
+from conftest import random_connected_graph, random_graph
+from oracles import (
+    closed_form_certificate,
+    coupling_gain_feasible,
+    is_negative_definite,
+    schur_reduction,
+    sym_eigenvalues,
+)
 
 PI2 = np.pi**2
 
@@ -38,6 +37,18 @@ def random_normalized_config(rng, n_max=8):
     )
 
 
+def random_general_config(rng, n_max=8):
+    """Any beta, per-agent gains (nonzero k on unheard agents too), any graph."""
+    g = random_graph(rng, n_max=n_max)
+    return NetworkConfig(
+        graph=g,
+        alpha=float(rng.uniform(-2.0, 2.0)),
+        beta=float(rng.uniform(0.1, 5.0)),
+        k=rng.uniform(0.0, 12.0, g.n).tolist(),
+        g=rng.uniform(-10.0, 0.0, g.n).tolist(),
+    )
+
+
 class TestNetworkConfig:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
@@ -47,36 +58,18 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(graph=demo_graph(), alpha=0.0, k=[1.0, 2.0])
 
-    def test_rejects_indefinite_weight(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(graph=demo_graph(), alpha=0.0, weight=-np.eye(5))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "field", ["alpha", "beta", "k", "g", "k_vector", "g_vector", "weight"]
+        "field", ["alpha", "beta", "k", "g", "k_vector", "g_vector"]
     )
     def test_rejects_non_finite_numbers(self, field, bad):
         values = {"alpha": 0.0, "beta": 1.0, "k": 3.0, "g": -2.0}
-        if field == "weight":
-            weight = np.eye(5)
-            weight[0, 0] = bad
-            values["weight"] = weight
-        elif field.endswith("_vector"):
+        if field.endswith("_vector"):
             values[field[0]] = [1.0, 1.0, bad, 1.0, 1.0]
         else:
             values[field] = bad
         with pytest.raises(ValueError):
             NetworkConfig(graph=demo_graph(), **values)
-
-    def test_normalized_detection(self, demo_net):
-        assert demo_net.is_normalized
-        assert not NetworkConfig(graph=demo_graph(), alpha=0.0, beta=2.0).is_normalized
-        assert not NetworkConfig(
-            graph=demo_graph(), alpha=0.0, k=[1.0] * 5
-        ).is_normalized
-        # an explicitly supplied identity weight is still the normalized regime
-        explicit_eye = NetworkConfig(graph=demo_graph(), alpha=0.0, weight=np.eye(5))
-        assert explicit_eye.is_normalized
 
 
 class TestGeneralBuilder:
@@ -102,16 +95,6 @@ class TestGeneralBuilder:
         cert = evaluate_certificate(certificate_matrix(cfg))
         assert cert.max_eig == pytest.approx(0.0, abs=1e-12)
         assert not cert.feasible
-
-    def test_matrix_weight_accepted(self):
-        rng = np.random.default_rng(31)
-        g = demo_graph()
-        b = rng.standard_normal((5, 5))
-        weight = b @ b.T + 5 * np.eye(5)
-        cfg = NetworkConfig(graph=g, alpha=0.0, beta=2.0, k=3.0, g=-2.0, weight=weight)
-        mat = certificate_matrix(cfg).mat
-        assert mat.shape == (10, 10)
-        assert np.array_equal(mat, mat.T)
 
 
 class TestEvaluateCertificate:
@@ -181,10 +164,12 @@ class TestFullyControlledBuilder:
 
 class TestBuilderConsistency:
     def test_exact_agreement_on_normalized_configs(self):
+        # scalar gains at beta = 1, then per-agent gains at any beta
         rng = np.random.default_rng(32)
-        for _ in range(50):
-            cfg = random_normalized_config(rng)
-            assert np.array_equal(certificate_matrix(cfg).mat, normalized_certificate(cfg))
+        configs = [random_normalized_config(rng) for _ in range(50)]
+        configs += [random_general_config(rng) for _ in range(50)]
+        for cfg in configs:
+            assert np.array_equal(certificate_matrix(cfg).mat, closed_form_certificate(cfg))
 
     def test_full_mask_decomposition(self):
         # with every agent leader-connected the normalized certificate is the
@@ -203,15 +188,16 @@ class TestBuilderConsistency:
             assert np.array_equal(lhs, rhs)
 
     def test_normalized_builder_rejects_general_configs(self):
+        # the Schur and kernel oracles hold only at beta = 1 with scalar gains
         g = demo_graph()
         for cfg in (
             NetworkConfig(graph=g, alpha=0.0, beta=2.0, k=3.0, g=-2.0),
             NetworkConfig(graph=g, alpha=0.0, k=[3.0] * 5, g=-2.0),
-            NetworkConfig(graph=g, alpha=0.0, k=3.0, g=-2.0, weight=2 * np.eye(5)),
+            NetworkConfig(graph=g, alpha=0.0, k=3.0, g=[-2.0] * 5),
         ):
-            with pytest.raises(InvalidSimplification):
+            with pytest.raises(AssertionError):
                 schur_reduction(cfg)
-            with pytest.raises(InvalidSimplification):
+            with pytest.raises(AssertionError):
                 coupling_gain_feasible(cfg)
 
 
@@ -281,9 +267,10 @@ class TestCouplingGainExistence:
         assert not coupling_gain_feasible(cfg)
 
     def test_disconnected_rejected(self):
+        # a larger Laplacian kernel makes the scalar test incomplete
         g = build_graph(3, [(1, 2)], [1])
         cfg = NetworkConfig(graph=g, alpha=0.0, k=3.0, g=0.0)
-        with pytest.raises(GraphNotConnected):
+        with pytest.raises(AssertionError):
             coupling_gain_feasible(cfg)
 
     def test_soundness_negative_verdict_means_no_gain(self):

@@ -1,15 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatsync
 from heatsync.certify import FEASIBILITY_MARGIN
 from heatsync.cli import load_scenario, main
 
 from conftest import random_connected_graph
 from oracles import dense_abscissa
+
+
+def fresh_python(args, **kwargs):
+    """Run a new interpreter that imports heatsync from the same source tree."""
+    src = str(Path(heatsync.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, **kwargs)
 
 
 def write_config(path, payload):
@@ -131,6 +142,58 @@ class TestParsing:
         captured = capsys.readouterr()
         assert "config error:" in captured.err
         assert "feasible" not in captured.out
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            (None, "alpha", "0.5"),
+            (None, "beta", True),
+            (None, "k", "3"),
+            (None, "g", False),
+            (None, "k", [3.0, "3", 3.0]),
+            (None, "g", [-2.0, True, -2.0]),
+            ("sim", "dt", "0.01"),
+            ("sim", "t_end", "0.1"),
+        ],
+        ids=[
+            "string-alpha",
+            "bool-beta",
+            "string-k",
+            "bool-g",
+            "string-in-per-agent-k",
+            "bool-in-per-agent-g",
+            "string-dt",
+            "string-t_end",
+        ],
+    )
+    def test_non_numeric_number_exits_2(self, tmp_path, capsys, block, key, value):
+        # strings and booleans are not coerced into physics, gains or times
+        payload = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "k": 3.0,
+            "g": -2.0,
+            "sim": {"nx": 21, "dt": 0.01, "t_end": 0.1},
+        }
+        (payload[block] if block else payload)[key] = value
+        cfg = write_config(tmp_path / "typed.json", payload)
+        assert main(["certify", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert "feasible" not in captured.out
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        payload = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "alpha": 0,
+            "beta": 2,
+            "k": [3, 3, 1],
+            "g": -2,
+            "sim": {"nx": 21, "dt": 1, "t_end": 4},
+        }
+        scn = load_scenario(write_config(tmp_path / "ints.json", payload))
+        assert (scn.net.alpha, scn.net.beta, scn.net.g) == (0.0, 2.0, -2.0)
+        assert scn.net.k == [3.0, 3.0, 1.0]
+        assert (scn.sim.dt, scn.sim.t_end) == (1.0, 4.0)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -294,6 +357,26 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("snapshots", ["0.1,5", "-0.1,0.2", "0.6"])
+    def test_snapshot_outside_horizon_exits_2(
+        self, explicit_config, tmp_path, capsys, snapshots
+    ):
+        # t_end is 0.5: a later time would be written under its own header
+        # but hold the field of the last simulated step
+        out_dir = tmp_path / "snap"
+        code = main(
+            ["simulate", explicit_config, "--out", str(out_dir), f"--snapshots={snapshots}"]
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_snapshots_at_horizon_ends_accepted(self, explicit_config, tmp_path):
+        out_dir = tmp_path / "snap"
+        assert main(["simulate", explicit_config, "--out", str(out_dir), "--snapshots", "0,0.5"]) == 0
+        header = (out_dir / "avg_error.csv").read_text().splitlines()[0]
+        assert header == "x,ebar_t_0,ebar_t_0.5"
+
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "blowup.json",
@@ -360,13 +443,7 @@ class TestSpectrum:
         assert abs(abscissa - dense_abscissa(scn.net, scn.sim)) <= 1e-9
 
     def test_stdout_byte_identical(self, preset_config):
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "heatsync", "spectrum", preset_config],
-                capture_output=True,
-            )
-            for _ in range(2)
-        ]
+        runs = [fresh_python(["-m", "heatsync", "spectrum", preset_config]) for _ in range(2)]
         assert all(run.returncode == 0 for run in runs)
         assert runs[0].stdout == runs[1].stdout
 
@@ -500,11 +577,7 @@ class TestDeterminism:
 
 class TestPackaging:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "heatsync", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = fresh_python(["-m", "heatsync", "--version"], text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
@@ -525,8 +598,6 @@ class TestPackaging:
             f"print([main(a) for a in {commands!r}]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
+        proc = fresh_python(["-c", code], text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]

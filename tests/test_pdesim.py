@@ -98,6 +98,16 @@ class TestSimConfig:
             SimConfig(scheme="forward_euler")
         with pytest.raises(ValueError):
             SimConfig(output_stride=0)
+        # a fractional count is rejected here, not deep inside simulate
+        with pytest.raises(ValueError):
+            SimConfig(nx=41.9)
+        with pytest.raises(ValueError):
+            SimConfig(output_stride=2.5)
+
+    def test_integral_float_counts_stored_as_int(self):
+        sim = SimConfig(nx=41.0, output_stride=5.0)
+        assert (sim.nx, sim.output_stride) == (41, 5)
+        assert type(sim.nx) is int and type(sim.output_stride) is int
 
 
 def l2_norm(field: np.ndarray) -> float:
