@@ -1,8 +1,8 @@
 """heatsync: leader synchronization of coupled 1-D heat equations.
 
-Certificate construction and checking, closed-form gain windows with a
-coupling-gain search, and a finite-difference closed-loop simulator with
-CSV-oriented diagnostics.
+Certificate construction and checking, closed-form gain windows with the
+maximal-margin coupling gain, and a finite-difference closed-loop simulator
+with CSV-oriented diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .certify import (
     evaluate_certificate,
 )
 from .errors import (
+    DimensionMismatch,
     Divergence,
     DuplicateEdge,
     HeatSyncError,
@@ -36,6 +37,7 @@ from .gains import design as design_gains
 from .graph import FollowerGraph, build_graph
 from .pdesim import (
     SimConfig,
+    _resolve_initial_conditions,
     analytic_open_loop_spectrum,
     fit_decay_rate,
     simulate,
@@ -93,9 +95,10 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _gains(value, what: str):
+def _numbers(value, what: str):
+    """A number, or a list of them at any depth, each entry read by _number."""
     if isinstance(value, list):
-        return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+        return [_numbers(v, f"{what}[{i}]") for i, v in enumerate(value)]
     return _number(value, what)
 
 
@@ -139,13 +142,18 @@ def load_scenario(path) -> Scenario:
             graph = _graph_from_dict(raw["graph"])
             alpha = _number(raw.get("alpha", 0.0), "alpha")
             beta = _number(raw.get("beta", 1.0), "beta")
-            k = _gains(raw.get("k", 0.0), "k")
-            g = _gains(raw.get("g", 0.0), "g")
+            k = _numbers(raw.get("k", 0.0), "k")
+            g = _numbers(raw.get("g", 0.0), "g")
             source = sim_block.get("source", "off")
             t_end = _number(sim_block.get("t_end", 2.5), "sim.t_end")
             initial = sim_block.get("initial_conditions")
             if isinstance(initial, dict):
-                initial = (initial["followers"], initial["leader"])
+                initial = tuple(
+                    _numbers(initial[part], f"sim.initial_conditions.{part}")
+                    for part in ("followers", "leader")
+                )
+            elif initial is not None and not isinstance(initial, str):
+                raise ConfigError("sim.initial_conditions must be a preset token or an object")
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(
             nx=sim_block.get("nx", 101),
@@ -156,9 +164,11 @@ def load_scenario(path) -> Scenario:
             output_stride=sim_block.get("output_stride", 10),
             initial_conditions=initial,
         )
+        # profile shapes are checked here, before any command runs or writes
+        _resolve_initial_conditions(net, sim)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return Scenario(net=net, sim=sim, preset=preset, raw=raw)
 

@@ -46,7 +46,7 @@ class UncontrollableComponent(HeatSyncError):
 
 
 class InfeasibleInBracket(HeatSyncError):
-    """No coupling gain in the search bracket makes the certificate feasible."""
+    """No coupling gain in the bracket makes the certificate feasible."""
 
     def __init__(self, g_best, max_eig):
         self.g_best = float(g_best)

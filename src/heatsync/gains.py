@@ -1,10 +1,12 @@
-"""Control-gain synthesis: boundary-gain windows and the coupling-gain search.
+"""Control-gain synthesis: boundary-gain windows and the coupling gain.
 
 The admissible boundary gain k has a closed-form open interval per connected
-component; the in-domain coupling gain g is then found by minimizing the top
-certificate eigenvalue over a bracket.  That eigenvalue is convex in g (the
-certificate matrix is affine in g), so a ternary search locates the
-minimizer, which is also the maximal-margin choice.
+component.  The in-domain coupling gain g needs no search: for a common g
+the certificate is Omega(g) = Omega(0) + g (0 (+) L), and the graph
+Laplacian L is positive semidefinite, so by Weyl's inequality the top
+certificate eigenvalue is nonincreasing in g.  The lower end of a bracket
+is therefore its maximal-margin gain, and one certificate there decides
+the whole bracket.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .errors import (
 from .graph import FollowerGraph, connected_components
 
 _PI_SQ = np.pi**2
-_G_TOL = 1e-6  # width at which the ternary search on g stops
 
 
 @dataclass(frozen=True)
@@ -97,35 +98,21 @@ def k_window_partial(alpha: float, n: int, s: int) -> Interval:
 def search_g(
     cfg: NetworkConfig, bracket: tuple[float, float] = (-1e4, 0.0)
 ) -> tuple[float, Certificate]:
-    """Minimize the certificate's top eigenvalue over a coupling-gain bracket.
+    """The maximal-margin coupling gain in a bracket: its lower end.
 
-    Any g already on ``cfg`` is ignored.  The minimizer is returned together
-    with its certificate when feasible; otherwise InfeasibleInBracket carries
-    the best (g, max eigenvalue) pair found.  The certificate block-decomposes
-    over the connected components of the follower graph, so one search covers
-    a disconnected graph too; a component with no leader link stays
-    infeasible for every g and ends in InfeasibleInBracket.
+    Any g already on ``cfg`` is ignored.  ``bracket[0]`` is returned with its
+    certificate when that is feasible; otherwise, by monotonicity, no g in
+    the bracket is, and InfeasibleInBracket carries ``bracket[0]`` and its
+    max eigenvalue.  The certificate block-decomposes over components, so a
+    component with no leader link is infeasible for every g.
     """
     g_lo, g_hi = float(bracket[0]), float(bracket[1])
     if not g_lo < g_hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-
-    def cert_at(g: float) -> Certificate:
-        return evaluate_certificate(certificate_matrix(cfg.with_gains(g=g)))
-
-    lo, hi = g_lo, g_hi
-    while hi - lo > _G_TOL:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if cert_at(m1).max_eig <= cert_at(m2).max_eig:
-            hi = m2
-        else:
-            lo = m1
-    g_best = 0.5 * (lo + hi)
-    cert = cert_at(g_best)
+    cert = evaluate_certificate(certificate_matrix(cfg.with_gains(g=g_lo)))
     if not cert.feasible:
-        raise InfeasibleInBracket(g_best=g_best, max_eig=cert.max_eig)
-    return g_best, cert
+        raise InfeasibleInBracket(g_best=g_lo, max_eig=cert.max_eig)
+    return g_lo, cert
 
 
 def design(graph: FollowerGraph, alpha: float, beta: float = 1.0) -> GainDesign:

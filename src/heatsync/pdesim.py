@@ -69,6 +69,8 @@ class SimConfig:
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         ic = self.initial_conditions
+        if isinstance(ic, str) and ic != "sectionV":
+            raise ValueError(f"unknown initial-condition preset {ic!r}; expected 'sectionV'")
         if ic is not None and not isinstance(ic, str):
             if not all(np.isfinite(np.asarray(part, dtype=float)).all() for part in ic):
                 raise ValueError("initial conditions must be finite")
@@ -232,9 +234,7 @@ def _resolve_initial_conditions(
     ic = sim.initial_conditions
     if ic is None:
         return np.zeros((net.n, sim.nx)), np.zeros(sim.nx)
-    if isinstance(ic, str):
-        if ic != "sectionV":
-            raise ValueError(f"unknown initial-condition preset {ic!r}")
+    if isinstance(ic, str):  # "sectionV", the one token SimConfig accepts
         if net.n != 5:
             raise DimensionMismatch(
                 f"the sectionV profiles define 5 followers, config has {net.n}"

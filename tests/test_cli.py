@@ -154,6 +154,20 @@ class TestParsing:
             (None, "g", [-2.0, True, -2.0]),
             ("sim", "dt", "0.01"),
             ("sim", "t_end", "0.1"),
+            (
+                "sim",
+                "initial_conditions",
+                {"followers": [["1"] + [0.0] * 20] + [[0.0] * 21] * 2, "leader": [0.0] * 21},
+            ),
+            ("sim", "initial_conditions", {"followers": [[0.0] * 21] * 3, "leader": [True] * 21}),
+            (
+                "sim",
+                "initial_conditions",
+                {
+                    "followers": [[0.0] * 21, [0.0] * 10 + [True] + [0.0] * 10, [0.0] * 21],
+                    "leader": [0.0] * 21,
+                },
+            ),
         ],
         ids=[
             "string-alpha",
@@ -164,10 +178,13 @@ class TestParsing:
             "bool-in-per-agent-g",
             "string-dt",
             "string-t_end",
+            "string-in-profile",
+            "all-bool-leader-profile",
+            "one-true-among-profile-floats",
         ],
     )
     def test_non_numeric_number_exits_2(self, tmp_path, capsys, block, key, value):
-        # strings and booleans are not coerced into physics, gains or times
+        # strings and booleans are not coerced into physics, gains, times or profiles
         payload = {
             "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
             "k": 3.0,
@@ -180,6 +197,47 @@ class TestParsing:
         captured = capsys.readouterr()
         assert "config error:" in captured.err
         assert "feasible" not in captured.out
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            "bogus",
+            "sectionV",
+            {"followers": [[0.0] * 21] * 2, "leader": [0.0] * 21},
+            {"followers": [[0.0] * 21] * 3, "leader": [0.0] * 20},
+            [[[0.0] * 21] * 3, [0.0] * 21],
+        ],
+        ids=[
+            "unknown-token",
+            "sectionV-on-three-agents",
+            "two-follower-rows",
+            "short-leader",
+            "bare-array-pair",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["certify", "design", "simulate", "sweep"])
+    def test_bad_initial_conditions_exit_2(self, tmp_path, capsys, command, initial):
+        # the token and the profile shapes are checked when the config is
+        # read: every command stops with a config error before it prints or
+        # writes anything
+        payload = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "k": 3.0,
+            "g": -2.0,
+            "sim": {"nx": 21, "dt": 0.01, "t_end": 0.1, "initial_conditions": initial},
+        }
+        cfg = write_config(tmp_path / "ic.json", payload)
+        out = tmp_path / "out"
+        extra = {
+            "simulate": ["--out", str(out)],
+            "sweep": ["--k", "1:9:2", "--g", "-4:0:2", "--out", str(out / "sweep.csv")],
+        }
+        assert main([command, cfg, *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert not list(tmp_path.glob("ic.*.json"))
 
     def test_integer_numbers_accepted(self, tmp_path):
         payload = {

@@ -17,8 +17,9 @@ from heatsync.errors import (
     InvalidLeaderCount,
     UncontrollableComponent,
 )
+from heatsync.graph import connected_components
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
 from oracles import sym_eigenvalues
 
 PI2 = np.pi**2
@@ -152,6 +153,62 @@ class TestSearchG:
         with pytest.raises(InfeasibleInBracket) as exc:
             search_g(cfg)
         assert exc.value.max_eig == pytest.approx(0.2, abs=1e-12)
+
+    def test_returns_bracket_lower_end(self, demo_net):
+        # one certificate at bracket[0] decides the bracket: the gain is that
+        # end exactly, and the certificate (or the error) is the one built there
+        rng = np.random.default_rng(45)
+        cases = [(demo_net, b) for b in [(-1e4, 0.0), (-100.0, 0.0), (-3.5, 2.0)]]
+        cases.append((demo_net.with_gains(k=PI2 + 1.0), (-10.0, 0.0)))
+        for _ in range(10):
+            graph = random_connected_graph(rng)
+            n, s = graph.n, graph.leader_count
+            alpha = s * PI2 / (4 * n) - 0.1
+            cfg = NetworkConfig(graph=graph, alpha=alpha, k=k_window_partial(alpha, n, s).midpoint)
+            cases.append((cfg, (float(rng.uniform(-1e3, -1.0)), 0.0)))
+        outcomes = set()
+        for cfg, bracket in cases:
+            direct = evaluate_certificate(certificate_matrix(cfg.with_gains(g=bracket[0])))
+            outcomes.add(direct.feasible)
+            if not direct.feasible:
+                with pytest.raises(InfeasibleInBracket) as exc:
+                    search_g(cfg, bracket)
+                assert (exc.value.g_best, exc.value.max_eig) == (bracket[0], direct.max_eig)
+                continue
+            g_star, cert = search_g(cfg, bracket)
+            assert g_star == bracket[0]
+            assert np.array_equal(cert.matrix.mat, direct.matrix.mat)
+            assert cert.matrix.asym_residual == direct.matrix.asym_residual
+            assert (cert.max_eig, cert.feasible, cert.margin) == (
+                direct.max_eig,
+                direct.feasible,
+                direct.margin,
+            )
+        assert outcomes == {True, False}
+
+    def test_top_eigenvalue_nonincreasing_in_g(self):
+        # Omega(g) = Omega(0) + g (0 (+) L) with L positive semidefinite, so by
+        # Weyl's inequality the top eigenvalue cannot rise with g: the reason
+        # search_g answers from the lower end of its bracket
+        rng = np.random.default_rng(44)
+        disconnected = 0
+        for _ in range(60):
+            graph = random_graph(rng, edge_prob=float(rng.uniform(0.1, 0.6)))
+            disconnected += len(connected_components(graph)) > 1
+            base = NetworkConfig(
+                graph=graph,
+                alpha=float(rng.uniform(-2.0, 2.0)),
+                beta=float(rng.uniform(0.1, 5.0)),
+                k=rng.uniform(0.0, 12.0, graph.n).tolist(),
+            )
+            certs = [
+                evaluate_certificate(certificate_matrix(base.with_gains(g=float(g))))
+                for g in np.sort(rng.uniform(-1e3, 10.0, 12))
+            ]
+            for lo, hi in zip(certs, certs[1:]):
+                norm = max(1.0, *(np.linalg.norm(c.matrix.mat, 2) for c in (lo, hi)))
+                assert lo.max_eig <= hi.max_eig + 1e-12 * norm
+        assert disconnected > 0
 
     def test_objective_is_midpoint_convex(self, demo_net):
         lo, hi = -50.0, 0.0

@@ -98,6 +98,9 @@ class TestSimConfig:
             SimConfig(scheme="forward_euler")
         with pytest.raises(ValueError):
             SimConfig(output_stride=0)
+        # "sectionV" is the one initial-condition token
+        with pytest.raises(ValueError):
+            SimConfig(initial_conditions="bogus")
         # a fractional count is rejected here, not deep inside simulate
         with pytest.raises(ValueError):
             SimConfig(nx=41.9)
