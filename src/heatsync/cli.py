@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +97,22 @@ def _number(value, what: str) -> float:
 
 
 def _numbers(value, what: str):
-    """A number, or a list of them at any depth, each entry read by _number."""
-    if isinstance(value, list):
-        return [_numbers(v, f"{what}[{i}]") for i, v in enumerate(value)]
-    return _number(value, what)
+    """A number as a float, or a list of them at any depth, checked and left as read.
+
+    One pass checks the exact types of the flattened entries (a bool is an
+    int subclass); only a failed pass walks the nesting to name the first
+    bad entry.  Consumers read the lists with ``np.asarray(..., dtype=float)``.
+    """
+    if not isinstance(value, list):
+        return _number(value, what)
+    entries, types = value, set(map(type, value))
+    while types == {list}:
+        entries = list(chain.from_iterable(entries))
+        types = set(map(type, entries))
+    if not types <= {int, float}:
+        for i, v in enumerate(value):
+            _numbers(v, f"{what}[{i}]")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -296,11 +309,12 @@ def cmd_simulate(args) -> int:
         if args.snapshots
         else [t for t in DEFAULT_SNAPSHOTS if _in_horizon(t, scn.sim.t_end)]
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(scn.net, scn.sim)
     series = sync_errors(traj)
     n = scn.net.n
+    # made only now, so a run that diverges leaves no empty directory behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     err_path = out_dir / "errors.csv"
     _write_csv(
@@ -431,17 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_range_flags(argv: list[str]) -> list[str]:
     # argparse treats "-4:0:3" as a flag; fold range values into --k=... form.
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--k", "--g") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
+    merged, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in ("--k", "--g") else None
+        merged.append(tok if value is None else f"{tok}={value}")
     return merged
 
 

@@ -18,7 +18,7 @@ class DuplicateEdge(HeatSyncError):
 
 
 class NoConvergence(HeatSyncError):
-    """An iterative solver hit its iteration cap above tolerance."""
+    """``spectral_abscissa`` found I - (dt/2) A exactly singular."""
 
 
 class DimensionMismatch(HeatSyncError):

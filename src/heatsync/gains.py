@@ -21,6 +21,7 @@ from .certify import (
     evaluate_certificate,
 )
 from .errors import (
+    DimensionMismatch,
     EmptyWindow,
     InfeasibleInBracket,
     InvalidLeaderCount,
@@ -124,12 +125,15 @@ def design(graph: FollowerGraph, alpha: float, beta: float = 1.0) -> GainDesign:
     The coupling gain then comes from ``search_g`` on the whole network, and
     the returned certificate is always re-verified at the true beta.
 
-    Raises UncontrollableComponent when some component has no leader node
-    (the one case in which no coupling gain can help) and EmptyWindow when
-    the reaction rate is too large for some component.
+    Raises DimensionMismatch without followers, UncontrollableComponent
+    when some component has no leader node (the one case in which no
+    coupling gain can help) and EmptyWindow when the reaction rate is too
+    large for some component.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if graph.n < 1:
+        raise DimensionMismatch("gain design needs at least one follower")
     alpha_scaled = alpha / beta
     plans: list[ComponentPlan] = []
     for comp in connected_components(graph):

@@ -88,36 +88,30 @@ def laplacian(g: FollowerGraph) -> np.ndarray:
     return lap
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def connected_components(g: FollowerGraph) -> list[tuple[int, ...]]:
     """Partition 1..n by in-domain connectivity (leader links do not count).
 
     Components are returned sorted by their smallest node.
     """
-    uf = _UnionFind(g.n)
+    neighbours: list[list[int]] = [[] for _ in range(g.n + 1)]
     for (i, j) in g.edges:
-        uf.union(i - 1, j - 1)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v + 1)
-    return [tuple(sorted(members)) for _, members in sorted(groups.items())]
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen: set[int] = set()
+    components = []
+    for start in range(1, g.n + 1):  # the first unseen node is its component's smallest
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, members = [start], []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            fresh = [w for w in neighbours[v] if w not in seen]
+            seen.update(fresh)
+            stack += fresh
+        components.append(tuple(sorted(members)))
+    return components
 
 
 def leader_mask(g: FollowerGraph) -> np.ndarray:

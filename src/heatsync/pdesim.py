@@ -9,9 +9,10 @@ the ghost-point stencil exactly (fast diagonalization, Lynch, Rice & Thomas
 coupling acts on each mode alike, and the trapezoid integral that the
 boundary feedback reads is the j=0 coefficient.  So the generator is block
 lower-triangular over the modes: mode 0 carries the feedback and every
-other mode reads only mode 0.  Time stepping is Crank-Nicolson by default
-(unconditionally stable, second order, source at the half step); backward
-Euler is available for stiff debugging.  A step solves one
+other mode reads only mode 0.  Time stepping is one theta-method step:
+Crank-Nicolson (theta = 1/2, the default: unconditionally stable, second
+order) or backward Euler (theta = 1, for stiff debugging).  Both schemes
+take every step through the same implicit solve with I - theta dt A, one
 (N+1)-square system per mode with inverses formed once per run, and the
 spectral abscissa is read off the eigenvalues of the same blocks.  Only
 numpy is needed.
@@ -31,7 +32,7 @@ from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
 _DIVERGENCE_LIMIT = 1e12
 
 SOURCE_SELECTORS = ("off", "paper")
-SCHEMES = ("crank_nicolson", "backward_euler")
+THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +65,8 @@ class SimConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.source not in SOURCE_SELECTORS:
             raise ValueError(f"source must be one of {SOURCE_SELECTORS}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.scheme not in THETA:
+            raise ValueError(f"scheme must be one of {tuple(THETA)}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         ic = self.initial_conditions
@@ -125,11 +126,6 @@ class DiscreteOperator:
     def node0(self) -> np.ndarray:
         """The x=0 grid node in modal coordinates, modes^-1 e_0."""
         return self.inverse_modes[:, 0]
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """The generator applied to modal coefficients ``y``."""
-        flux = np.outer(self.feedback @ y[:, 0], self.node0)
-        return y * self.rates + self.coupling @ y - flux
 
     @property
     def error_subsystem(self) -> DiscreteOperator:
@@ -262,17 +258,18 @@ def _check_finite(y: np.ndarray, n: int, nx: int, step: int, dt: float) -> None:
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     """Run the closed loop and sample every ``output_stride`` steps.
 
-    Crank-Nicolson: (I - dt/2 A) y_{n+1} = (I + dt/2 A) y_n + dt f(t_n + dt/2);
-    backward Euler uses the source at the step end.  The state is stepped
-    in modal coordinates (``_implicit_solver``) and mapped to the grid
-    every step.  Raises Divergence (with step and agent) if the field
-    leaves the finite range; an exactly singular implicit matrix diverges
-    at step 1.
+    The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
+    + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
+    the half step) and theta = 1 for backward Euler (source at the step
+    end).  Every step is one implicit solve (``_implicit_solver``) in modal
+    coordinates, and the state is mapped to the grid every step.  Raises
+    Divergence (with step and agent) if the field leaves the finite range;
+    an exactly singular implicit matrix diverges at step 1.
     """
     n, nx = net.n, sim.nx
     op = assemble_operator(net, sim)
-    crank = sim.scheme == "crank_nicolson"
-    h = sim.dt / 2.0 if crank else sim.dt
+    theta = THETA[sim.scheme]
+    h = theta * sim.dt
     try:
         solve = _implicit_solver(op, h)
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
@@ -288,11 +285,10 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     times = [0.0]
     n_steps = sim.n_steps
     for step in range(1, n_steps + 1):
-        t_src = (step - 1) * sim.dt + sim.dt / 2.0 if crank else step * sim.dt
-        rhs = y + h * op.apply(y) if crank else y.copy()
-        if source is not None:
-            rhs += sim.dt * (source * forcing_amplitude(t_src))
-        y = solve(rhs)
+        t_src = (step - 1) * sim.dt + h
+        rhs = y if source is None else y + h * (source * forcing_amplitude(t_src))
+        # (I - h A)^-1 (I + (1 - theta) dt A) = [(I - h A)^-1 - (1 - theta) I] / theta
+        y = (solve(rhs) - (1.0 - theta) * y) / theta
         z = y @ op.modes.T
         _check_finite(z, n, nx, step, sim.dt)
         if step % sim.output_stride == 0 or step == n_steps:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .graph import FollowerGraph, build_graph
 
-PRESET_NAMES = ("sectionV", "fig5_k0", "fig6_g0")
-
 DEMO_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5))
 DEMO_LEADERS = (1, 2, 3)
 DEMO_ALPHA = 0.0
@@ -24,6 +22,10 @@ DEMO_BETA = 1.0
 DEMO_K = 3.0
 DEMO_G = -2.0
 DEMO_T_END = 2.5
+
+# (boundary gain, coupling gain) of each preset
+PRESET_GAINS = {"sectionV": (DEMO_K, DEMO_G), "fig5_k0": (0.0, DEMO_G), "fig6_g0": (DEMO_K, 0.0)}
+PRESET_NAMES = tuple(PRESET_GAINS)
 
 
 def demo_graph() -> FollowerGraph:
@@ -62,10 +64,6 @@ def forcing_amplitude(t: float) -> float:
 
 def preset_gains(name: str) -> tuple[float, float]:
     """(boundary gain, coupling gain) for a preset token."""
-    if name == "sectionV":
-        return DEMO_K, DEMO_G
-    if name == "fig5_k0":
-        return 0.0, DEMO_G
-    if name == "fig6_g0":
-        return DEMO_K, 0.0
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in PRESET_GAINS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    return PRESET_GAINS[name]

@@ -10,6 +10,9 @@ Production decides certificates from one ``eigvalsh`` call in
 a certificate with beta = 1 and common scalar gains as an N x N
 positive-definiteness test and a sign test on the Laplacian kernel; each
 asserts that its config lies in that regime.
+``modal_apply`` applies the closed-loop generator to modal coefficients
+straight from the fields of ``heatsync.DiscreteOperator`` (production
+never forms that product: its steps only solve).
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
 and the source evaluated afresh every step (``forcing_profile``);
@@ -200,6 +203,12 @@ def _neumann_heat_block(nx: int, dx: float, beta: float, alpha: float) -> np.nda
     t[idx, idx + 1] = 1.0
     t[nx - 1, nx - 2], t[nx - 1, nx - 1] = 2.0, -2.0
     return (beta / dx**2) * t + alpha * np.eye(nx)
+
+
+def modal_apply(op, y: np.ndarray) -> np.ndarray:
+    """The generator of ``op`` (a DiscreteOperator) applied to modal coefficients ``y``."""
+    flux = np.outer(op.feedback @ y[:, 0], op.node0)
+    return y * op.rates + op.coupling @ y - flux
 
 
 def dense_operator(net, sim) -> np.ndarray:

@@ -353,6 +353,19 @@ class TestDesign:
         assert main(["design", cfg]) == 1
         assert "(3,)" in capsys.readouterr().err
 
+    def test_no_followers_exits_1(self, tmp_path):
+        # the certificate needs a follower, and so does the design it vouches for
+        cfg = write_config(
+            tmp_path / "empty.json",
+            {"graph": {"n": 0, "edges": [], "leader_set": []}, "alpha": 0.0},
+        )
+        proc = fresh_python(["-m", "heatsync", "design", cfg], text=True)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "empty.design.json").exists()
+
     def test_empty_window_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "hot.json",
@@ -457,6 +470,8 @@ class TestSimulate:
         )
         assert main(["simulate", cfg, "--out", str(tmp_path / "d")]) == 1
         assert "diverged" in capsys.readouterr().err
+        # nothing was written, so no output directory was made either
+        assert not (tmp_path / "d").exists()
 
 
 class TestSpectrum:

@@ -12,6 +12,7 @@ from heatsync import (
     search_g,
 )
 from heatsync.errors import (
+    DimensionMismatch,
     EmptyWindow,
     InfeasibleInBracket,
     InvalidLeaderCount,
@@ -267,6 +268,10 @@ class TestDesign:
         with pytest.raises(UncontrollableComponent) as exc:
             design(g, alpha=0.0)
         assert exc.value.component == (3,)
+
+    def test_no_followers(self):
+        with pytest.raises(DimensionMismatch):
+            design(build_graph(0, [], []), alpha=0.0)
 
     def test_empty_window(self):
         g = build_graph(3, [(1, 2), (2, 3)], [1, 2, 3])

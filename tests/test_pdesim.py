@@ -28,7 +28,13 @@ from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPos
 from heatsync.pdesim import _implicit_solver
 
 from conftest import random_connected_graph
-from oracles import dense_abscissa, dense_operator, dense_simulate, pairwise_max
+from oracles import (
+    dense_abscissa,
+    dense_operator,
+    dense_simulate,
+    modal_apply,
+    pairwise_max,
+)
 
 PI2 = np.pi**2
 
@@ -139,7 +145,7 @@ class TestL2Norm:
 
 def grid_apply(op, z):
     """The generator of ``op`` applied to grid values z, one row per agent."""
-    return op.apply(z @ op.inverse_modes.T) @ op.modes.T
+    return modal_apply(op, z @ op.inverse_modes.T) @ op.modes.T
 
 
 def grid_matrix(op):
@@ -160,7 +166,7 @@ class TestOperator:
         assert op.rates[0] == 0.0
         constant = np.zeros((1, 33))
         constant[0, 0] = 1.0
-        assert np.abs(op.apply(constant)).max() == 0.0
+        assert np.abs(modal_apply(op, constant)).max() == 0.0
 
     def test_decoupled_blocks(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.5, k=0.0, g=0.0)
@@ -170,7 +176,7 @@ class TestOperator:
         assert not op.coupling.any()
         assert not op.feedback.any()
         y = np.random.default_rng(3).standard_normal((6, 21))
-        assert np.array_equal(op.apply(y), y * op.rates)
+        assert np.array_equal(modal_apply(op, y), y * op.rates)
 
     def test_boundary_feedback_row_structure(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=0.0)
@@ -235,7 +241,7 @@ class TestOperator:
             m = net.n + 1
             y = rng.standard_normal((m, nx))
             z = y @ op.modes.T
-            got = op.apply(y) @ op.modes.T
+            got = modal_apply(op, y) @ op.modes.T
             want = (dense @ z.reshape(-1)).reshape(m, nx)
             norm = np.abs(dense).sum(axis=1).max()
             assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
@@ -252,8 +258,12 @@ class TestOperator:
         assert spectral_abscissa(demo_net, sim) < 0
 
 
+SCHEMES = ["crank_nicolson", "backward_euler"]
+
+
 class TestSimulate:
-    def test_leader_alone_mean_conserved(self):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_leader_alone_mean_conserved(self, scheme):
         g0 = build_graph(0, [], [])
         net = NetworkConfig(graph=g0, alpha=0.0, beta=1.0)
         nx = 41
@@ -263,14 +273,16 @@ class TestSimulate:
             dt=1e-3,
             t_end=1.0,
             source="off",
+            scheme=scheme,
             initial_conditions=(np.zeros((0, nx)), leader_profile(x)),
         )
         traj = simulate(net, sim)
         w = trapezoid_weights(nx)
         means = traj.z_leader @ w
-        assert np.abs(means - means[0]).max() <= 1e-8
+        assert np.abs(means - means[0]).max() <= 1e-13
 
-    def test_error_means_conserved_without_control(self):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_error_means_conserved_without_control(self, scheme):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=0.0, g=0.0)
         nx = 41
         x = np.linspace(0, 1, nx)
@@ -280,13 +292,14 @@ class TestSimulate:
             dt=1e-3,
             t_end=1.0,
             source="off",
+            scheme=scheme,
             initial_conditions=(followers, leader),
         )
         traj = simulate(net, sim)
         w = trapezoid_weights(nx)
         err_means = traj.errors() @ w  # (agents, frames)
         drift = np.abs(err_means - err_means[:, :1]).max()
-        assert drift <= 1e-8
+        assert drift <= 1e-13
 
     def test_unstable_mean_grows_exponentially(self):
         # alpha = 0.5, no control: the mean error obeys d/dt m = alpha m
@@ -318,7 +331,7 @@ class TestSimulate:
         assert exc.value.step > 0
         assert exc.value.agent == 1
 
-    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_matches_dense_stepper(self, demo_net, scheme):
         rng = np.random.default_rng(71)
         cases = [(demo_net, "sectionV", "paper")]

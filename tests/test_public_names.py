@@ -1,0 +1,64 @@
+"""Every public name of the package has a use inside the package.
+
+A name in ``heatsync.__all__`` that nothing in ``src/heatsync`` refers to
+is kept alive only by the tests: it belongs in ``tests/oracles.py`` or
+nowhere.  The check reads the modules' syntax trees, so a reference is a
+name, an attribute or an import, and one inside the name's own top-level
+definition does not count.
+"""
+import ast
+from pathlib import Path
+
+import heatsync
+
+PACKAGE = Path(heatsync.__file__).resolve().parent
+# acceptance check C05 names the Wirtinger probe; the version is metadata
+ALLOWED = {"__version__", "wirtinger_check"}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads or imports, outside the definition of each."""
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)  # set on function and class definitions
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != owner:
+                found.add(name)
+    return found
+
+
+def package_references() -> set[str]:
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    return used
+
+
+def test_every_public_name_is_used_in_the_package():
+    unused = sorted(set(heatsync.__all__) - package_references() - ALLOWED)
+    assert unused == [], f"public names that only the tests use: {unused}"
+
+
+def test_own_definition_is_not_a_use():
+    tree = ast.parse(
+        "def lonely(n):\n"
+        "    return lonely(n - 1) if n else 0\n"
+        "class Solo:\n"
+        "    def clone(self) -> Solo:\n"
+        "        return Solo()\n"
+        "VALUE = 1\n"
+        "def caller():\n"
+        "    return helper.attr\n"
+    )
+    used = referenced_names(tree)
+    assert {"lonely", "Solo", "VALUE"}.isdisjoint(used)
+    assert {"helper", "attr"} <= used
