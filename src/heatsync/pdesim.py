@@ -9,11 +9,13 @@ the ghost-point stencil exactly (fast diagonalization, Lynch, Rice & Thomas
 coupling acts on each mode alike, and the trapezoid integral that the
 boundary feedback reads is the j=0 coefficient.  So the generator is block
 lower-triangular over the modes: mode 0 carries the feedback and every
-other mode reads only mode 0.  Time stepping is one theta-method step:
+other mode reads only mode 0.  Time stepping is the theta-method:
 Crank-Nicolson (theta = 1/2, the default: unconditionally stable, second
-order) or backward Euler (theta = 1, for stiff debugging).  Both schemes
-take every step through the same implicit solve with I - theta dt A, one
-(N+1)-square system per mode with inverses formed once per run, and the
+order) or backward Euler (theta = 1, for stiff debugging).  One step is an
+affine map with the same block structure, y_j <- P_j y_j + Q_j y_0 +
+a(t) c_j, built once per run from one inverse per mode of I - theta dt A.
+Its powers keep that structure, so ``simulate`` forms the stride's power
+by repeated squaring and jumps from output frame to output frame; the
 spectral abscissa is read off the eigenvalues of the same blocks.  Only
 numpy is needed.
 """
@@ -27,9 +29,14 @@ import numpy as np
 from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
 from .graph import _as_int, laplacian
-from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
+from .scenarios import FORCING_RATE, demo_initial_profiles, forcing_amplitude, forcing_shape
 
 _DIVERGENCE_LIMIT = 1e12
+# a frame jump must clear the divergence limit by this relative slack,
+# which covers the rounding in its own bound
+_JUMP_SLACK = 1e-9
+# t_end/dt may miss a whole number of steps by this much, relative
+_HORIZON_TOL = 1e-9
 
 SOURCE_SELECTORS = ("off", "paper")
 THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
@@ -69,6 +76,11 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {tuple(THETA)}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
+        steps = round(self.t_end / self.dt)
+        if steps < 1 or abs(self.t_end / self.dt - steps) > _HORIZON_TOL * steps:
+            raise ValueError(
+                f"t_end must be a whole number of steps dt, got t_end/dt = {self.t_end / self.dt!r}"
+            )
         ic = self.initial_conditions
         if isinstance(ic, str) and ic != "sectionV":
             raise ValueError(f"unknown initial-condition preset {ic!r}; expected 'sectionV'")
@@ -86,7 +98,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,33 +208,6 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     )
 
 
-def _implicit_solver(op: DiscreteOperator, h: float):
-    """The map R -> (I - h A)^-1 R on modal coefficients, A the generator of ``op``.
-
-    Mode j's block is (1 - h rates_j) I - h coupling, and mode 0's also
-    carries h node0_0 feedback; each is inverted once, with no assumption
-    on the coupling's eigenvectors (per-agent g is fine).  A solve does mode
-    0 first, moves its feedback flux onto the other modes' right-hand
-    sides, and applies their inverses.  Raises LinAlgError when a block is
-    exactly singular.
-    """
-    node0 = op.node0
-    blocks = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * np.eye(len(op.coupling))
-    blocks -= h * op.coupling
-    blocks[0] += h * node0[0] * op.feedback
-    inverses = np.linalg.inv(blocks)
-    shed = h * node0[1:]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        y = np.empty_like(r)
-        y[:, 0] = inverses[0] @ r[:, 0]
-        rest = r[:, 1:] - np.outer(op.feedback @ y[:, 0], shed)
-        y[:, 1:] = (inverses[1:] @ rest.T[:, :, np.newaxis])[:, :, 0].T
-        return y
-
-    return solve
-
-
 def _resolve_initial_conditions(
     net: NetworkConfig, sim: SimConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,45 +240,167 @@ def _check_finite(y: np.ndarray, n: int, nx: int, step: int, dt: float) -> None:
         raise Divergence(step=step, t=step * dt, agent=agent)
 
 
+def _compose(outer, inner):
+    """The linear step map (P, Q) applied after (P', Q'): (P P', P Q' + Q P'_0)."""
+    (p, q), (p_in, q_in) = outer, inner
+    return p @ p_in, p @ q_in + q @ p_in[0]
+
+
+def _apply(linear, y: np.ndarray) -> np.ndarray:
+    """y_j <- P_j y_j + Q_j y_0 on mode-major states y (..., nx, N+1)."""
+    p, q = linear
+    return (p @ y[..., np.newaxis] + q @ y[..., :1, :, np.newaxis])[..., 0]
+
+
+def _norm1(linear) -> float:
+    """Induced 1-norm of (P, Q) on the stacked state: its largest column sum.
+
+    Column (j, b) of the map holds column b of P_j, and for j = 0 also
+    column b of every Q_j.
+    """
+    p, q = linear
+    cols = np.abs(p).sum(axis=1)
+    cols[0] += np.abs(q).sum(axis=(0, 1))
+    return float(cols.max())
+
+
+@dataclass(frozen=True, eq=False)
+class _FrameJumps:
+    """Runs of k theta-steps as single affine maps, k = 1, the stride J and
+    the remainder r = n_steps mod J.
+
+    ``maps[k]`` is (linear part M^k, forced parts (A_k, B_k) or None): k
+    steps from source time t0 map y to M^k y + sin(w t0) A_k + cos(w t0) B_k.
+    ``gamma`` bounds ||M^k||_1 and ``delta`` the forced part's 1-norm for
+    every k <= J, so a state y is safe to jump from when
+    gamma ||y||_1 + delta stays below the divergence limit: every state the
+    jump skips then stays below it on the grid too, where |cos| <= 1.
+    """
+
+    stride: int
+    maps: dict
+    gamma: float
+    delta: float
+
+    def advance(self, y: np.ndarray, k: int, t0: float) -> np.ndarray:
+        linear, forced = self.maps[k]
+        y = _apply(linear, y)
+        if forced is not None:
+            y = y + forcing_amplitude(t0) * forced[0] + np.cos(FORCING_RATE * t0) * forced[1]
+        return y
+
+    def safe(self, y: np.ndarray) -> bool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self.gamma * np.abs(y).sum() + self.delta
+        return bool(bound <= (1.0 - _JUMP_SLACK) * _DIVERGENCE_LIMIT)  # False on nan
+
+
+def _frame_jumps(op: DiscreteOperator, sim: SimConfig) -> _FrameJumps:
+    """Build the one-step map and its stride and remainder powers.
+
+    With h = theta dt, a theta-step y <- (solve(y + h f) - (1 - theta) y)/theta,
+    solve = (I - h A)^-1, is mode by mode y_j <- P_j y_j + Q_j y_0 + a(t) c_j:
+    P_j = (inv_j - (1 - theta) I)/theta with inv_j the inverse of mode j's
+    block (1 - h rates_j) I - h coupling (mode 0's also carries
+    h node0_0 feedback), Q_0 = 0, Q_j = -(h node0_j/theta) inv_j F inv_0,
+    and c the response to a unit-amplitude source.  Each block is inverted
+    once, with no assumption on the coupling's eigenvectors (per-agent g is
+    fine); raises LinAlgError when one is exactly singular.  M^J and M^r
+    come from repeated squaring, and A_k, B_k from one pass of J one-step
+    products that splits sin(w (t0 + i dt)) into sin(w t0) cos(w i dt) +
+    cos(w t0) sin(w i dt).
+    """
+    theta = THETA[sim.scheme]
+    h = theta * sim.dt
+    node0 = op.node0
+    eye = np.eye(len(op.coupling))
+    blocks = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * eye - h * op.coupling
+    blocks[0] += h * node0[0] * op.feedback
+    inverses = np.linalg.inv(blocks)
+    feed = (-h / theta) * node0[:, np.newaxis, np.newaxis] * (inverses @ (op.feedback @ inverses[0]))
+    feed[0] = 0.0
+    step = ((inverses - (1.0 - theta) * eye) / theta, feed)
+
+    stride = min(sim.output_stride, sim.n_steps)
+    lengths = {1, stride, sim.n_steps % stride} - {0}
+    # M^(2^b) for every bit b of the stride, multiplied into each M^k
+    powers = dict.fromkeys(lengths)
+    forced = dict.fromkeys(lengths)
+    gamma = 1.0
+    square = step
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails the bound
+        for b in range(stride.bit_length()):
+            if b:
+                square = _compose(square, square)
+            gamma *= np.maximum(1.0, _norm1(square))  # keeps a nan
+            for k, power in powers.items():
+                if k >> b & 1:
+                    powers[k] = square if power is None else _compose(power, square)
+
+        delta = 0.0
+        if sim.source == "paper":
+            source = op.inverse_modes @ forcing_shape(sim.grid)
+            # c: the step from y = 0 with a = 1, rhs h * source on every agent
+            unit = sim.dt * source[:, np.newaxis] * inverses.sum(axis=2)
+            unit += feed @ np.full(len(eye), h * source[0])
+            # A_k, B_k and M^k c as k runs up to J; delta sums ||M^k c||_1 over k < J
+            acc = np.zeros((3,) + unit.shape)
+            acc[2] = unit
+            for k, phase in enumerate(FORCING_RATE * sim.dt * np.arange(stride), start=1):
+                delta += np.abs(acc[2]).sum()
+                acc = _apply(step, acc)
+                acc[0] += np.cos(phase) * unit
+                acc[1] += np.sin(phase) * unit
+                if k in forced:
+                    forced[k] = acc[:2].copy()
+    maps = {k: (powers[k], forced[k]) for k in lengths}
+    return _FrameJumps(stride=stride, maps=maps, gamma=float(gamma), delta=float(delta))
+
+
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     """Run the closed loop and sample every ``output_stride`` steps.
 
     The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
-    end).  Every step is one implicit solve (``_implicit_solver``) in modal
-    coordinates, and the state is mapped to the grid every step.  Raises
-    Divergence (with step and agent) if the field leaves the finite range;
-    an exactly singular implicit matrix diverges at step 1.
+    end).  The run goes from output frame to output frame in one jump each
+    (``_frame_jumps``): the stride's power of the one-step map plus its
+    forced response, and the remainder's power for a short last stride.
+    The state is mapped to the grid at frames only.  Divergence is still
+    decided step by step: a jump is taken only when its norm bound shows
+    that no skipped step can leave the finite range; otherwise that stride
+    is replayed with the one-step map and every step is checked on the
+    grid.  Raises Divergence (with step and agent) if the field leaves the
+    finite range; an exactly singular implicit matrix diverges at step 1.
     """
-    n, nx = net.n, sim.nx
+    n, nx, dt = net.n, sim.nx, sim.dt
     op = assemble_operator(net, sim)
-    theta = THETA[sim.scheme]
-    h = theta * sim.dt
     try:
-        solve = _implicit_solver(op, h)
+        jumps = _frame_jumps(op, sim)
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
-        _check_finite(np.full((n + 1, nx), np.nan), n, nx, 1, sim.dt)
+        _check_finite(np.full((n + 1, nx), np.nan), n, nx, 1, dt)
 
     followers0, leader0 = _resolve_initial_conditions(net, sim)
     z = np.vstack([followers0, leader0])
-    y = z @ op.inverse_modes.T
-    # the source is shape(x) * amplitude(t) on every agent: one modal row
-    source = op.inverse_modes @ forcing_shape(sim.grid) if sim.source == "paper" else None
+    y = op.inverse_modes @ z.T  # modal coefficients, mode-major: (nx, N+1)
+    h = THETA[sim.scheme] * dt
 
     frames = [z]
     times = [0.0]
-    n_steps = sim.n_steps
-    for step in range(1, n_steps + 1):
-        t_src = (step - 1) * sim.dt + h
-        rhs = y if source is None else y + h * (source * forcing_amplitude(t_src))
-        # (I - h A)^-1 (I + (1 - theta) dt A) = [(I - h A)^-1 - (1 - theta) I] / theta
-        y = (solve(rhs) - (1.0 - theta) * y) / theta
-        z = y @ op.modes.T
-        _check_finite(z, n, nx, step, sim.dt)
-        if step % sim.output_stride == 0 or step == n_steps:
-            frames.append(z)
-            times.append(step * sim.dt)
+    stride = jumps.stride
+    full, rest = divmod(sim.n_steps, stride)
+    step = 0
+    for k in [stride] * full + ([rest] if rest else []):
+        if jumps.safe(y):
+            y = jumps.advance(y, k, step * dt + h)
+            step += k
+        else:
+            for _ in range(k):
+                y = jumps.advance(y, 1, step * dt + h)
+                step += 1
+                _check_finite((op.modes @ y).T, n, nx, step, dt)
+        frames.append((op.modes @ y).T)
+        times.append(step * dt)
     stacked = np.array(frames)
     return Trajectory(
         times=np.array(times),

@@ -22,6 +22,7 @@ DEMO_BETA = 1.0
 DEMO_K = 3.0
 DEMO_G = -2.0
 DEMO_T_END = 2.5
+FORCING_RATE = np.pi  # angular rate w of the forcing's sin(w t)
 
 # (boundary gain, coupling gain) of each preset
 PRESET_GAINS = {"sectionV": (DEMO_K, DEMO_G), "fig5_k0": (0.0, DEMO_G), "fig6_g0": (DEMO_K, 0.0)}
@@ -58,8 +59,12 @@ def forcing_shape(x: np.ndarray) -> np.ndarray:
 
 
 def forcing_amplitude(t: float) -> float:
-    """Temporal factor sin(pi t) of the demo forcing."""
-    return np.sin(np.pi * t)
+    """Temporal factor sin(FORCING_RATE t) of the demo forcing.
+
+    ``simulate`` relies on it being this sinusoid: it splits the source over
+    a run of steps as sin(w t0) and cos(w t0) times two fixed responses.
+    """
+    return np.sin(FORCING_RATE * t)
 
 
 def preset_gains(name: str) -> tuple[float, float]:

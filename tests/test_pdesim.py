@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
-from heatsync.pdesim import _implicit_solver
+from heatsync.pdesim import _frame_jumps, _norm1
 
 from conftest import random_connected_graph
 from oracles import (
@@ -112,6 +113,13 @@ class TestSimConfig:
             SimConfig(nx=41.9)
         with pytest.raises(ValueError):
             SimConfig(output_stride=2.5)
+        # the horizon is a whole number of steps: 1.0/0.3 would end at 0.9,
+        # and a horizon below dt has no step at all
+        for dt, t_end in ((0.3, 1.0), (1e-3, 2.5e-3), (1e-3, 4e-4)):
+            with pytest.raises(ValueError):
+                SimConfig(dt=dt, t_end=t_end)
+        # 0.3/0.1 is 2.9999999999999996 in floating point: three steps
+        assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
 
     def test_integral_float_counts_stored_as_int(self):
         sim = SimConfig(nx=41.0, output_stride=5.0)
@@ -245,12 +253,16 @@ class TestOperator:
             want = (dense @ z.reshape(-1)).reshape(m, nx)
             norm = np.abs(dense).sum(axis=1).max()
             assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
-            for h in (sim.dt / 2.0, sim.dt):
+            # the one-step map of each scheme: (I - h A) z' = (I + (dt - h) A) z
+            for scheme, h in (("crank_nicolson", sim.dt / 2.0), ("backward_euler", sim.dt)):
+                step = _frame_jumps(op, replace(sim, scheme=scheme))
+                y = rng.standard_normal((m, nx))
+                z = y @ op.modes.T
+                z_next = (op.modes @ step.advance(y.T, 1, 0.0)).T
                 implicit = np.eye(m * nx) - h * dense
-                r = rng.standard_normal((m, nx))
-                z = _implicit_solver(op, h)(r @ op.inverse_modes.T) @ op.modes.T
-                residual = implicit @ z.reshape(-1) - r.reshape(-1)
-                bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z).max()
+                explicit = np.eye(m * nx) + (sim.dt - h) * dense
+                residual = implicit @ z_next.reshape(-1) - explicit @ z.reshape(-1)
+                bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z_next).max()
                 assert np.abs(residual).max() <= bound
 
     def test_demo_error_subsystem_is_stable(self, demo_net):
@@ -365,14 +377,74 @@ class TestSimulate:
             nx=nx, dt=1e-3, t_end=5.0, source="off", scheme=scheme,
             initial_conditions=ic,
         )
-        with pytest.raises(Divergence) as got:
-            simulate(net, sim)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the dense LU warns when singular
             with pytest.raises(Divergence) as want:
                 dense_simulate(net, sim)
-        assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
-        assert got.value.t == want.value.t
+        # strides 7 and 10 put the first bad step between output frames
+        for stride in (1, 7, 10):
+            with pytest.raises(Divergence) as got:
+                simulate(net, replace(sim, output_stride=stride))
+            assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
+            assert got.value.t == want.value.t
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stride_invariance(self, demo_net, scheme):
+        # a frame jump equals the steps it skips; 101 steps leave a partial
+        # last stride for every stride below
+        rng = np.random.default_rng(73)
+        cases = [(demo_net, "sectionV", "paper"), (demo_net, "sectionV", "off")]
+        # a start this large fails the jump bound: the first strides replay
+        followers, leader = random_profiles(rng, demo_net.n, 33)
+        cases.append((demo_net, (5e10 * followers, 5e10 * leader), "paper"))
+        for net in heterogeneous_nets(rng, 2):
+            cases.append((net, random_profiles(rng, net.n, 33), "paper"))
+            cases.append((net, random_profiles(rng, net.n, 33), "off"))
+        for net, ic, source in cases:
+            sim = SimConfig(
+                nx=33, dt=2e-3, t_end=0.202, source=source, scheme=scheme,
+                output_stride=1, initial_conditions=ic,
+            )
+            ref = simulate(net, sim)
+            for stride in (3, 7, 10):
+                traj = simulate(net, replace(sim, output_stride=stride))
+                steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
+                assert np.array_equal(traj.times, steps * sim.dt)
+                got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
+                want = np.concatenate(
+                    [ref.z[:, steps].reshape(-1), ref.z_leader[steps].reshape(-1)]
+                )
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_jump_bound_is_rigorous(self, demo_net):
+        # gamma bounds ||M^k||_1 and delta every partial forced response for
+        # k <= J, with M^k from plain one-step products of the dense map;
+        # the 1e-12 covers the rounding of the column sums alone
+        rng = np.random.default_rng(75)
+        cases = [(demo_net, 101), (demo_net.with_gains(g=-1e4), 101)]
+        cases += [(net, 33) for net in heterogeneous_nets(rng, 3)]
+        for net, nx in cases:
+            sim = SimConfig(nx=nx)
+            jumps = _frame_jumps(assemble_operator(net, sim), sim)
+            (p, q), (unit, _) = jumps.maps[1]
+            m = net.n + 1
+            dense = np.zeros((nx, m, nx, m))
+            dense[np.arange(nx), :, np.arange(nx), :] = p
+            dense[:, :, 0, :] += q
+            dense = dense.reshape(nx * m, nx * m)
+            # the structured norm is the dense one: the feedback column counts
+            assert _norm1((p, q)) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-12)
+            power = np.eye(nx * m)
+            for _ in range(jumps.stride):
+                power = dense @ power
+                assert np.abs(power).sum(axis=0).max() <= jumps.gamma * (1.0 + 1e-12)
+            for t0 in np.linspace(0.0, 2.0, 41):
+                forced = np.zeros(nx * m)
+                for i in range(jumps.stride):
+                    # after i + 1 steps from source time t0
+                    forced = dense @ forced + np.sin(np.pi * (t0 + i * sim.dt)) * unit.reshape(-1)
+                    assert np.abs(forced).sum() <= jumps.delta * (1.0 + 1e-12)
+            assert jumps.gamma < 1e4 and jumps.delta > 0.0
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
