@@ -35,8 +35,6 @@ _DIVERGENCE_LIMIT = 1e12
 # a frame jump must clear the divergence limit by this relative slack,
 # which covers the rounding in its own bound
 _JUMP_SLACK = 1e-9
-# t_end/dt may miss a whole number of steps by this much, relative
-_HORIZON_TOL = 1e-9
 
 SOURCE_SELECTORS = ("off", "paper")
 THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
@@ -76,11 +74,6 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {tuple(THETA)}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
-        steps = round(self.t_end / self.dt)
-        if steps < 1 or abs(self.t_end / self.dt - steps) > _HORIZON_TOL * steps:
-            raise ValueError(
-                f"t_end must be a whole number of steps dt, got t_end/dt = {self.t_end / self.dt!r}"
-            )
         ic = self.initial_conditions
         if isinstance(ic, str) and ic != "sectionV":
             raise ValueError(f"unknown initial-condition preset {ic!r}; expected 'sectionV'")
@@ -98,7 +91,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_end / self.dt)
+        return max(1, int(round(self.t_end / self.dt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,41 +236,69 @@ def _check_finite(y: np.ndarray, n: int, nx: int, step: int, dt: float) -> None:
 def _compose(outer, inner):
     """The linear step map (P, Q) applied after (P', Q'): (P P', P Q' + Q P'_0)."""
     (p, q), (p_in, q_in) = outer, inner
-    return p @ p_in, p @ q_in + q @ p_in[0]
+    q_out = p @ q_in
+    q_out += q @ p_in[0]
+    return p @ p_in, q_out
 
 
 def _apply(linear, y: np.ndarray) -> np.ndarray:
-    """y_j <- P_j y_j + Q_j y_0 on mode-major states y (..., nx, N+1)."""
+    """y_j <- P_j y_j + Q_j y_0 on mode-major states y (..., nx, N+1).
+
+    Q is an array, or for the one-step map the factors (a, b, G) of
+    Q_j = (a_j P_j + b_j I) G, which spare a step a pass over Q.
+    """
     p, q = linear
+    if isinstance(q, tuple):
+        a, b, g = q
+        fed = y[..., :1, :] @ g.T  # G y_0 as a row
+        return (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
     return (p @ y[..., np.newaxis] + q @ y[..., :1, :, np.newaxis])[..., 0]
+
+
+def _expanded(linear):
+    """The map with its Q as an array, for products."""
+    p, q = linear
+    if not isinstance(q, tuple):
+        return linear
+    a, b, g = q
+    q = p @ g
+    q *= a[:, np.newaxis, np.newaxis]
+    q += b[:, np.newaxis, np.newaxis] * g
+    return p, q
 
 
 def _norm1(linear) -> float:
     """Induced 1-norm of (P, Q) on the stacked state: its largest column sum.
 
     Column (j, b) of the map holds column b of P_j, and for j = 0 also
-    column b of every Q_j.
+    column b of every Q_j.  For a factored Q it is a bound, not the norm.
     """
     p, q = linear
     cols = np.abs(p).sum(axis=1)
-    cols[0] += np.abs(q).sum(axis=(0, 1))
+    if isinstance(q, tuple):  # an upper bound: |Q_j| <= (|a_j| |P_j| + |b_j| I) |G|
+        a, b, g = q
+        cols[0] += (np.abs(a) @ cols + np.abs(b).sum()) @ np.abs(g)
+    else:
+        cols[0] += np.abs(q).sum(axis=(0, 1))
     return float(cols.max())
 
 
 @dataclass(frozen=True, eq=False)
 class _FrameJumps:
-    """Runs of k theta-steps as single affine maps, k = 1, the stride J and
-    the remainder r = n_steps mod J.
+    """The horizon as runs of theta-steps, each run one affine map.
 
-    ``maps[k]`` is (linear part M^k, forced parts (A_k, B_k) or None): k
-    steps from source time t0 map y to M^k y + sin(w t0) A_k + cos(w t0) B_k.
-    ``gamma`` bounds ||M^k||_1 and ``delta`` the forced part's 1-norm for
-    every k <= J, so a state y is safe to jump from when
-    gamma ||y||_1 + delta stays below the divergence limit: every state the
-    jump skips then stays below it on the grid too, where |cos| <= 1.
+    ``lengths`` lists the runs in order: the jump length J once per whole
+    output stride, then single steps for the remainder (J = 1 when jumping
+    does not pay).  ``maps[k]`` for k in {1, J} is (linear part M^k, forced
+    parts (A_k, B_k) or None): k steps from source time t0 map y to
+    M^k y + sin(w t0) A_k + cos(w t0) B_k.  ``gamma`` bounds ||M^k||_1 and
+    ``delta`` the forced part's 1-norm for every k <= J, so a state y is
+    safe to jump from when gamma ||y||_1 + delta stays below the divergence
+    limit: every state the jump skips then stays below it on the grid too,
+    where |cos| <= 1.
     """
 
-    stride: int
+    lengths: list
     maps: dict
     gamma: float
     delta: float
@@ -296,65 +317,84 @@ class _FrameJumps:
 
 
 def _frame_jumps(op: DiscreteOperator, sim: SimConfig) -> _FrameJumps:
-    """Build the one-step map and its stride and remainder powers.
+    """Build the one-step map and, when it pays, its stride power.
 
     With h = theta dt, a theta-step y <- (solve(y + h f) - (1 - theta) y)/theta,
     solve = (I - h A)^-1, is mode by mode y_j <- P_j y_j + Q_j y_0 + a(t) c_j:
     P_j = (inv_j - (1 - theta) I)/theta with inv_j the inverse of mode j's
     block (1 - h rates_j) I - h coupling (mode 0's also carries
-    h node0_0 feedback), Q_0 = 0, Q_j = -(h node0_j/theta) inv_j F inv_0,
-    and c the response to a unit-amplitude source.  Each block is inverted
-    once, with no assumption on the coupling's eigenvectors (per-agent g is
-    fine); raises LinAlgError when one is exactly singular.  M^J and M^r
-    come from repeated squaring, and A_k, B_k from one pass of J one-step
-    products that splits sin(w (t0 + i dt)) into sin(w t0) cos(w i dt) +
-    cos(w t0) sin(w i dt).
+    h node0_0 feedback), Q_j = s_j inv_j F inv_0 with s_j = -h node0_j/theta
+    and s_0 = 0, and c the response to a unit-amplitude source.  Each block
+    is inverted once, with no assumption on the coupling's eigenvectors
+    (per-agent g is fine); raises LinAlgError when one is exactly singular.
+    The one-step map keeps Q factored through inv_j = theta P_j +
+    (1 - theta) I.  M^J, J the output stride, comes from repeated squaring,
+    and A_J, B_J from one pass of J one-step products that splits
+    sin(w (t0 + i dt)) into sin(w t0) cos(w i dt) + cos(w t0) sin(w i dt).
+    J drops to 1, one step at a time, unless the products that form M^J
+    cost less than the steps the jumps save.  In units of one step's
+    multiply-adds, nx (N+1)^2, a jump costs 2, the forcing pass 3 J, and a
+    product of two maps N+1: its 3 (N+1) times as many multiply-adds run
+    as matrix-matrix products, which do several times as many per second
+    as a step's matrix-vector products that stream the map from memory.
     """
     theta = THETA[sim.scheme]
     h = theta * sim.dt
     node0 = op.node0
-    eye = np.eye(len(op.coupling))
-    blocks = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * eye - h * op.coupling
-    blocks[0] += h * node0[0] * op.feedback
-    inverses = np.linalg.inv(blocks)
-    feed = (-h / theta) * node0[:, np.newaxis, np.newaxis] * (inverses @ (op.feedback @ inverses[0]))
-    feed[0] = 0.0
-    step = ((inverses - (1.0 - theta) * eye) / theta, feed)
+    m = len(op.coupling)
+    inverses = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * np.eye(m)
+    inverses -= h * op.coupling
+    inverses[0] += h * node0[0] * op.feedback
+    inverses = np.linalg.inv(inverses)
+    shed = (-h / theta) * node0
+    shed[0] = 0.0
+    g = op.feedback @ inverses[0]
+    unit = None
+    if sim.source == "paper":
+        source = op.inverse_modes @ forcing_shape(sim.grid)
+        # c: the step from y = 0 with a = 1, rhs h * source on every agent
+        rhs = sim.dt * source[:, np.newaxis] + shed[:, np.newaxis] * (g @ np.full(m, h * source[0]))
+        unit = (inverses @ rhs[..., np.newaxis])[..., 0]
+    diagonal = np.arange(m)
+    inverses[:, diagonal, diagonal] -= 1.0 - theta
+    inverses /= theta
+    step = (inverses, (theta * shed, (1.0 - theta) * shed, g))
 
-    stride = min(sim.output_stride, sim.n_steps)
-    lengths = {1, stride, sim.n_steps % stride} - {0}
-    # M^(2^b) for every bit b of the stride, multiplied into each M^k
-    powers = dict.fromkeys(lengths)
-    forced = dict.fromkeys(lengths)
+    jump = min(sim.output_stride, sim.n_steps)
+    full, rest = divmod(sim.n_steps, jump)
+    products = jump.bit_length() + jump.bit_count() - 2  # squarings, then M^J's factors
+    if m * products + 3 * jump >= full * (jump - 2):
+        jump, full, rest = 1, sim.n_steps, 0
     gamma = 1.0
+    power = None
     square = step
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails the bound
-        for b in range(stride.bit_length()):
+        # M^(2^b) for every bit b of J, multiplied into M^J
+        for b in range(jump.bit_length()):
             if b:
+                square = _expanded(square)
                 square = _compose(square, square)
+            if jump >> b & 1:
+                power = square if power is None else _compose(_expanded(power), square)
             gamma *= np.maximum(1.0, _norm1(square))  # keeps a nan
-            for k, power in powers.items():
-                if k >> b & 1:
-                    powers[k] = square if power is None else _compose(power, square)
 
+        forced = dict.fromkeys({1, jump})
         delta = 0.0
-        if sim.source == "paper":
-            source = op.inverse_modes @ forcing_shape(sim.grid)
-            # c: the step from y = 0 with a = 1, rhs h * source on every agent
-            unit = sim.dt * source[:, np.newaxis] * inverses.sum(axis=2)
-            unit += feed @ np.full(len(eye), h * source[0])
+        if unit is not None:
             # A_k, B_k and M^k c as k runs up to J; delta sums ||M^k c||_1 over k < J
             acc = np.zeros((3,) + unit.shape)
             acc[2] = unit
-            for k, phase in enumerate(FORCING_RATE * sim.dt * np.arange(stride), start=1):
+            for k, phase in enumerate(FORCING_RATE * sim.dt * np.arange(jump), start=1):
                 delta += np.abs(acc[2]).sum()
                 acc = _apply(step, acc)
                 acc[0] += np.cos(phase) * unit
                 acc[1] += np.sin(phase) * unit
                 if k in forced:
                     forced[k] = acc[:2].copy()
-    maps = {k: (powers[k], forced[k]) for k in lengths}
-    return _FrameJumps(stride=stride, maps=maps, gamma=float(gamma), delta=float(delta))
+    maps = {jump: (power, forced[jump]), 1: (step, forced[1])}
+    return _FrameJumps(
+        lengths=[jump] * full + [1] * rest, maps=maps, gamma=float(gamma), delta=float(delta)
+    )
 
 
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
@@ -363,15 +403,15 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
-    end).  The run goes from output frame to output frame in one jump each
-    (``_frame_jumps``): the stride's power of the one-step map plus its
-    forced response, and the remainder's power for a short last stride.
-    The state is mapped to the grid at frames only.  Divergence is still
-    decided step by step: a jump is taken only when its norm bound shows
-    that no skipped step can leave the finite range; otherwise that stride
-    is replayed with the one-step map and every step is checked on the
-    grid.  Raises Divergence (with step and agent) if the field leaves the
-    finite range; an exactly singular implicit matrix diverges at step 1.
+    end).  The run goes through the runs of ``_frame_jumps``: one jump per
+    output stride when forming the stride's power pays, else one step at a
+    time, and single steps for a short last stride.  The state is mapped to
+    the grid at frames only.  Divergence is still decided step by step: a
+    run is taken in one go only when its norm bound shows that no skipped
+    step can leave the finite range; otherwise it is replayed with the
+    one-step map and every step is checked on the grid.  Raises Divergence
+    (with step and agent) if the field leaves the finite range; an exactly
+    singular implicit matrix diverges at step 1.
     """
     n, nx, dt = net.n, sim.nx, sim.dt
     op = assemble_operator(net, sim)
@@ -387,10 +427,8 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
 
     frames = [z]
     times = [0.0]
-    stride = jumps.stride
-    full, rest = divmod(sim.n_steps, stride)
     step = 0
-    for k in [stride] * full + ([rest] if rest else []):
+    for k in jumps.lengths:
         if jumps.safe(y):
             y = jumps.advance(y, k, step * dt + h)
             step += k
@@ -399,8 +437,9 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
                 y = jumps.advance(y, 1, step * dt + h)
                 step += 1
                 _check_finite((op.modes @ y).T, n, nx, step, dt)
-        frames.append((op.modes @ y).T)
-        times.append(step * dt)
+        if step % sim.output_stride == 0 or step == sim.n_steps:
+            frames.append((op.modes @ y).T)
+            times.append(step * dt)
     stacked = np.array(frames)
     return Trajectory(
         times=np.array(times),

@@ -44,9 +44,7 @@ def test_traced_functions_exist():
 
 @pytest.mark.parametrize("name", ["demo", "large_network"])
 def test_in_process_replay_calls(tmp_path, name):
-    # the scale the benchmark runs; the smoke scale 0.25 gives large_network
-    # t_end/dt = 62.5, which SimConfig rejects as a horizon it cannot reach
-    wl = perfbench_module("workloads").build(name, 1)
+    wl = perfbench_module("workloads").build(name, 1, scale=0.25)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(wl.config))
     scn = cli.load_scenario(path)

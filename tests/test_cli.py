@@ -267,22 +267,6 @@ class TestParsing:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_horizon_off_the_step_grid_exits_2(self, tmp_path, capsys):
-        # dt = 0.3 cannot reach t_end = 1.0: rejected, not run to t = 0.9
-        payload = {
-            "graph": {"n": 2, "edges": [[1, 2]], "leader_set": [1]},
-            "alpha": 0.0,
-            "k": 3.0,
-            "g": -2.0,
-            "sim": {"nx": 21, "dt": 0.3, "t_end": 1.0},
-        }
-        cfg = write_config(tmp_path / "horizon.json", payload)
-        out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "whole number of steps" in err
-        assert not out.exists()
-
     def test_integral_float_sim_count_accepted(self, tmp_path):
         sim = {"nx": 41.0, "dt": 0.01, "output_stride": 5.0}
         cfg = write_config(tmp_path / "sim.json", {"scenario_preset": "sectionV", "sim": sim})

@@ -26,7 +26,7 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
-from heatsync.pdesim import _frame_jumps, _norm1
+from heatsync.pdesim import _expanded, _frame_jumps, _norm1
 
 from conftest import random_connected_graph
 from oracles import (
@@ -48,12 +48,12 @@ def leader_profile(x):
     return 2.0 + np.cos(np.pi * x) + 2.0 * np.cos(7.0 * x)
 
 
-def heterogeneous_nets(rng, count):
+def heterogeneous_nets(rng, count, n_min=3, n_max=8):
     """Random connected networks with per-agent gains and a leader set that
     misses at least one follower; one leader-connected gain is zero."""
     nets = []
     while len(nets) < count:
-        graph = random_connected_graph(rng, n_min=3)
+        graph = random_connected_graph(rng, n_max=n_max, n_min=n_min)
         if graph.leader_count == graph.n:
             continue
         n = graph.n
@@ -113,13 +113,6 @@ class TestSimConfig:
             SimConfig(nx=41.9)
         with pytest.raises(ValueError):
             SimConfig(output_stride=2.5)
-        # the horizon is a whole number of steps: 1.0/0.3 would end at 0.9,
-        # and a horizon below dt has no step at all
-        for dt, t_end in ((0.3, 1.0), (1e-3, 2.5e-3), (1e-3, 4e-4)):
-            with pytest.raises(ValueError):
-                SimConfig(dt=dt, t_end=t_end)
-        # 0.3/0.1 is 2.9999999999999996 in floating point: three steps
-        assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
 
     def test_integral_float_counts_stored_as_int(self):
         sim = SimConfig(nx=41.0, output_stride=5.0)
@@ -400,6 +393,9 @@ class TestSimulate:
         for net in heterogeneous_nets(rng, 2):
             cases.append((net, random_profiles(rng, net.n, 33), "paper"))
             cases.append((net, random_profiles(rng, net.n, 33), "off"))
+        # 20 agents: at 101 steps the strides' powers do not pay, one step at a time
+        (net,) = heterogeneous_nets(rng, 1, n_min=20, n_max=20)
+        cases.append((net, random_profiles(rng, net.n, 33), "paper"))
         for net, ic, source in cases:
             sim = SimConfig(
                 nx=33, dt=2e-3, t_end=0.202, source=source, scheme=scheme,
@@ -426,7 +422,11 @@ class TestSimulate:
         for net, nx in cases:
             sim = SimConfig(nx=nx)
             jumps = _frame_jumps(assemble_operator(net, sim), sim)
-            (p, q), (unit, _) = jumps.maps[1]
+            assert jumps.lengths == [10] * 250
+            step, (unit, _) = jumps.maps[1]
+            p, q = _expanded(step)
+            # the one-step map's factored Q gives a bound on its norm
+            assert _norm1(step) >= _norm1((p, q))
             m = net.n + 1
             dense = np.zeros((nx, m, nx, m))
             dense[np.arange(nx), :, np.arange(nx), :] = p
@@ -435,16 +435,27 @@ class TestSimulate:
             # the structured norm is the dense one: the feedback column counts
             assert _norm1((p, q)) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-12)
             power = np.eye(nx * m)
-            for _ in range(jumps.stride):
+            for _ in range(jumps.lengths[0]):
                 power = dense @ power
                 assert np.abs(power).sum(axis=0).max() <= jumps.gamma * (1.0 + 1e-12)
             for t0 in np.linspace(0.0, 2.0, 41):
                 forced = np.zeros(nx * m)
-                for i in range(jumps.stride):
+                for i in range(jumps.lengths[0]):
                     # after i + 1 steps from source time t0
                     forced = dense @ forced + np.sin(np.pi * (t0 + i * sim.dt)) * unit.reshape(-1)
                     assert np.abs(forced).sum() <= jumps.delta * (1.0 + 1e-12)
             assert jumps.gamma < 1e4 and jumps.delta > 0.0
+
+    def test_jump_length_follows_cost(self, demo_net):
+        # products of maps cost N+1 steps each: they pay on the demo, not on
+        # 20 agents over 101 steps; a short last stride goes step by step
+        sim = SimConfig(nx=33, dt=2e-3, t_end=0.202)
+        jumps = _frame_jumps(assemble_operator(demo_net, sim), sim)
+        assert jumps.lengths == [10] * 10 + [1]
+        (net,) = heterogeneous_nets(np.random.default_rng(76), 1, n_min=20, n_max=20)
+        jumps = _frame_jumps(assemble_operator(net, sim), sim)
+        assert jumps.lengths == [1] * 101
+        assert list(jumps.maps) == [1]
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
