@@ -31,7 +31,6 @@ from .errors import (
     DuplicateEdge,
     HeatSyncError,
     IndexOutOfRange,
-    NoConvergence,
     SelfLoop,
 )
 from .gains import design as design_gains
@@ -468,9 +467,6 @@ def main(argv=None) -> int:
         return 2
     except Divergence as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
-        return 1
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
         return 1
     except HeatSyncError as exc:
         print(f"error: {exc}", file=sys.stderr)

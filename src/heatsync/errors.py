@@ -17,10 +17,6 @@ class DuplicateEdge(HeatSyncError):
     """The same undirected edge was given more than once."""
 
 
-class NoConvergence(HeatSyncError):
-    """``spectral_abscissa`` found I - (dt/2) A exactly singular."""
-
-
 class DimensionMismatch(HeatSyncError):
     """Operands have incompatible shapes."""
 

@@ -33,7 +33,8 @@ class FollowerGraph:
 
 def _as_int(value, what: str) -> int:
     try:
-        exact = int(value)
+        # a bool equals 0 or 1, but a flag is not a count or a node id
+        exact = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         exact = None
     if exact is None or exact != value:
@@ -46,9 +47,10 @@ def build_graph(n, edges, leader_set) -> FollowerGraph:
 
     Edges are unordered pairs of distinct nodes in 1..n; duplicates (in either
     orientation) and self-loops are rejected.  ``n`` and node ids must be
-    integers (integral floats pass); anything else raises ValueError rather
-    than being truncated.  ``leader_set`` may be empty; per-component leader
-    requirements are enforced by the gain-design stage, not here.
+    integers (integral floats pass); anything else, booleans included,
+    raises ValueError rather than being truncated.  ``leader_set`` may be
+    empty; per-component leader requirements are enforced by the
+    gain-design stage, not here.
     """
     n = _as_int(n, "follower count")
     if n < 0:

@@ -15,19 +15,19 @@ order) or backward Euler (theta = 1, for stiff debugging).  One step is an
 affine map with the same block structure, y_j <- P_j y_j + Q_j y_0 +
 a(t) c_j, built once per run from one inverse per mode of I - theta dt A.
 Its powers keep that structure, so ``simulate`` forms the stride's power
-by repeated squaring and jumps from output frame to output frame; the
-spectral abscissa is read off the eigenvalues of the same blocks.  Only
-numpy is needed.
+by repeated squaring and jumps from output frame to output frame.  The
+spectral abscissa is read off the generator's own mode blocks, with no
+time step in it.  Only numpy is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .certify import NetworkConfig, trapezoid_weights
-from .errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
+from .errors import DimensionMismatch, Divergence, NonPositiveSeries
 from .graph import _as_int, laplacian
 from .scenarios import FORCING_RATE, demo_initial_profiles, forcing_amplitude, forcing_shape
 
@@ -106,12 +106,16 @@ class DiscreteOperator:
     G L (+) 0, and row i of ``feedback`` is (2 beta/dx) k_i m_i
     (e_i - e_leader), the flux that the boundary feedback on the trapezoid
     integral Y[:, 0] injects at the x=0 node, ``node0`` in modal coordinates.
+    The leading N x N blocks of ``coupling`` and ``feedback`` generate the
+    follower errors z_i - z_leader: the coupling and the feedback vanish on
+    a field common to all agents, and the leader obeys the same heat
+    equation as every follower, so it drops out of the differences.
     """
 
     grid: np.ndarray  # (nx,)
     modes: np.ndarray  # (nx, nx), cos(j pi x_i)
     rates: np.ndarray  # (nx,), alpha - (4 beta/dx^2) sin^2(j pi dx/2)
-    coupling: np.ndarray  # (N+1, N+1), or (N, N) for the error subsystem
+    coupling: np.ndarray  # (N+1, N+1)
     feedback: np.ndarray  # same shape as coupling
 
     @cached_property
@@ -131,18 +135,6 @@ class DiscreteOperator:
     def node0(self) -> np.ndarray:
         """The x=0 grid node in modal coordinates, modes^-1 e_0."""
         return self.inverse_modes[:, 0]
-
-    @property
-    def error_subsystem(self) -> DiscreteOperator:
-        """Generator of the follower errors z_i - z_leader.
-
-        The coupling rows sum to zero and the leader obeys the same heat
-        equation as every follower, so in error coordinates the leader
-        drops out: the error generator keeps the leading N x N blocks of
-        ``coupling`` and ``feedback``.  The spectral diagnostics use it.
-        """
-        n = len(self.coupling) - 1
-        return replace(self, coupling=self.coupling[:n, :n], feedback=self.feedback[:n, :n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,9 +344,10 @@ def _frame_jumps(op: DiscreteOperator, sim: SimConfig) -> _FrameJumps:
     unit = None
     if sim.source == "paper":
         source = op.inverse_modes @ forcing_shape(sim.grid)
-        # c: the step from y = 0 with a = 1, rhs h * source on every agent
-        rhs = sim.dt * source[:, np.newaxis] + shed[:, np.newaxis] * (g @ np.full(m, h * source[0]))
-        unit = (inverses @ rhs[..., np.newaxis])[..., 0]
+        # c: the step from y = 0 with a = 1, dt * source on every agent; the
+        # coupling and the feedback vanish on a field common to all agents,
+        # so each mode's block scales it by 1 / (1 - h rates_j)
+        unit = np.repeat((sim.dt * source / (1.0 - h * op.rates))[:, np.newaxis], m, axis=1)
     diagonal = np.arange(m)
     inverses[:, diagonal, diagonal] -= 1.0 - theta
     inverses /= theta
@@ -497,32 +490,24 @@ def fit_decay_rate(series: ErrorSeries, window: tuple[float, float]) -> float:
 
 
 def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
-    """Decay/growth exponent of the discrete error subsystem, log(rho)/dt.
+    """Spectral abscissa, max Re lam, of the semi-discrete error generator.
 
-    rho is the spectral radius of the Crank-Nicolson one-step propagator
-    (I - dt/2 A)^-1 (I + dt/2 A) of the error subsystem (leader and source
-    excluded), that is max |(1 + h lam)/(1 - h lam)| over the eigenvalues
-    lam of A, h = dt/2.  A is block lower-triangular over the cosine modes,
-    so its eigenvalues are those of the N x N mode blocks:
-    rates_0 + eig(coupling - node0_0 feedback) for the constant mode and
-    rates_j + eig(coupling) for the others.  The value is dt-exact: on the
-    demo it is -0.835599, -0.835594 and -0.835594 at dt = 1e-2, 1e-3 and
-    1e-4.  It is still floored by the time discretization: very stiff
-    spatial modes keep |one-step factor| close to 1, so dt must be small
-    enough for the physical slow mode to dominate.  Raises NoConvergence
-    if I - (dt/2) A is exactly singular.
+    The errors z_i - z_leader evolve under the leading N x N blocks C and F
+    of ``coupling`` and ``feedback`` (see ``DiscreteOperator``).  That
+    generator is block lower-triangular over the cosine modes, so its
+    eigenvalues are those of the N x N mode blocks: rates_0 +
+    eig(C - node0_0 F) for the constant mode and rates_j + eig(C) for the
+    others.  The value describes the spatial discretization alone; no time
+    step enters it.
     """
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
-    op = assemble_operator(net, sim).error_subsystem
-    h = sim.dt / 2.0
-    lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * op.feedback)
-    lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(op.coupling)
-    lam = np.concatenate([lam0, lam_rest.reshape(-1)])
-    if (1.0 - h * lam == 0.0).any():
-        raise NoConvergence("I - (dt/2) A is exactly singular")
-    rho = np.abs((1.0 + h * lam) / (1.0 - h * lam)).max()
-    return float(np.log(rho) / sim.dt)
+    op = assemble_operator(net, sim)
+    n = net.n
+    c, f = op.coupling[:n, :n], op.feedback[:n, :n]
+    lam0 = op.rates[0] + np.linalg.eigvals(c - op.node0[0] * f)
+    lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(c)
+    return float(max(lam0.real.max(), lam_rest.real.max()))
 
 
 def analytic_open_loop_spectrum(

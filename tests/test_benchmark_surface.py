@@ -59,5 +59,5 @@ def test_in_process_replay_calls(tmp_path, name):
     assert isinstance(g, float) and isinstance(cert, Certificate)
     assert cert.matrix.dim == 2 * net.n
 
-    err = pdesim.assemble_operator(net, sim).error_subsystem
-    assert err.coupling.shape == (net.n, net.n)
+    op = pdesim.assemble_operator(net, sim)
+    assert op.coupling.shape == (net.n + 1, net.n + 1)

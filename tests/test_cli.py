@@ -119,6 +119,7 @@ class TestParsing:
             ("edges", [[1, 2], [2, 1]]),
             ("leader_set", [1.5]),
             ("leader_set", [4]),
+            ("leader_set", [True]),
             ("n", 2.7),
         ],
         ids=[
@@ -129,6 +130,7 @@ class TestParsing:
             "duplicate-edge",
             "fractional-leader",
             "leader-out-of-range",
+            "boolean-leader",
             "fractional-n",
         ],
     )
@@ -255,8 +257,14 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("nx", 41.9), ("output_stride", 2.5), ("nx", float("inf")), ("output_stride", "10")],
-        ids=["fractional-nx", "fractional-stride", "infinite-nx", "string-stride"],
+        [
+            ("nx", 41.9),
+            ("output_stride", 2.5),
+            ("nx", float("inf")),
+            ("output_stride", "10"),
+            ("output_stride", True),
+        ],
+        ids=["fractional-nx", "fractional-stride", "infinite-nx", "string-stride", "boolean-stride"],
     )
     def test_non_integral_sim_count_exits_2(self, tmp_path, capsys, key, value):
         # grid size and output stride are counts: never truncated or coerced
@@ -514,6 +522,16 @@ class TestSpectrum:
         abscissa = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
         scn = load_scenario(cfg)
         assert abs(abscissa - dense_abscissa(scn.net, scn.sim)) <= 1e-9
+
+    def test_stdout_does_not_depend_on_dt(self, tmp_path, capsys):
+        printed = []
+        for dt in (1e-3, 5e-2):
+            cfg = write_config(
+                tmp_path / "dt.json", {"scenario_preset": "sectionV", "sim": {"dt": dt}}
+            )
+            assert main(["spectrum", cfg]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_stdout_byte_identical(self, preset_config):
         runs = [fresh_python(["-m", "heatsync", "spectrum", preset_config]) for _ in range(2)]

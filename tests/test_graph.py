@@ -99,6 +99,16 @@ class TestBuildGraph:
     def test_empty_leader_set_allowed(self):
         assert build_graph(2, [(1, 2)], []).leader_count == 0
 
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_boolean_ids_rejected(self, flag):
+        # True == 1, but a flag is not a follower count or a node id
+        with pytest.raises(ValueError):
+            build_graph(flag, [], [])
+        with pytest.raises(ValueError):
+            build_graph(3, [(flag, 2)], [])
+        with pytest.raises(ValueError):
+            build_graph(3, [(1, 2)], [flag])
+
 
 class TestLaplacian:
     def test_demo_by_definition(self):

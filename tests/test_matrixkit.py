@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from heatsync import SymMatrix, evaluate_certificate
-from heatsync.errors import NoConvergence
 
-from oracles import is_negative_definite, sym_eigenvalues
+from oracles import NoConvergence, is_negative_definite, sym_eigenvalues
 
 
 class TestSymMatrix:

@@ -25,7 +25,7 @@ from heatsync import (
     sync_errors,
     trapezoid_weights,
 )
-from heatsync.errors import DimensionMismatch, Divergence, NoConvergence, NonPositiveSeries
+from heatsync.errors import DimensionMismatch, Divergence, NonPositiveSeries
 from heatsync.pdesim import _expanded, _frame_jumps, _norm1
 
 from conftest import random_connected_graph
@@ -113,6 +113,10 @@ class TestSimConfig:
             SimConfig(nx=41.9)
         with pytest.raises(ValueError):
             SimConfig(output_stride=2.5)
+        # True == 1, but a flag is not a count
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError):
+                SimConfig(output_stride=flag)
 
     def test_integral_float_counts_stored_as_int(self):
         sim = SimConfig(nx=41.0, output_stride=5.0)
@@ -156,6 +160,12 @@ def grid_matrix(op):
     return np.array([grid_apply(op, u).reshape(-1) for u in units]).T
 
 
+def error_generator(op):
+    """``op`` cut to the leading N x N blocks that generate z_i - z_leader."""
+    n = len(op.coupling) - 1
+    return replace(op, coupling=op.coupling[:n, :n], feedback=op.feedback[:n, :n])
+
+
 class TestOperator:
     def test_leader_alone_constant_in_kernel(self):
         g0 = build_graph(0, [], [])
@@ -183,7 +193,7 @@ class TestOperator:
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=0.0)
         sim = SimConfig(nx=21, source="off")
         op = assemble_operator(net, sim)
-        err = op.error_subsystem
+        err = error_generator(op)
         nx = 21
         dx = 1.0 / 20
         w = trapezoid_weights(nx)
@@ -217,10 +227,7 @@ class TestOperator:
             )
             sim = SimConfig(nx=nx, source="off")
             op = assemble_operator(net, sim)
-            err = op.error_subsystem
-            assert np.array_equal(err.coupling, op.coupling[:n, :n])
-            assert np.array_equal(err.feedback, op.feedback[:n, :n])
-            assert err.modes is op.modes and err.rates is op.rates
+            err = error_generator(op)
             # it generates the error dynamics: d/dt (z_i - z_l) from the
             # closed loop equals err applied to the errors
             z = rng.standard_normal((n + 1, nx))
@@ -412,6 +419,22 @@ class TestSimulate:
                 )
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_source_drives_every_agent_alike(self, demo_net, scheme):
+        # the coupling and the feedback vanish on a field common to all
+        # agents, so the shared source leaves the errors z_i - z_leader alone
+        rng = np.random.default_rng(79)
+        cases = [(demo_net, "sectionV")]
+        cases += [(net, random_profiles(rng, net.n, 33)) for net in heterogeneous_nets(rng, 3)]
+        for net, ic in cases:
+            sim = SimConfig(
+                nx=33, t_end=1.0, source="off", scheme=scheme, output_stride=7,
+                initial_conditions=ic,
+            )
+            off = simulate(net, sim).errors()
+            paper = simulate(net, replace(sim, source="paper")).errors()
+            assert np.abs(paper - off).max() <= 1e-12 * np.abs(off).max()
+
     def test_jump_bound_is_rigorous(self, demo_net):
         # gamma bounds ||M^k||_1 and delta every partial forced response for
         # k <= J, with M^k from plain one-step products of the dense map;
@@ -597,11 +620,17 @@ class TestSpectral:
             sim = SimConfig(nx=41, dt=1e-3, source="off")
             assert abs(spectral_abscissa(net, sim) - dense_abscissa(net, sim)) <= 1e-9
 
-    def test_singular_implicit_matrix_raises_no_convergence(self):
-        # alpha = 2/dt puts the constant mode of I - (dt/2) A exactly at zero
-        net = NetworkConfig(graph=build_graph(3, [], []), alpha=200.0, k=0.0, g=0.0)
-        with pytest.raises(NoConvergence):
-            spectral_abscissa(net, SimConfig(nx=17, dt=0.01, source="off"))
+    def test_abscissa_does_not_depend_on_dt(self):
+        # the semi-discrete value: no time step, so no stiff grid mode, floors it
+        k, g = preset_gains("sectionV")
+        net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=k, g=g)
+        values = []
+        for dt in (1e-3, 0.05):
+            sim = SimConfig(nx=101, dt=dt, source="off")
+            values.append(spectral_abscissa(net, sim))
+            assert abs(values[-1] - dense_abscissa(net, sim)) <= 1e-9
+        assert values[0] == values[1]
+        assert abs(values[0] + 0.8355941) <= 1e-7
 
     def test_grid_convergence_second_order(self, demo_net):
         totals = {}

@@ -4,12 +4,15 @@ A name in ``heatsync.__all__`` that nothing in ``src/heatsync`` refers to
 is kept alive only by the tests: it belongs in ``tests/oracles.py`` or
 nowhere.  The check reads the modules' syntax trees, so a reference is a
 name, an attribute or an import, and one inside the name's own top-level
-definition does not count.
+definition does not count.  Likewise every exception in
+``heatsync.errors`` has a ``raise`` site in the package.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import heatsync
+from heatsync import errors
 
 PACKAGE = Path(heatsync.__file__).resolve().parent
 # acceptance check C05 names the Wirtinger probe; the version is metadata
@@ -43,6 +46,17 @@ def package_references() -> set[str]:
     return used
 
 
+def raised_names(tree: ast.Module) -> set[str]:
+    """Names of the exceptions a module raises, as ``raise E`` or ``raise E(...)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
 def test_every_public_name_is_used_in_the_package():
     unused = sorted(set(heatsync.__all__) - package_references() - ALLOWED)
     assert unused == [], f"public names that only the tests use: {unused}"
@@ -62,3 +76,16 @@ def test_own_definition_is_not_a_use():
     used = referenced_names(tree)
     assert {"lonely", "Solo", "VALUE"}.isdisjoint(used)
     assert {"helper", "attr"} <= used
+
+
+def test_every_exception_is_raised_in_the_package():
+    defined = {
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.HeatSyncError) and cls is not errors.HeatSyncError
+    }
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(defined - raised) == [], "exceptions the package never raises"
+
