@@ -14,7 +14,6 @@ from .certify import (
     certificate_matrix,
     evaluate_certificate,
     trapezoid_weights,
-    wirtinger_check,
 )
 from .gains import (
     ComponentPlan,
@@ -83,5 +82,4 @@ __all__ = [
     "spectral_abscissa",
     "sync_errors",
     "trapezoid_weights",
-    "wirtinger_check",
 ]

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooCoarse
+from .errors import DimensionMismatch
 from .graph import FollowerGraph, laplacian, leader_mask
 
 _HALF_PI_SQ = np.pi**2 / 2.0
@@ -160,7 +160,8 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
         [ beta Kbar            2 alpha I - 2 beta Kbar + sym(G L)     ]
 
     where sym(X) = (X + X^T)/2.  Negative definiteness certifies exponential
-    leader synchronization in the L2 norm.
+    leader synchronization in the L2 norm.  Raises ValueError when finite
+    parameters overflow into an entry that is not finite.
     """
     n = cfg.n
     if n < 1:
@@ -168,59 +169,30 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     eye = np.eye(n)
     lap = laplacian(cfg.graph).astype(float)
     kbar = np.diag(cfg.boundary_gains)
-    gl = np.diag(cfg.g_vector) @ lap
-    top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * eye, cfg.beta * kbar])
-    lower_right = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar.T) + (gl + gl.T) / 2.0
-    bottom = np.hstack([cfg.beta * kbar.T, lower_right])
-    return SymMatrix(np.vstack([top, bottom]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gl = np.diag(cfg.g_vector) @ lap
+        top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * eye, cfg.beta * kbar])
+        lower_right = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar.T) + (gl + gl.T) / 2.0
+        bottom = np.hstack([cfg.beta * kbar.T, lower_right])
+        matrix = SymMatrix(np.vstack([top, bottom]))
+    if not np.isfinite(matrix.mat).all():
+        raise ValueError("the certificate matrix overflows: alpha, beta, k or g is too large")
+    return matrix
 
 
-def evaluate_certificate(
-    matrix: SymMatrix, margin: float = FEASIBILITY_MARGIN
-) -> Certificate:
+def evaluate_certificate(matrix: SymMatrix) -> Certificate:
     """Decide feasibility of a certificate matrix from its top eigenvalue.
 
     One ``eigvalsh`` call gives ``max_eig``; the certificate is feasible
-    when ``max_eig < -margin``, and only then is its decay margin
-    ``-max_eig`` reported (zero otherwise), so the fields cannot disagree.
+    when ``max_eig < -FEASIBILITY_MARGIN``, and only then is its decay
+    margin ``-max_eig`` reported (zero otherwise), so the fields cannot
+    disagree.
     """
     max_eig = float(np.linalg.eigvalsh(matrix.mat)[-1])
-    feasible = max_eig < -margin
+    feasible = max_eig < -FEASIBILITY_MARGIN
     return Certificate(
         matrix=matrix,
         max_eig=max_eig,
         feasible=feasible,
         margin=-max_eig if feasible else 0.0,
     )
-
-
-def wirtinger_check(samples, dx: float) -> tuple[float, float]:
-    """Numerically probe the one-sided Wirtinger inequality on [0, 1].
-
-    For h with h(0) = 0 sampled on a uniform grid, returns
-
-        lhs = integral of (dh/dx)^2      (central differences + trapezoid)
-        rhs = (pi^2/4) * integral of h^2
-
-    The inequality lhs >= rhs holds up to O(dx^2) discretization error, with
-    equality approached by h = sin(pi x / 2).  Endpoint derivatives use
-    second-order one-sided stencils so the equality case converges
-    quadratically.
-    """
-    h = np.asarray(samples, dtype=float)
-    if h.ndim != 1:
-        raise ValueError("samples must be a one-dimensional array")
-    if h.size < 8:
-        raise GridTooCoarse(f"need at least 8 samples, got {h.size}")
-    if abs(h[0]) > 1e-12:
-        raise ValueError("samples[0] must vanish (h(0) = 0)")
-    if abs((h.size - 1) * dx - 1.0) > 1e-8:
-        raise ValueError("grid must cover [0, 1]: (len-1)*dx must equal 1")
-    dh = np.empty_like(h)
-    dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * dx)
-    dh[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * dx)
-    dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dx)
-    w = trapezoid_weights(h.size)
-    lhs = float(w @ dh**2)
-    rhs = float(np.pi**2 / 4.0 * (w @ h**2))
-    return lhs, rhs

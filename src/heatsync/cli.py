@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -135,6 +135,10 @@ def load_scenario(path) -> Scenario:
     sim_block = raw.get("sim", {})
     if not isinstance(sim_block, dict):
         raise ConfigError("'sim' must be a JSON object")
+    unknown = sorted(set(sim_block) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise ConfigError(f"unknown sim key(s): {', '.join(map(repr, unknown))}")
+    sim_fields = {"source": "off", **sim_block}
     preset = raw.get("scenario_preset")
     try:
         if preset is not None:
@@ -145,9 +149,7 @@ def load_scenario(path) -> Scenario:
             k, g = preset_gains(preset)
             graph = demo_graph()
             alpha, beta = DEMO_ALPHA, DEMO_BETA
-            source = "paper"
-            t_end = DEMO_T_END
-            initial = "sectionV"
+            sim_fields.update(source="paper", t_end=DEMO_T_END, initial_conditions="sectionV")
         else:
             if "graph" not in raw:
                 raise ConfigError("config needs a 'graph' block or a scenario_preset")
@@ -156,26 +158,19 @@ def load_scenario(path) -> Scenario:
             beta = _number(raw.get("beta", 1.0), "beta")
             k = _numbers(raw.get("k", 0.0), "k")
             g = _numbers(raw.get("g", 0.0), "g")
-            source = sim_block.get("source", "off")
-            t_end = _number(sim_block.get("t_end", 2.5), "sim.t_end")
-            initial = sim_block.get("initial_conditions")
+            initial = sim_fields.get("initial_conditions")
             if isinstance(initial, dict):
-                initial = tuple(
+                sim_fields["initial_conditions"] = tuple(
                     _numbers(initial[part], f"sim.initial_conditions.{part}")
                     for part in ("followers", "leader")
                 )
             elif initial is not None and not isinstance(initial, str):
                 raise ConfigError("sim.initial_conditions must be a preset token or an object")
+        for key in ("dt", "t_end"):
+            if key in sim_fields:
+                sim_fields[key] = _number(sim_fields[key], f"sim.{key}")
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
-        sim = SimConfig(
-            nx=sim_block.get("nx", 101),
-            dt=_number(sim_block.get("dt", 1e-3), "sim.dt"),
-            t_end=t_end,
-            source=source,
-            scheme=sim_block.get("scheme", "crank_nicolson"),
-            output_stride=sim_block.get("output_stride", 10),
-            initial_conditions=initial,
-        )
+        sim = SimConfig(**sim_fields)
         # profile shapes are checked here, before any command runs or writes
         _resolve_initial_conditions(net, sim)
     except ConfigError:
@@ -212,6 +207,14 @@ def _resolved_params(scn: Scenario, command: str) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _output_dir(path: Path) -> Path:
+    """``path``, refused before any work when a file stands where a directory must go."""
+    existing = next(part for part in (path, *path.parents) if part.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write under {path}: {existing} is not a directory")
+    return path
 
 
 def _report_path(config_path, kind: str) -> Path:
@@ -308,11 +311,11 @@ def cmd_simulate(args) -> int:
         if args.snapshots
         else [t for t in DEFAULT_SNAPSHOTS if _in_horizon(t, scn.sim.t_end)]
     )
+    out_dir = _output_dir(Path(args.out))
     traj = simulate(scn.net, scn.sim)
     series = sync_errors(traj)
     n = scn.net.n
     # made only now, so a run that diverges leaves no empty directory behind
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     err_path = out_dir / "errors.csv"
@@ -348,9 +351,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     scn = load_scenario(args.config)
+    absc = spectral_abscissa(scn.net, scn.sim)
     modes = analytic_open_loop_spectrum(scn.net.alpha, scn.net.beta, n_modes=6)
     print("analytic open-loop modes:", ", ".join(_fmt(m) for m in modes))
-    absc = spectral_abscissa(scn.net, scn.sim)
     print(f"discrete closed-loop spectral abscissa: {_fmt(absc)}")
     return 0
 
@@ -375,7 +378,9 @@ def cmd_sweep(args) -> int:
     k_values = _parse_range(args.k, "k")
     g_values = _parse_range(args.g, "g")
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    if out_path.is_dir():
+        raise ConfigError(f"cannot write {out_path}: it is a directory")
+    _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     run_sim = bool(args.simulate)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
     successes = 0
@@ -462,7 +467,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the package raises ValueError on parameters outside its domain,
+        # such as ones whose certificate or operator overflows
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Divergence as exc:

@@ -21,10 +21,6 @@ class DimensionMismatch(HeatSyncError):
     """Operands have incompatible shapes."""
 
 
-class GridTooCoarse(HeatSyncError):
-    """Too few samples for the requested quadrature."""
-
-
 class InvalidLeaderCount(HeatSyncError):
     """Leader count s outside the admissible range 1..n."""
 
@@ -42,7 +38,7 @@ class UncontrollableComponent(HeatSyncError):
 
 
 class InfeasibleInBracket(HeatSyncError):
-    """No coupling gain in the bracket makes the certificate feasible."""
+    """No coupling gain in [gains.G_MIN, 0] makes the certificate feasible."""
 
     def __init__(self, g_best, max_eig):
         self.g_best = float(g_best)

@@ -4,9 +4,9 @@ The admissible boundary gain k has a closed-form open interval per connected
 component.  The in-domain coupling gain g needs no search: for a common g
 the certificate is Omega(g) = Omega(0) + g (0 (+) L), and the graph
 Laplacian L is positive semidefinite, so by Weyl's inequality the top
-certificate eigenvalue is nonincreasing in g.  The lower end of a bracket
-is therefore its maximal-margin gain, and one certificate there decides
-the whole bracket.
+certificate eigenvalue is nonincreasing in g.  The most attractive gain
+design considers, G_MIN, is therefore the maximal-margin gain on
+[G_MIN, 0], and one certificate there decides the whole interval.
 """
 from __future__ import annotations
 
@@ -30,6 +30,8 @@ from .errors import (
 from .graph import FollowerGraph, connected_components
 
 _PI_SQ = np.pi**2
+# the most attractive coupling gain that design considers
+G_MIN = -1e4
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,19 @@ def k_window_partial(alpha: float, n: int, s: int) -> Interval:
     return Interval(lo=_PI_SQ / 2.0 - radius, hi=_PI_SQ / 2.0 + radius)
 
 
-def search_g(
-    cfg: NetworkConfig, bracket: tuple[float, float] = (-1e4, 0.0)
-) -> tuple[float, Certificate]:
-    """The maximal-margin coupling gain in a bracket: its lower end.
+def search_g(cfg: NetworkConfig) -> tuple[float, Certificate]:
+    """The maximal-margin coupling gain on [G_MIN, 0]: G_MIN itself.
 
-    Any g already on ``cfg`` is ignored.  ``bracket[0]`` is returned with its
+    Any g already on ``cfg`` is ignored.  G_MIN is returned with its
     certificate when that is feasible; otherwise, by monotonicity, no g in
-    the bracket is, and InfeasibleInBracket carries ``bracket[0]`` and its
-    max eigenvalue.  The certificate block-decomposes over components, so a
+    [G_MIN, 0] is, and InfeasibleInBracket carries G_MIN and its max
+    eigenvalue.  The certificate block-decomposes over components, so a
     component with no leader link is infeasible for every g.
     """
-    g_lo, g_hi = float(bracket[0]), float(bracket[1])
-    if not g_lo < g_hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    cert = evaluate_certificate(certificate_matrix(cfg.with_gains(g=g_lo)))
+    cert = evaluate_certificate(certificate_matrix(cfg.with_gains(g=G_MIN)))
     if not cert.feasible:
-        raise InfeasibleInBracket(g_best=g_lo, max_eig=cert.max_eig)
-    return g_lo, cert
+        raise InfeasibleInBracket(g_best=G_MIN, max_eig=cert.max_eig)
+    return G_MIN, cert
 
 
 def design(graph: FollowerGraph, alpha: float, beta: float = 1.0) -> GainDesign:

@@ -174,20 +174,25 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     the boundary feedback flux -(2 beta / dx) * k_i m_i * trapezoid(z_i - z_l)
     from eliminating the ghost node against the prescribed boundary slope,
     and the in-domain coupling adds g_i * l_ij pointwise across agents.  The
-    leader is pure Neumann and feeds back to nothing.
+    leader is pure Neumann and feeds back to nothing.  Raises ValueError
+    when finite parameters overflow into an entry of ``rates``,
+    ``coupling`` or ``feedback`` that is not finite.
     """
     n, nx = net.n, sim.nx
     j = np.arange(nx)
     # cos(j pi x_i) with x_i = i/(nx-1) and the phase i*j reduced mod
     # 2(nx-1): the argument stays below 2 pi, so the modes are exact to rounding
     modes = np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
-    rates = net.alpha - 4.0 * net.beta / sim.dx**2 * np.sin(np.pi * j * sim.dx / 2) ** 2
     coupling = np.zeros((n + 1, n + 1))
-    coupling[:n, :n] = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
-    flux = (2.0 * net.beta / sim.dx) * net.boundary_gains
     feedback = np.zeros((n + 1, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        rates = net.alpha - 4.0 * net.beta / sim.dx**2 * np.sin(np.pi * j * sim.dx / 2) ** 2
+        coupling[:n, :n] = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
+        flux = (2.0 * net.beta / sim.dx) * net.boundary_gains
     feedback[:n, :n] = np.diag(flux)
     feedback[:n, n] = -flux
+    if not all(np.isfinite(part).all() for part in (rates, coupling, feedback)):
+        raise ValueError("the closed-loop operator overflows: alpha, beta, k or g is too large")
     return DiscreteOperator(
         grid=sim.grid, modes=modes, rates=rates, coupling=coupling, feedback=feedback
     )

@@ -21,6 +21,9 @@ at a time.  ``dense_abscissa`` takes every eigenvalue of the leading
 N*nx block of ``dense_operator``, the error generator; production reads
 them off the (N x N) mode blocks.  ``NoConvergence`` is raised by the
 Jacobi solver only.
+``wirtinger_check`` probes the one-sided Wirtinger inequality on sampled
+profiles by finite differences, for acceptance check C5; production
+never evaluates it.  ``GridTooCoarse`` is raised by that probe only.
 """
 from __future__ import annotations
 
@@ -43,6 +46,10 @@ from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 class NoConvergence(Exception):
     """``sym_eigenvalues`` hit its sweep cap above tolerance."""
+
+
+class GridTooCoarse(Exception):
+    """``wirtinger_check`` got too few samples for its stencils."""
 
 
 @dataclass(frozen=True)
@@ -304,3 +311,35 @@ def pairwise_max(traj) -> np.ndarray:
             diff = traj.z[i] - traj.z[j]
             pair = np.maximum(pair, np.sqrt(np.einsum("tx,x->t", diff**2, w)))
     return pair
+
+
+def wirtinger_check(samples, dx: float) -> tuple[float, float]:
+    """Numerically probe the one-sided Wirtinger inequality on [0, 1].
+
+    For h with h(0) = 0 sampled on a uniform grid, returns
+
+        lhs = integral of (dh/dx)^2      (central differences + trapezoid)
+        rhs = (pi^2/4) * integral of h^2
+
+    The inequality lhs >= rhs holds up to O(dx^2) discretization error, with
+    equality approached by h = sin(pi x / 2).  Endpoint derivatives use
+    second-order one-sided stencils so the equality case converges
+    quadratically.
+    """
+    h = np.asarray(samples, dtype=float)
+    if h.ndim != 1:
+        raise ValueError("samples must be a one-dimensional array")
+    if h.size < 8:
+        raise GridTooCoarse(f"need at least 8 samples, got {h.size}")
+    if abs(h[0]) > 1e-12:
+        raise ValueError("samples[0] must vanish (h(0) = 0)")
+    if abs((h.size - 1) * dx - 1.0) > 1e-8:
+        raise ValueError("grid must cover [0, 1]: (len-1)*dx must equal 1")
+    dh = np.empty_like(h)
+    dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * dx)
+    dh[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * dx)
+    dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dx)
+    w = trapezoid_weights(h.size)
+    lhs = float(w @ dh**2)
+    rhs = float(np.pi**2 / 4.0 * (w @ h**2))
+    return lhs, rhs

@@ -10,17 +10,19 @@ from heatsync import (
     evaluate_certificate,
     laplacian,
     search_g,
-    wirtinger_check,
 )
-from heatsync.errors import GridTooCoarse, InfeasibleInBracket
+from heatsync.certify import FEASIBILITY_MARGIN
+from heatsync.errors import InfeasibleInBracket
 
 from conftest import random_connected_graph, random_graph
 from oracles import (
+    GridTooCoarse,
     closed_form_certificate,
     coupling_gain_feasible,
     is_negative_definite,
     schur_reduction,
     sym_eigenvalues,
+    wirtinger_check,
 )
 
 PI2 = np.pi**2
@@ -81,7 +83,7 @@ class TestGeneralBuilder:
         assert evaluate_certificate(certificate_matrix(cfg)).feasible
 
     def test_demo_scenario_feasible(self, demo_net):
-        cert = evaluate_certificate(certificate_matrix(demo_net), margin=1e-9)
+        cert = evaluate_certificate(certificate_matrix(demo_net))
         assert cert.feasible
         assert cert.max_eig < -1e-9
         assert cert.margin == pytest.approx(-cert.max_eig)
@@ -100,11 +102,11 @@ class TestGeneralBuilder:
 class TestEvaluateCertificate:
     def test_margin_is_zero_unless_feasible(self):
         # the top eigenvalue sits inside the feasibility margin band
-        cert = evaluate_certificate(SymMatrix(np.diag([-5e-10, -1.0])), margin=1e-9)
+        cert = evaluate_certificate(SymMatrix(np.diag([-5e-10, -1.0])))
         assert cert.max_eig == -5e-10
         assert not cert.feasible
         assert cert.margin == 0.0
-        cert = evaluate_certificate(SymMatrix(np.diag([-2e-9, -1.0])), margin=1e-9)
+        cert = evaluate_certificate(SymMatrix(np.diag([-2e-9, -1.0])))
         assert cert.feasible
         assert cert.margin == -cert.max_eig == 2e-9
 
@@ -112,7 +114,7 @@ class TestEvaluateCertificate:
         # random certificates, half of them shifted so that the top
         # eigenvalue lands within 1e-12 of -margin
         rng = np.random.default_rng(39)
-        margin = 1e-9
+        margin = FEASIBILITY_MARGIN
         near = 0
         for trial in range(300):
             cfg = random_normalized_config(rng)
@@ -121,7 +123,7 @@ class TestEvaluateCertificate:
                 offset = float(rng.uniform(-1e-12, 1e-12))
                 shift = np.linalg.eigvalsh(mat)[-1] + margin + offset
                 mat = mat - shift * np.eye(mat.shape[0])
-            cert = evaluate_certificate(SymMatrix(mat), margin)
+            cert = evaluate_certificate(SymMatrix(mat))
             top = sym_eigenvalues(mat).eigenvalues[-1]
             assert abs(cert.max_eig - top) <= 1e-10
             assert cert.feasible == (cert.max_eig < -margin)

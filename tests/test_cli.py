@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,14 @@ def fresh_python(args, **kwargs):
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_config_error(proc):
+    """A fresh-process run that stopped with exit 2 and one ``config error:`` line."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 @pytest.fixture
@@ -274,6 +283,44 @@ class TestParsing:
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_sim_key_exits_2(self, tmp_path):
+        # a misspelled key would leave its field at the default unnoticed
+        sim = {"nx": 21, "t_ned": 0.05, "dtt": 0.5}
+        cfg = write_config(tmp_path / "typo.json", {"scenario_preset": "sectionV", "sim": sim})
+        out = tmp_path / "out"
+        proc = fresh_python(["-m", "heatsync", "simulate", cfg, "--out", str(out)], text=True)
+        assert_config_error(proc)
+        assert "'t_ned'" in proc.stderr and "'dtt'" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("certify", {"beta": 1e308, "k": 3, "g": -2}),
+            ("design", {"beta": 1e308}),
+            ("spectrum", {"beta": 1e308, "k": 3, "g": -2}),
+            ("simulate", {"beta": 1e308, "k": 3, "g": -2}),
+            ("certify", {"alpha": 1e308}),
+            ("certify", {"k": 1e308}),
+        ],
+        ids=["beta-certify", "beta-design", "beta-spectrum", "beta-simulate", "alpha", "k"],
+    )
+    def test_overflowing_matrices_exit_2(self, tmp_path, command, params):
+        # finite parameters whose certificate or operator overflows are a
+        # config error: no LinAlgError, no overflow warning, no divergence
+        payload = {
+            "graph": {"n": 2, "edges": [[1, 2]], "leader_set": [1]},
+            "sim": {"nx": 21, "t_end": 0.05},
+            **params,
+        }
+        cfg = write_config(tmp_path / "big.json", payload)
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "simulate" else []
+        proc = fresh_python(["-m", "heatsync", command, cfg, *extra], text=True)
+        assert_config_error(proc)
+        assert not out.exists()
+        assert not list(tmp_path.glob("big.*.json"))
 
     def test_integral_float_sim_count_accepted(self, tmp_path):
         sim = {"nx": 41.0, "dt": 0.01, "output_stride": 5.0}
@@ -626,6 +673,19 @@ class TestSweep:
         assert blank_rows >= 1
         assert (code == 1) == (blank_rows == 4)
 
+    def test_overflowing_cell_blank(self, explicit_config, tmp_path):
+        # a cell whose certificate overflows fails like any other cell
+        out_csv = tmp_path / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["sweep", explicit_config, "--k", "3:1e308:2", "--g", "-2:0:2",
+                 "--out", str(out_csv)]
+            )
+        assert code == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [row[2:] == ["", ""] for row in rows] == [False, False, True, True]
+
     def test_bad_range_exits_2(self, explicit_config, tmp_path):
         code = main(
             ["sweep", explicit_config, "--k", "1:9:1", "--g", "-4:0:3",
@@ -648,6 +708,26 @@ class TestSweep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "command, out",
+        [("simulate", "taken"), ("sweep", "taken/sweep.csv"), ("sweep", ".")],
+    )
+    def test_file_in_the_way_exits_2(self, explicit_config, tmp_path, command, out):
+        # refused before any work, where the write would raise OSError after it
+        (tmp_path / "taken").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        ranges = ["--k", "1:9:2", "--g", "-4:0:2"] if command == "sweep" else []
+        proc = fresh_python(
+            ["-m", "heatsync", command, explicit_config, *ranges, "--out", out],
+            text=True,
+            cwd=tmp_path,
+        )
+        assert_config_error(proc)
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 class TestDeterminism:

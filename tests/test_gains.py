@@ -18,6 +18,7 @@ from heatsync.errors import (
     InvalidLeaderCount,
     UncontrollableComponent,
 )
+from heatsync.gains import G_MIN
 from heatsync.graph import connected_components
 
 from conftest import random_connected_graph, random_graph
@@ -110,18 +111,16 @@ class TestWindowPartial:
 
 class TestSearchG:
     def test_demo_scenario(self, demo_net):
-        g_star, cert = search_g(demo_net, bracket=(-100.0, 0.0))
+        g_star, cert = search_g(demo_net)
         assert cert.feasible and g_star < 0
-        # the published gain must also verify directly
-        direct = evaluate_certificate(
-            certificate_matrix(demo_net.with_gains(g=-2.0)), margin=1e-9
-        )
-        assert direct.feasible
+        # a moderate gain and the published one must also verify directly
+        for g in (-100.0, -2.0):
+            assert evaluate_certificate(certificate_matrix(demo_net.with_gains(g=g))).feasible
 
     def test_fully_controlled_zero_gain_feasible(self):
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)], [1, 2, 3, 4])
         cfg = NetworkConfig(graph=g, alpha=0.0, k=k_window_partial(0.0, 1, 1).midpoint, g=0.0)
-        g_star, cert = search_g(cfg, bracket=(-100.0, 0.0))
+        g_star, cert = search_g(cfg)
         assert cert.feasible
         # with all agents controlled, g = 0 is feasible on its own
         direct = evaluate_certificate(certificate_matrix(cfg.with_gains(g=0.0)))
@@ -129,11 +128,12 @@ class TestSearchG:
 
     def test_infeasible_outside_window(self):
         cfg = NetworkConfig(graph=demo_graph(), alpha=0.0, k=PI2 + 1.0, g=0.0)
-        for bracket in [(-10.0, 0.0), (-1e6, 0.0)]:
-            with pytest.raises(InfeasibleInBracket) as exc:
-                search_g(cfg, bracket=bracket)
-            assert exc.value.max_eig > 0
-            assert bracket[0] <= exc.value.g_best <= bracket[1]
+        with pytest.raises(InfeasibleInBracket) as exc:
+            search_g(cfg)
+        assert exc.value.max_eig > 0
+        assert exc.value.g_best == G_MIN
+        for g in (-10.0, -1e6):
+            assert evaluate_certificate(certificate_matrix(cfg.with_gains(g=g))).max_eig > 0
 
     def test_disconnected_matches_design(self):
         # the certificate block-decomposes over components, so one search on
@@ -156,28 +156,28 @@ class TestSearchG:
         assert exc.value.max_eig == pytest.approx(0.2, abs=1e-12)
 
     def test_returns_bracket_lower_end(self, demo_net):
-        # one certificate at bracket[0] decides the bracket: the gain is that
-        # end exactly, and the certificate (or the error) is the one built there
+        # one certificate at G_MIN decides [G_MIN, 0]: the gain is G_MIN
+        # exactly, and the certificate (or the error) is the one built there
         rng = np.random.default_rng(45)
-        cases = [(demo_net, b) for b in [(-1e4, 0.0), (-100.0, 0.0), (-3.5, 2.0)]]
-        cases.append((demo_net.with_gains(k=PI2 + 1.0), (-10.0, 0.0)))
+        cases = [demo_net, demo_net.with_gains(g=-3.5), demo_net.with_gains(k=PI2 + 1.0)]
         for _ in range(10):
             graph = random_connected_graph(rng)
             n, s = graph.n, graph.leader_count
             alpha = s * PI2 / (4 * n) - 0.1
-            cfg = NetworkConfig(graph=graph, alpha=alpha, k=k_window_partial(alpha, n, s).midpoint)
-            cases.append((cfg, (float(rng.uniform(-1e3, -1.0)), 0.0)))
+            cases.append(
+                NetworkConfig(graph=graph, alpha=alpha, k=k_window_partial(alpha, n, s).midpoint)
+            )
         outcomes = set()
-        for cfg, bracket in cases:
-            direct = evaluate_certificate(certificate_matrix(cfg.with_gains(g=bracket[0])))
+        for cfg in cases:
+            direct = evaluate_certificate(certificate_matrix(cfg.with_gains(g=G_MIN)))
             outcomes.add(direct.feasible)
             if not direct.feasible:
                 with pytest.raises(InfeasibleInBracket) as exc:
-                    search_g(cfg, bracket)
-                assert (exc.value.g_best, exc.value.max_eig) == (bracket[0], direct.max_eig)
+                    search_g(cfg)
+                assert (exc.value.g_best, exc.value.max_eig) == (G_MIN, direct.max_eig)
                 continue
-            g_star, cert = search_g(cfg, bracket)
-            assert g_star == bracket[0]
+            g_star, cert = search_g(cfg)
+            assert g_star == G_MIN
             assert np.array_equal(cert.matrix.mat, direct.matrix.mat)
             assert cert.matrix.asym_residual == direct.matrix.asym_residual
             assert (cert.max_eig, cert.feasible, cert.margin) == (
@@ -190,7 +190,7 @@ class TestSearchG:
     def test_top_eigenvalue_nonincreasing_in_g(self):
         # Omega(g) = Omega(0) + g (0 (+) L) with L positive semidefinite, so by
         # Weyl's inequality the top eigenvalue cannot rise with g: the reason
-        # search_g answers from the lower end of its bracket
+        # search_g answers from G_MIN alone
         rng = np.random.default_rng(44)
         disconnected = 0
         for _ in range(60):

@@ -88,7 +88,8 @@ class TestNegativeDefinite:
                 continue
             verdict = top < -margin
             assert is_negative_definite(s, margin) == verdict
-            assert evaluate_certificate(SymMatrix(s), margin).feasible == verdict
+            # the verdict against -margin is the verdict on s + margin I
+            assert evaluate_certificate(SymMatrix(s + margin * np.eye(n))).feasible == verdict
             checked += 1
 
     def test_rejects_negative_margin(self):

@@ -5,7 +5,9 @@ is kept alive only by the tests: it belongs in ``tests/oracles.py`` or
 nowhere.  The check reads the modules' syntax trees, so a reference is a
 name, an attribute or an import, and one inside the name's own top-level
 definition does not count.  Likewise every exception in
-``heatsync.errors`` has a ``raise`` site in the package.
+``heatsync.errors`` has a ``raise`` site in the package, and every
+defaulted parameter of a public function is passed by some call in the
+package: a value that only the tests choose is a constant.
 """
 import ast
 import inspect
@@ -15,8 +17,8 @@ import heatsync
 from heatsync import errors
 
 PACKAGE = Path(heatsync.__file__).resolve().parent
-# acceptance check C05 names the Wirtinger probe; the version is metadata
-ALLOWED = {"__version__", "wirtinger_check"}
+# the version is metadata
+ALLOWED = {"__version__"}
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -57,6 +59,32 @@ def raised_names(tree: ast.Module) -> set[str]:
     return found
 
 
+def calls_by_callee(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """A module's calls, keyed by the name called, ``import ... as`` aliases undone."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(aliases.get(name, name), []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    """Whether ``call`` passes ``param``, the index-th parameter, by position or keyword."""
+    if param.kind is not param.KEYWORD_ONLY and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    ):
+        return True
+    return any(kw.arg in (param.name, None) for kw in call.keywords)  # None: **kwargs
+
+
 def test_every_public_name_is_used_in_the_package():
     unused = sorted(set(heatsync.__all__) - package_references() - ALLOWED)
     assert unused == [], f"public names that only the tests use: {unused}"
@@ -89,3 +117,18 @@ def test_every_exception_is_raised_in_the_package():
         raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
     assert sorted(defined - raised) == [], "exceptions the package never raises"
 
+
+def test_every_default_is_passed_in_the_package():
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, found in calls_by_callee(ast.parse(path.read_text(), filename=str(path))).items():
+            calls.setdefault(name, []).extend(found)
+    unpassed = [
+        f"{name}({param.name})"
+        for name in heatsync.__all__
+        if inspect.isfunction(func := getattr(heatsync, name))
+        for index, param in enumerate(inspect.signature(func).parameters.values())
+        if param.default is not param.empty
+        and not any(passes(call, index, param) for call in calls.get(name, []))
+    ]
+    assert unpassed == [], f"defaults that no call in the package overrides: {unpassed}"
