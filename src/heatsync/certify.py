@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import FollowerGraph, laplacian, leader_mask
+from .graph import FollowerGraph, _as_float, laplacian, leader_mask
 
 _HALF_PI_SQ = np.pi**2 / 2.0
 # A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
@@ -81,7 +81,9 @@ class NetworkConfig:
     values on followers without leader access are inert: ``boundary_gains``
     multiplies them by the leader mask).  ``g`` is the in-domain coupling
     gain, with the sign convention that the coupling term is ``+ g * L @ z``,
-    so attractive coupling means g < 0.
+    so attractive coupling means g < 0.  The parameters are stored as
+    floats (a per-follower gain as a list of them); a bool, a string or a
+    value that is not finite raises ValueError.
     """
 
     graph: FollowerGraph
@@ -91,11 +93,13 @@ class NetworkConfig:
     g: Gains = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "k", "g"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         # JSON configs may carry NaN or Infinity; no verdict means anything then.
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (isinstance(self.alpha, float) and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha}")
+        if not (isinstance(self.beta, float) and np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be a positive finite number, got {self.beta}")
         for name in ("k", "g"):
             if not np.isfinite(_as_gain_vector(getattr(self, name), self.graph.n, name)).all():
                 raise ValueError(f"{name} must be finite")

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,32 +87,6 @@ def _graph_from_dict(d: dict) -> FollowerGraph:
         raise ConfigError(f"bad graph block: {exc}") from exc
 
 
-def _number(value, what: str) -> float:
-    # bool is an int subclass; neither it nor a numeric string is a number here
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, what: str):
-    """A number as a float, or a list of them at any depth, checked and left as read.
-
-    One pass checks the exact types of the flattened entries (a bool is an
-    int subclass); only a failed pass walks the nesting to name the first
-    bad entry.  Consumers read the lists with ``np.asarray(..., dtype=float)``.
-    """
-    if not isinstance(value, list):
-        return _number(value, what)
-    entries, types = value, set(map(type, value))
-    while types == {list}:
-        entries = list(chain.from_iterable(entries))
-        types = set(map(type, entries))
-    if not types <= {int, float}:
-        for i, v in enumerate(value):
-            _numbers(v, f"{what}[{i}]")
-    return value
-
-
 def load_scenario(path) -> Scenario:
     """Read and resolve a scenario config file.
 
@@ -154,21 +127,13 @@ def load_scenario(path) -> Scenario:
             if "graph" not in raw:
                 raise ConfigError("config needs a 'graph' block or a scenario_preset")
             graph = _graph_from_dict(raw["graph"])
-            alpha = _number(raw.get("alpha", 0.0), "alpha")
-            beta = _number(raw.get("beta", 1.0), "beta")
-            k = _numbers(raw.get("k", 0.0), "k")
-            g = _numbers(raw.get("g", 0.0), "g")
+            alpha, beta = raw.get("alpha", 0.0), raw.get("beta", 1.0)
+            k, g = raw.get("k", 0.0), raw.get("g", 0.0)
             initial = sim_fields.get("initial_conditions")
             if isinstance(initial, dict):
-                sim_fields["initial_conditions"] = tuple(
-                    _numbers(initial[part], f"sim.initial_conditions.{part}")
-                    for part in ("followers", "leader")
-                )
+                sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
             elif initial is not None and not isinstance(initial, str):
                 raise ConfigError("sim.initial_conditions must be a preset token or an object")
-        for key in ("dt", "t_end"):
-            if key in sim_fields:
-                sim_fields[key] = _number(sim_fields[key], f"sim.{key}")
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(**sim_fields)
         # profile shapes are checked here, before any command runs or writes

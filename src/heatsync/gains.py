@@ -52,9 +52,6 @@ class Interval:
             raise EmptyWindow("empty interval has no midpoint")
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, value: float) -> bool:
-        return (not self.empty) and self.lo < value < self.hi
-
 
 _EMPTY = Interval(lo=np.nan, hi=np.nan, empty=True)
 

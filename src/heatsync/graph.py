@@ -26,10 +26,6 @@ class FollowerGraph:
     edges: tuple[tuple[int, int], ...]
     leader_set: frozenset[int]
 
-    @property
-    def leader_count(self) -> int:
-        return len(self.leader_set)
-
 
 def _as_int(value, what: str) -> int:
     try:
@@ -40,6 +36,26 @@ def _as_int(value, what: str) -> int:
     if exact is None or exact != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return exact
+
+
+def _as_float(value, what: str):
+    """A real number as a float, a real array as a float array, nested lists as lists of floats.
+
+    Nothing is coerced: a bool (equal to 0 or 1), a string or any other
+    non-number raises ValueError at any depth, naming the first bad entry.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":  # integer or float entries, none of them a bool
+            return value.astype(float) if value.ndim else float(value)
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {float}:  # a row of plain floats, checked in one pass
+            return list(value)
+        return [_as_float(v, f"{what}[{i}]") for i, v in enumerate(value)]
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def build_graph(n, edges, leader_set) -> FollowerGraph:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NonPositiveSeries
-from .graph import _as_int, laplacian
+from .graph import _as_float, _as_int, laplacian
 from .scenarios import FORCING_RATE, demo_initial_profiles, forcing_amplitude, forcing_shape
 
 _DIVERGENCE_LIMIT = 1e12
@@ -45,7 +45,9 @@ class SimConfig:
     """Discretization and scenario data for one simulation run.
 
     ``initial_conditions`` is either a preset token ("sectionV"), a pair of
-    arrays (followers (N, nx), leader (nx,)), or None for all-zero fields.
+    arrays (followers (N, nx), leader (nx,)), stored as float arrays, or
+    None for all-zero fields.  A bool, a string or a value that is not
+    finite in ``dt``, ``t_end`` or a profile raises ValueError.
     ``source`` selects the forcing term: "off" or "paper" (the demo forcing
     (1 + cos(2 pi x)) sin(pi t), applied to every agent and the leader).
     """
@@ -64,10 +66,11 @@ class SimConfig:
         object.__setattr__(self, "output_stride", _as_int(self.output_stride, "output_stride"))
         if self.nx < 16:
             raise ValueError(f"nx must be >= 16, got {self.nx}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        for name in ("dt", "t_end"):
+            value = _as_float(getattr(self, name), name)
+            if not (isinstance(value, float) and np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
+            object.__setattr__(self, name, value)
         if self.source not in SOURCE_SELECTORS:
             raise ValueError(f"source must be one of {SOURCE_SELECTORS}")
         if self.scheme not in THETA:
@@ -78,8 +81,13 @@ class SimConfig:
         if isinstance(ic, str) and ic != "sectionV":
             raise ValueError(f"unknown initial-condition preset {ic!r}; expected 'sectionV'")
         if ic is not None and not isinstance(ic, str):
-            if not all(np.isfinite(np.asarray(part, dtype=float)).all() for part in ic):
+            ic = tuple(
+                np.array(_as_float(part, f"initial {name}"))
+                for name, part in zip(("followers", "leader"), ic, strict=True)
+            )
+            if not all(np.isfinite(part).all() for part in ic):
                 raise ValueError("initial conditions must be finite")
+            object.__setattr__(self, "initial_conditions", ic)
 
     @property
     def grid(self) -> np.ndarray:
@@ -113,10 +121,18 @@ class DiscreteOperator:
     """
 
     grid: np.ndarray  # (nx,)
-    modes: np.ndarray  # (nx, nx), cos(j pi x_i)
     rates: np.ndarray  # (nx,), alpha - (4 beta/dx^2) sin^2(j pi dx/2)
     coupling: np.ndarray  # (N+1, N+1)
     feedback: np.ndarray  # same shape as coupling
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The (nx, nx) mode matrix cos(j pi x_i), built on first read."""
+        nx = self.grid.size
+        j = np.arange(nx)
+        # the phase i*j reduced mod 2(nx-1) keeps the argument below 2 pi,
+        # so the modes are exact to rounding
+        return np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
 
     @cached_property
     def inverse_modes(self) -> np.ndarray:
@@ -133,8 +149,12 @@ class DiscreteOperator:
 
     @property
     def node0(self) -> np.ndarray:
-        """The x=0 grid node in modal coordinates, modes^-1 e_0."""
-        return self.inverse_modes[:, 0]
+        """The x=0 grid node in modal coordinates, modes^-1 e_0.
+
+        Column 0 of ``inverse_modes``: row 0 of ``modes`` is all ones, so
+        it is diag(1, 2, .., 2, 1) w = w, the trapezoid weights themselves.
+        """
+        return trapezoid_weights(self.grid.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +198,7 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     when finite parameters overflow into an entry of ``rates``,
     ``coupling`` or ``feedback`` that is not finite.
     """
-    n, nx = net.n, sim.nx
-    j = np.arange(nx)
-    # cos(j pi x_i) with x_i = i/(nx-1) and the phase i*j reduced mod
-    # 2(nx-1): the argument stays below 2 pi, so the modes are exact to rounding
-    modes = np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
+    n, j = net.n, np.arange(sim.nx)
     coupling = np.zeros((n + 1, n + 1))
     feedback = np.zeros((n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -193,9 +209,7 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     feedback[:n, n] = -flux
     if not all(np.isfinite(part).all() for part in (rates, coupling, feedback)):
         raise ValueError("the closed-loop operator overflows: alpha, beta, k or g is too large")
-    return DiscreteOperator(
-        grid=sim.grid, modes=modes, rates=rates, coupling=coupling, feedback=feedback
-    )
+    return DiscreteOperator(grid=sim.grid, rates=rates, coupling=coupling, feedback=feedback)
 
 
 def _resolve_initial_conditions(
@@ -212,8 +226,6 @@ def _resolve_initial_conditions(
             )
         return demo_initial_profiles(x)
     followers, leader = ic
-    followers = np.asarray(followers, dtype=float)
-    leader = np.asarray(leader, dtype=float)
     if followers.shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
         raise DimensionMismatch(
             f"initial conditions must have shapes ({net.n}, {sim.nx}) and "
@@ -503,16 +515,21 @@ def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
     eigenvalues are those of the N x N mode blocks: rates_0 +
     eig(C - node0_0 F) for the constant mode and rates_j + eig(C) for the
     others.  The value describes the spatial discretization alone; no time
-    step enters it.
+    step enters it.  Raises ValueError when finite parameters overflow into
+    an abscissa that is not finite.
     """
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
     op = assemble_operator(net, sim)
     n = net.n
     c, f = op.coupling[:n, :n], op.feedback[:n, :n]
-    lam0 = op.rates[0] + np.linalg.eigvals(c - op.node0[0] * f)
-    lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(c)
-    return float(max(lam0.real.max(), lam_rest.real.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        lam0 = op.rates[0] + np.linalg.eigvals(c - op.node0[0] * f)
+        lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(c)
+        abscissa = np.maximum(lam0.real.max(), lam_rest.real.max())  # keeps a nan
+    if not np.isfinite(abscissa):
+        raise ValueError("the spectral abscissa overflows: alpha, beta, k or g is too large")
+    return float(abscissa)
 
 
 def analytic_open_loop_spectrum(

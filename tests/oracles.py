@@ -195,7 +195,7 @@ def coupling_gain_feasible(cfg) -> bool:
     """
     _assert_normalized(cfg)
     assert len(connected_components(cfg.graph)) == 1
-    k, n, s = cfg.k_scalar, cfg.n, cfg.graph.leader_count
+    k, n, s = cfg.k_scalar, cfg.n, len(cfg.graph.leader_set)
     return 2.0 * cfg.alpha * n - 2.0 * k * s + (2.0 * k**2 / np.pi**2) * s < 0.0
 
 

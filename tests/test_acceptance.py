@@ -77,7 +77,7 @@ def test_c02_gain_window_exactness():
             kernel = np.array([[-PI2 / 2, k], [k, 2 * (alpha - k)]])
             oracle = sym_eigenvalues(kernel).eigenvalues[-1] < 0
             total += 1
-            if w.contains(float(k)) == oracle:
+            if (w.lo < float(k) < w.hi) == oracle:
                 agree += 1
     elapsed = time.perf_counter() - t0
     ok = total >= 990 and agree == total and elapsed < 5.0
@@ -97,7 +97,7 @@ def test_c03_coupling_gain_existence():
     trials = 100
     for _ in range(trials):
         g = random_connected_graph(rng, n_max=8)
-        n, s = g.n, g.leader_count
+        n, s = g.n, len(g.leader_set)
         alpha = s * PI2 / (4 * n) - 0.1
         window = k_window_partial(alpha, n, s)
         cfg = NetworkConfig(graph=g, alpha=alpha, k=window.midpoint, g=0.0)
@@ -149,7 +149,7 @@ def test_c04_schur_and_kernel_consistency():
         if omega_nd == d_pd:
             schur_agree += 1
 
-        n, s, k = cfg.n, g.leader_count, cfg.k_scalar
+        n, s, k = cfg.n, len(g.leader_set), cfg.k_scalar
         kernel_value = 2 * cfg.alpha * n - 2 * k * s + (2 * k**2 / PI2) * s
         if abs(kernel_value) <= 1e-3:
             continue  # boundary band for the existence test

@@ -60,7 +60,11 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(graph=demo_graph(), alpha=0.0, k=[1.0, 2.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # a bool is not read as 0 or 1, nor a string parsed, in a scalar or a gain list
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, True, pytest.param(np.True_, id="np.True_"), "0.5"],
+    )
     @pytest.mark.parametrize(
         "field", ["alpha", "beta", "k", "g", "k_vector", "g_vector"]
     )
@@ -218,7 +222,7 @@ class TestSchurReduction:
         rng = np.random.default_rng(34)
         for _ in range(50):
             cfg = random_normalized_config(rng)
-            n, s = cfg.n, cfg.graph.leader_count
+            n, s = cfg.n, len(cfg.graph.leader_set)
             ones = np.ones(n)
             value = ones @ schur_reduction(cfg).mat @ ones
             expected = 2 * cfg.k_scalar * s - 2 * cfg.alpha * n - (

@@ -303,8 +303,13 @@ class TestParsing:
             ("simulate", {"beta": 1e308, "k": 3, "g": -2}),
             ("certify", {"alpha": 1e308}),
             ("certify", {"k": 1e308}),
+            ("spectrum", {"k": 3, "g": 1e308}),
+            ("spectrum", {"alpha": 1e308, "g": 5e307}),
         ],
-        ids=["beta-certify", "beta-design", "beta-spectrum", "beta-simulate", "alpha", "k"],
+        ids=[
+            "beta-certify", "beta-design", "beta-spectrum", "beta-simulate", "alpha", "k",
+            "g-spectrum", "alpha-g-spectrum",
+        ],
     )
     def test_overflowing_matrices_exit_2(self, tmp_path, command, params):
         # finite parameters whose certificate or operator overflows are a

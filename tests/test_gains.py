@@ -65,7 +65,7 @@ class TestWindowFull:
             w = k_window_partial(alpha, 1, 1)
             if not w.empty and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
                 continue
-            inside = w.contains(k)
+            inside = w.lo < k < w.hi
             assert inside == kernel_2x2_negative_definite(alpha, k)
 
 
@@ -77,7 +77,8 @@ class TestWindowPartial:
             assert w.hi == pytest.approx(PI2, abs=1e-12)
 
     def test_demo_gain_in_window(self):
-        assert k_window_partial(0.0, 5, 3).contains(3.0)
+        w = k_window_partial(0.0, 5, 3)
+        assert w.lo < 3.0 < w.hi
 
     def test_full_leader_set_matches_full_window(self):
         # the window depends on n/s only, so every s = n gives the same one
@@ -162,7 +163,7 @@ class TestSearchG:
         cases = [demo_net, demo_net.with_gains(g=-3.5), demo_net.with_gains(k=PI2 + 1.0)]
         for _ in range(10):
             graph = random_connected_graph(rng)
-            n, s = graph.n, graph.leader_count
+            n, s = graph.n, len(graph.leader_set)
             alpha = s * PI2 / (4 * n) - 0.1
             cases.append(
                 NetworkConfig(graph=graph, alpha=alpha, k=k_window_partial(alpha, n, s).midpoint)
@@ -243,7 +244,7 @@ class TestSearchG:
         rng = np.random.default_rng(42)
         for _ in range(30):
             g = random_connected_graph(rng)
-            n, s = g.n, g.leader_count
+            n, s = g.n, len(g.leader_set)
             alpha = s * PI2 / (4 * n) - 0.1
             k = k_window_partial(alpha, n, s).midpoint
             cfg = NetworkConfig(graph=g, alpha=alpha, k=k, g=0.0)
@@ -257,7 +258,7 @@ class TestDesign:
         assert gd.k == pytest.approx(PI2 / 2, abs=1e-12)
         assert gd.g < 0
         assert gd.certificate.feasible
-        assert gd.k_window.contains(gd.k)
+        assert gd.k_window.lo < gd.k < gd.k_window.hi
         assert len(gd.per_component) == 1
         plan = gd.per_component[0]
         assert plan.component == (1, 2, 3, 4, 5)

@@ -97,7 +97,7 @@ class TestBuildGraph:
             build_graph(3, [], [0])
 
     def test_empty_leader_set_allowed(self):
-        assert build_graph(2, [(1, 2)], []).leader_count == 0
+        assert len(build_graph(2, [(1, 2)], []).leader_set) == 0
 
     @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
     def test_boolean_ids_rejected(self, flag):

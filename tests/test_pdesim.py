@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -53,7 +54,7 @@ def heterogeneous_nets(rng, count, n_min=3, n_max=8):
     nets = []
     while len(nets) < count:
         graph = random_connected_graph(rng, n_max=n_max, n_min=n_min)
-        if graph.leader_count == graph.n:
+        if len(graph.leader_set) == graph.n:
             continue
         n = graph.n
         k = rng.uniform(0.5, 5.0, n)
@@ -98,6 +99,14 @@ class TestSimConfig:
                 SimConfig(t_end=bad)
             with pytest.raises(ValueError):
                 SimConfig(nx=16, initial_conditions=(np.zeros((2, 16)), np.full(16, bad)))
+        # nothing is coerced: a bool is not 1, a string is not parsed
+        for bad in (True, np.True_, "0.5"):
+            with pytest.raises(ValueError):
+                SimConfig(dt=bad)
+            with pytest.raises(ValueError):
+                SimConfig(t_end=bad)
+            with pytest.raises(ValueError):
+                SimConfig(nx=16, initial_conditions=(np.zeros((2, 16)), [0.0] * 15 + [bad]))
         with pytest.raises(ValueError):
             SimConfig(source="mystery")
         with pytest.raises(ValueError):
@@ -244,6 +253,8 @@ class TestOperator:
         for net in nets:
             sim = SimConfig(nx=nx, source="off")
             op = assemble_operator(net, sim)
+            # node0 is the trapezoid weights: the inverse's column 0, bit for bit
+            assert np.array_equal(op.node0, op.inverse_modes[:, 0])
             dense = dense_operator(net, sim)
             m = net.n + 1
             y = rng.standard_normal((m, nx))
@@ -631,6 +642,17 @@ class TestSpectral:
         assert values[0] == values[1]
         assert abs(values[0] + 0.8355941) <= 1e-7
 
+    def test_abscissa_builds_no_mode_matrix(self, demo_net):
+        # the N x N mode blocks need neither nx x nx matrix (32 MB each here)
+        sim = SimConfig(nx=2001, source="off")
+        tracemalloc.start()
+        try:
+            spectral_abscissa(demo_net, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_grid_convergence_second_order(self, demo_net):
         totals = {}
         for nx in (51, 101, 201):
@@ -651,7 +673,7 @@ class TestSpectral:
         done = 0
         while done < 20:
             g = random_connected_graph(rng, n_max=6)
-            n, s = g.n, g.leader_count
+            n, s = g.n, len(g.leader_set)
             alpha = s * PI2 / (4 * n) - float(rng.uniform(0.2, 1.0))
             k = k_window_partial(alpha, n, s).midpoint
             cfg = NetworkConfig(graph=g, alpha=alpha, k=k, g=0.0)

@@ -7,10 +7,13 @@ name, an attribute or an import, and one inside the name's own top-level
 definition does not count.  Likewise every exception in
 ``heatsync.errors`` has a ``raise`` site in the package, and every
 defaulted parameter of a public function is passed by some call in the
-package: a value that only the tests choose is a constant.
+package: a value that only the tests choose is a constant.  A public
+method or property of a public class is read somewhere in the package
+too.
 """
 import ast
 import inspect
+from functools import cached_property
 from pathlib import Path
 
 import heatsync
@@ -19,6 +22,8 @@ from heatsync import errors
 PACKAGE = Path(heatsync.__file__).resolve().parent
 # the version is metadata
 ALLOWED = {"__version__"}
+# the benchmark's spans read the certificate size off SymMatrix.dim
+ALLOWED_MEMBERS = {"SymMatrix.dim"}
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -88,6 +93,21 @@ def passes(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
 def test_every_public_name_is_used_in_the_package():
     unused = sorted(set(heatsync.__all__) - package_references() - ALLOWED)
     assert unused == [], f"public names that only the tests use: {unused}"
+
+
+def test_every_public_member_is_read_in_the_package():
+    used = package_references()
+    unread = sorted(
+        f"{name}.{member}"
+        for name in heatsync.__all__
+        if inspect.isclass(cls := getattr(heatsync, name))
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, (property, cached_property)))
+        and member not in used
+        and f"{name}.{member}" not in ALLOWED_MEMBERS
+    )
+    assert unread == [], f"public methods and properties that only the tests read: {unread}"
 
 
 def test_own_definition_is_not_a_use():
