@@ -2,10 +2,11 @@
 
 Scenario configs are JSON with explicit keys; agent indices in files are
 1-based.  Exit codes: 0 success (certificate feasible where applicable),
-1 domain-level negative outcome (infeasible, uncontrollable, divergence),
-2 usage or config parse error.  All emitted files are deterministic:
-floats are written as shortest round-trip decimals and JSON keys sorted,
-so re-running a command on the same config reproduces outputs byte for byte.
+1 a negative answer about a valid scenario (infeasible, uncontrollable,
+divergence: a HeatSyncError), 2 usage or config error (a ValueError).
+All emitted files are deterministic: floats are written as shortest
+round-trip decimals and JSON keys sorted, so re-running a command on the
+same config reproduces outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -24,14 +25,7 @@ from .certify import (
     certificate_matrix,
     evaluate_certificate,
 )
-from .errors import (
-    DimensionMismatch,
-    Divergence,
-    DuplicateEdge,
-    HeatSyncError,
-    IndexOutOfRange,
-    SelfLoop,
-)
+from .errors import Divergence, HeatSyncError
 from .gains import design as design_gains
 from .graph import FollowerGraph, build_graph
 from .pdesim import (
@@ -53,9 +47,13 @@ from .scenarios import (
 )
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
+GRAPH_KEYS = ("n", "edges", "leader_set")
+# a design report doubles as a config, so its own keys are accepted too
+CONFIG_KEYS = ("scenario_preset", "graph", "alpha", "beta", "k", "g", "sim", "command",
+               "version", "k_window_lo", "k_window_hi", "max_eig", "margin", "components")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Config file unreadable or malformed (exit code 2)."""
 
 
@@ -80,10 +78,21 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
 
 
-def _graph_from_dict(d: dict) -> FollowerGraph:
+def _block(value, name: str, known) -> dict:
+    """``value`` as a JSON object holding only ``known`` keys, else a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+    return value
+
+
+def _graph_from_dict(d) -> FollowerGraph:
+    d = _block(d, "graph", GRAPH_KEYS)
     try:
         return build_graph(d["n"], d.get("edges", []), d.get("leader_set", []))
-    except (KeyError, TypeError, ValueError, DuplicateEdge, IndexOutOfRange, SelfLoop) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad graph block: {exc}") from exc
 
 
@@ -104,14 +113,8 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-
-    sim_block = raw.get("sim", {})
-    if not isinstance(sim_block, dict):
-        raise ConfigError("'sim' must be a JSON object")
-    unknown = sorted(set(sim_block) - {f.name for f in fields(SimConfig)})
-    if unknown:
-        raise ConfigError(f"unknown sim key(s): {', '.join(map(repr, unknown))}")
-    sim_fields = {"source": "off", **sim_block}
+    _block(raw, "top-level", CONFIG_KEYS)
+    sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
     preset = raw.get("scenario_preset")
     try:
         if preset is not None:
@@ -140,7 +143,7 @@ def load_scenario(path) -> Scenario:
         _resolve_initial_conditions(net, sim)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return Scenario(net=net, sim=sim, preset=preset, raw=raw)
 
@@ -213,7 +216,7 @@ def cmd_design(args) -> int:
     gd = design_gains(scn.net.graph, scn.net.alpha, scn.net.beta)
     for plan in gd.per_component:
         print(
-            f"component {plan.component}: n={plan.n_nodes}, s={plan.leader_count}, "
+            f"component {plan.component}: n={len(plan.component)}, s={plan.leader_count}, "
             f"k window ({_fmt(plan.window.lo)}, {_fmt(plan.window.hi)})"
         )
     print(f"chosen k:         {_fmt(gd.k)}")
@@ -241,7 +244,7 @@ def cmd_design(args) -> int:
         "components": [
             {
                 "nodes": list(p.component),
-                "n": p.n_nodes,
+                "n": len(p.component),
                 "s": p.leader_count,
                 "window_lo": p.window.lo,
                 "window_hi": p.window.hi,
@@ -432,9 +435,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        # the package raises ValueError on parameters outside its domain,
-        # such as ones whose certificate or operator overflows
+    except ValueError as exc:
+        # input that is not a scenario, ConfigError included: the package
+        # raises ValueError on it, and HeatSyncError only on valid input
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Divergence as exc:

@@ -1,28 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Input that is not a scenario (a malformed graph, a parameter that is not a
+finite number, a profile of the wrong shape) raises ValueError.  The
+classes here are the negative answers heatsync gives about a valid
+scenario.
+"""
 
 
 class HeatSyncError(Exception):
-    """Base class for all domain errors raised by heatsync."""
-
-
-class IndexOutOfRange(HeatSyncError):
-    """A node index lies outside 1..n."""
-
-
-class SelfLoop(HeatSyncError):
-    """An edge connects a node to itself."""
-
-
-class DuplicateEdge(HeatSyncError):
-    """The same undirected edge was given more than once."""
+    """Base class for the negative answers heatsync gives on valid input."""
 
 
 class DimensionMismatch(HeatSyncError):
-    """Operands have incompatible shapes."""
-
-
-class InvalidLeaderCount(HeatSyncError):
-    """Leader count s outside the admissible range 1..n."""
+    """The network has no followers, and the answer asked for needs at least one."""
 
 
 class EmptyWindow(HeatSyncError):

@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     EmptyWindow,
     InfeasibleInBracket,
-    InvalidLeaderCount,
     UncontrollableComponent,
 )
 from .graph import FollowerGraph, connected_components
@@ -36,24 +35,18 @@ G_MIN = -1e4
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval of admissible boundary gains; may be empty."""
+    """Nonempty open interval of admissible boundary gains."""
 
     lo: float
     hi: float
-    empty: bool = False
 
     @property
     def width(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo
+        return self.hi - self.lo
 
     @property
     def midpoint(self) -> float:
-        if self.empty:
-            raise EmptyWindow("empty interval has no midpoint")
         return 0.5 * (self.lo + self.hi)
-
-
-_EMPTY = Interval(lo=np.nan, hi=np.nan, empty=True)
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class ComponentPlan:
     """Per-component bookkeeping from the design pipeline."""
 
     component: tuple[int, ...]
-    n_nodes: int
     leader_count: int
     window: Interval
 
@@ -77,20 +69,20 @@ class GainDesign:
     per_component: tuple[ComponentPlan, ...]
 
 
-def k_window_partial(alpha: float, n: int, s: int) -> Interval:
+def k_window_partial(alpha: float, n: int, s: int) -> Interval | None:
     """Admissible boundary gain interval with s of n agents leader-connected.
 
-    Empty iff alpha >= s pi^2 / (4 n); otherwise
+    None (no admissible gain) iff alpha >= s pi^2 / (4 n); otherwise
 
         pi^2/2 - (pi/2) sqrt(pi^2 - 4 (n/s) alpha) < k < pi^2/2 + (pi/2) sqrt(...)
 
     s = n is the fully controlled case, in which the window depends on
-    alpha alone.
+    alpha alone.  Raises ValueError unless 1 <= s <= n.
     """
     if not 1 <= s <= n:
-        raise InvalidLeaderCount(f"need 1 <= s <= n, got s={s}, n={n}")
+        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     if alpha >= s * _PI_SQ / (4.0 * n):
-        return _EMPTY
+        return None
     radius = 0.5 * np.pi * np.sqrt(_PI_SQ - 4.0 * (n / s) * alpha)
     return Interval(lo=_PI_SQ / 2.0 - radius, hi=_PI_SQ / 2.0 + radius)
 
@@ -119,37 +111,32 @@ def design(graph: FollowerGraph, alpha: float, beta: float = 1.0) -> GainDesign:
     The coupling gain then comes from ``search_g`` on the whole network, and
     the returned certificate is always re-verified at the true beta.
 
-    Raises DimensionMismatch without followers, UncontrollableComponent
-    when some component has no leader node (the one case in which no
-    coupling gain can help) and EmptyWindow when the reaction rate is too
-    large for some component.
+    Raises ValueError on parameters that ``NetworkConfig`` refuses,
+    DimensionMismatch without followers, UncontrollableComponent when some
+    component has no leader node (the one case in which no coupling gain
+    can help) and EmptyWindow when the reaction rate is too large for some
+    component.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    net = NetworkConfig(graph=graph, alpha=alpha, beta=beta)
     if graph.n < 1:
         raise DimensionMismatch("gain design needs at least one follower")
-    alpha_scaled = alpha / beta
+    alpha_scaled = net.alpha / net.beta
     plans: list[ComponentPlan] = []
     for comp in connected_components(graph):
         s_i = sum(1 for v in comp if v in graph.leader_set)
         if s_i < 1:
             raise UncontrollableComponent(comp)
         window = k_window_partial(alpha_scaled, len(comp), s_i)
-        if window.empty:
+        if window is None:
             raise EmptyWindow(
                 f"no admissible boundary gain for component {comp}: "
                 f"alpha/beta={alpha_scaled:.6g} >= {s_i}*pi^2/(4*{len(comp)})"
             )
-        plans.append(
-            ComponentPlan(
-                component=comp, n_nodes=len(comp), leader_count=s_i, window=window
-            )
-        )
+        plans.append(ComponentPlan(component=comp, leader_count=s_i, window=window))
     narrowest = min(plans, key=lambda p: p.window.width)
     k = narrowest.window.midpoint
 
-    base = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=0.0)
-    g, cert = search_g(base)
+    g, cert = search_g(net.with_gains(k=k))
     return GainDesign(
         k=k,
         g=g,

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateEdge, IndexOutOfRange, SelfLoop
-
 
 @dataclass(frozen=True)
 class FollowerGraph:
@@ -41,8 +39,9 @@ def _as_int(value, what: str) -> int:
 def _as_float(value, what: str):
     """A real number as a float, a real array as a float array, nested lists as lists of floats.
 
-    Nothing is coerced: a bool (equal to 0 or 1), a string or any other
-    non-number raises ValueError at any depth, naming the first bad entry.
+    Nothing is coerced: a bool (equal to 0 or 1), a string, any other
+    non-number or an integer beyond the float range raises ValueError at
+    any depth, naming the first bad entry.
     """
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iuf":  # integer or float entries, none of them a bool
@@ -55,7 +54,10 @@ def _as_float(value, what: str):
     real = isinstance(value, (int, float, np.integer, np.floating))
     if not real or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer beyond the float range") from None
 
 
 def build_graph(n, edges, leader_set) -> FollowerGraph:
@@ -64,13 +66,13 @@ def build_graph(n, edges, leader_set) -> FollowerGraph:
     Edges are unordered pairs of distinct nodes in 1..n; duplicates (in either
     orientation) and self-loops are rejected.  ``n`` and node ids must be
     integers (integral floats pass); anything else, booleans included,
-    raises ValueError rather than being truncated.  ``leader_set`` may be
-    empty; per-component leader requirements are enforced by the
-    gain-design stage, not here.
+    raises ValueError rather than being truncated, as does every other
+    violation.  ``leader_set`` may be empty; per-component leader
+    requirements are enforced by the gain-design stage, not here.
     """
     n = _as_int(n, "follower count")
     if n < 0:
-        raise IndexOutOfRange(f"follower count must be >= 0, got {n}")
+        raise ValueError(f"follower count must be >= 0, got {n}")
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edges:
@@ -80,18 +82,18 @@ def build_graph(n, edges, leader_set) -> FollowerGraph:
             raise ValueError(f"edge {pair!r} is not a pair of nodes") from None
         i, j = _as_int(i, "edge node"), _as_int(j, "edge node")
         if i == j:
-            raise SelfLoop(f"edge ({i},{j}) is a self-loop")
+            raise ValueError(f"edge ({i},{j}) is a self-loop")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"edge ({i},{j}) outside 1..{n}")
+            raise ValueError(f"edge ({i},{j}) outside 1..{n}")
         e = (min(i, j), max(i, j))
         if e in seen:
-            raise DuplicateEdge(f"edge {e} given more than once")
+            raise ValueError(f"edge {e} given more than once")
         seen.add(e)
         norm.append(e)
     leaders = frozenset(_as_int(v, "leader node") for v in leader_set)
     for v in leaders:
         if not (1 <= v <= n):
-            raise IndexOutOfRange(f"leader node {v} outside 1..{n}")
+            raise ValueError(f"leader node {v} outside 1..{n}")
     return FollowerGraph(n=n, edges=tuple(sorted(norm)), leader_set=leaders)
 
 

@@ -48,14 +48,15 @@ class SimConfig:
     arrays (followers (N, nx), leader (nx,)), stored as float arrays, or
     None for all-zero fields.  A bool, a string or a value that is not
     finite in ``dt``, ``t_end`` or a profile raises ValueError.
-    ``source`` selects the forcing term: "off" or "paper" (the demo forcing
-    (1 + cos(2 pi x)) sin(pi t), applied to every agent and the leader).
+    ``source`` selects the forcing term: "off" (the default) or "paper"
+    (the demo forcing (1 + cos(2 pi x)) sin(pi t), applied to every agent
+    and the leader).
     """
 
     nx: int = 101
     dt: float = 1e-3
     t_end: float = 2.5
-    source: str = "paper"
+    source: str = "off"
     scheme: str = "crank_nicolson"
     output_stride: int = 10
     initial_conditions: object = None
@@ -221,13 +222,11 @@ def _resolve_initial_conditions(
         return np.zeros((net.n, sim.nx)), np.zeros(sim.nx)
     if isinstance(ic, str):  # "sectionV", the one token SimConfig accepts
         if net.n != 5:
-            raise DimensionMismatch(
-                f"the sectionV profiles define 5 followers, config has {net.n}"
-            )
+            raise ValueError(f"the sectionV profiles define 5 followers, config has {net.n}")
         return demo_initial_profiles(x)
     followers, leader = ic
     if followers.shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"initial conditions must have shapes ({net.n}, {sim.nx}) and "
             f"({sim.nx},), got {followers.shape} and {leader.shape}"
         )

@@ -72,12 +72,12 @@ def test_c02_gain_window_exactness():
     for alpha in alphas:
         for k in ks:
             w = k_window_partial(float(alpha), 1, 1)
-            if not w.empty and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
+            if w is not None and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
                 continue
             kernel = np.array([[-PI2 / 2, k], [k, 2 * (alpha - k)]])
             oracle = sym_eigenvalues(kernel).eigenvalues[-1] < 0
             total += 1
-            if (w.lo < float(k) < w.hi) == oracle:
+            if (w is not None and w.lo < float(k) < w.hi) == oracle:
                 agree += 1
     elapsed = time.perf_counter() - t0
     ok = total >= 990 and agree == total and elapsed < 5.0

@@ -60,10 +60,14 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(graph=demo_graph(), alpha=0.0, k=[1.0, 2.0])
 
-    # a bool is not read as 0 or 1, nor a string parsed, in a scalar or a gain list
+    # a bool is not read as 0 or 1, nor a string parsed, nor an integer beyond
+    # the float range let through, in a scalar or a gain list
     @pytest.mark.parametrize(
         "bad",
-        [np.nan, np.inf, -np.inf, True, pytest.param(np.True_, id="np.True_"), "0.5"],
+        [
+            np.nan, np.inf, -np.inf, True, pytest.param(np.True_, id="np.True_"), "0.5",
+            pytest.param(10**400, id="10**400"),
+        ],
     )
     @pytest.mark.parametrize(
         "field", ["alpha", "beta", "k", "g", "k_vector", "g_vector"]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -130,6 +131,7 @@ class TestParsing:
             ("leader_set", [4]),
             ("leader_set", [True]),
             ("n", 2.7),
+            ("leaders", [1]),
         ],
         ids=[
             "edge-of-one-node",
@@ -141,6 +143,7 @@ class TestParsing:
             "leader-out-of-range",
             "boolean-leader",
             "fractional-n",
+            "misspelled-leader_set",
         ],
     )
     def test_malformed_graph_exits_2(self, tmp_path, capsys, key, value):
@@ -293,6 +296,30 @@ class TestParsing:
         assert_config_error(proc)
         assert "'t_ned'" in proc.stderr and "'dtt'" in proc.stderr
         assert not out.exists()
+
+    def test_unknown_top_level_key_exits_2(self, tmp_path):
+        # "alhpa" would leave alpha at 0 and certify a different plant
+        payload = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "alhpa": 0.5,
+            "k": 3.0,
+            "g": -2.0,
+        }
+        cfg = write_config(tmp_path / "typo.json", payload)
+        proc = fresh_python(["-m", "heatsync", "certify", cfg], text=True)
+        assert_config_error(proc)
+        assert "'alhpa'" in proc.stderr
+        assert not (tmp_path / "typo.certify.json").exists()
+
+    def test_readme_configs_load(self, tmp_path):
+        # the configs the README documents pass the key and number rules
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            assert load_scenario(path).net.n == 5
 
     @pytest.mark.parametrize(
         "command, params",

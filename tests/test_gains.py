@@ -15,7 +15,6 @@ from heatsync.errors import (
     DimensionMismatch,
     EmptyWindow,
     InfeasibleInBracket,
-    InvalidLeaderCount,
     UncontrollableComponent,
 )
 from heatsync.gains import G_MIN
@@ -38,13 +37,13 @@ class TestWindowFull:
 
     def test_alpha_zero(self):
         w = k_window_partial(0.0, 1, 1)
-        assert not w.empty
+        assert w is not None
         assert w.lo == pytest.approx(0.0, abs=1e-12)
         assert w.hi == pytest.approx(PI2, abs=1e-12)
 
     def test_critical_alpha_empty(self):
-        assert k_window_partial(PI2 / 4, 1, 1).empty
-        assert k_window_partial(PI2 / 4 + 1.0, 1, 1).empty
+        assert k_window_partial(PI2 / 4, 1, 1) is None
+        assert k_window_partial(PI2 / 4 + 1.0, 1, 1) is None
 
     def test_alpha_minus_one_endpoints(self):
         w = k_window_partial(-1.0, 1, 1)
@@ -63,9 +62,9 @@ class TestWindowFull:
             alpha = float(rng.uniform(-2.0, PI2 / 4 + 1.0))
             k = float(rng.uniform(-1.0, 12.0))
             w = k_window_partial(alpha, 1, 1)
-            if not w.empty and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
+            if w is not None and min(abs(k - w.lo), abs(k - w.hi)) <= 1e-6:
                 continue
-            inside = w.lo < k < w.hi
+            inside = w is not None and w.lo < k < w.hi
             assert inside == kernel_2x2_negative_definite(alpha, k)
 
 
@@ -85,18 +84,16 @@ class TestWindowPartial:
         for alpha in (-1.5, -0.2, 0.0, 1.0, 2.0, PI2 / 4):
             wf = k_window_partial(alpha, 1, 1)
             wp = k_window_partial(alpha, 6, 6)
-            assert wf.empty == wp.empty
-            if not wf.empty:
-                assert (wf.lo, wf.hi) == (wp.lo, wp.hi)
+            assert wf == wp
 
     def test_empty_above_threshold(self):
-        assert k_window_partial(3 * PI2 / 20, 5, 3).empty  # threshold exactly
-        assert not k_window_partial(3 * PI2 / 20 - 0.01, 5, 3).empty
+        assert k_window_partial(3 * PI2 / 20, 5, 3) is None  # threshold exactly
+        assert k_window_partial(3 * PI2 / 20 - 0.01, 5, 3) is not None
 
     def test_invalid_leader_count(self):
-        with pytest.raises(InvalidLeaderCount):
+        with pytest.raises(ValueError, match="need 1 <= s <= n, got s=0, n=5"):
             k_window_partial(0.0, 5, 0)
-        with pytest.raises(InvalidLeaderCount):
+        with pytest.raises(ValueError, match="need 1 <= s <= n, got s=6, n=5"):
             k_window_partial(0.0, 5, 6)
 
     def test_widens_with_more_leaders_for_unstable_plants(self):
@@ -262,13 +259,19 @@ class TestDesign:
         assert len(gd.per_component) == 1
         plan = gd.per_component[0]
         assert plan.component == (1, 2, 3, 4, 5)
-        assert plan.n_nodes == 5 and plan.leader_count == 3
+        assert plan.leader_count == 3
 
     def test_uncontrollable_component(self):
         g = build_graph(3, [(1, 2)], [1])
         with pytest.raises(UncontrollableComponent) as exc:
             design(g, alpha=0.0)
         assert exc.value.component == (3,)
+
+    def test_number_rule_on_entry(self):
+        # the parameters pass NetworkConfig's number rule before any window
+        for alpha, beta in (("0.5", 1.0), (0.1, "1"), (0.0, True), (0.0, 0.0), (np.nan, 1.0)):
+            with pytest.raises(ValueError):
+                design(demo_graph(), alpha, beta)
 
     def test_no_followers(self):
         with pytest.raises(DimensionMismatch):

@@ -25,7 +25,7 @@ from heatsync import (
     sync_errors,
     trapezoid_weights,
 )
-from heatsync.errors import DimensionMismatch, Divergence, NonPositiveSeries
+from heatsync.errors import Divergence, NonPositiveSeries
 from heatsync.pdesim import _expanded, _frame_jumps, _norm1
 
 from conftest import random_connected_graph
@@ -87,47 +87,54 @@ def relative_gap(traj, ref):
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(nx=8)
+            SimConfig(nx=8, source="paper")
         with pytest.raises(ValueError):
-            SimConfig(dt=0.0)
+            SimConfig(dt=0.0, source="paper")
         with pytest.raises(ValueError):
-            SimConfig(t_end=-1.0)
+            SimConfig(t_end=-1.0, source="paper")
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                SimConfig(dt=bad)
+                SimConfig(dt=bad, source="paper")
             with pytest.raises(ValueError):
-                SimConfig(t_end=bad)
+                SimConfig(t_end=bad, source="paper")
             with pytest.raises(ValueError):
-                SimConfig(nx=16, initial_conditions=(np.zeros((2, 16)), np.full(16, bad)))
-        # nothing is coerced: a bool is not 1, a string is not parsed
-        for bad in (True, np.True_, "0.5"):
+                SimConfig(
+                    nx=16, source="paper",
+                    initial_conditions=(np.zeros((2, 16)), np.full(16, bad)),
+                )
+        # nothing is coerced: a bool is not 1, a string is not parsed, and an
+        # integer beyond the float range is refused
+        for bad in (True, np.True_, "0.5", 10**400):
             with pytest.raises(ValueError):
-                SimConfig(dt=bad)
+                SimConfig(dt=bad, source="paper")
             with pytest.raises(ValueError):
-                SimConfig(t_end=bad)
+                SimConfig(t_end=bad, source="paper")
             with pytest.raises(ValueError):
-                SimConfig(nx=16, initial_conditions=(np.zeros((2, 16)), [0.0] * 15 + [bad]))
+                SimConfig(
+                    nx=16, source="paper",
+                    initial_conditions=(np.zeros((2, 16)), [0.0] * 15 + [bad]),
+                )
         with pytest.raises(ValueError):
             SimConfig(source="mystery")
         with pytest.raises(ValueError):
-            SimConfig(scheme="forward_euler")
+            SimConfig(scheme="forward_euler", source="paper")
         with pytest.raises(ValueError):
-            SimConfig(output_stride=0)
+            SimConfig(output_stride=0, source="paper")
         # "sectionV" is the one initial-condition token
         with pytest.raises(ValueError):
-            SimConfig(initial_conditions="bogus")
+            SimConfig(initial_conditions="bogus", source="paper")
         # a fractional count is rejected here, not deep inside simulate
         with pytest.raises(ValueError):
-            SimConfig(nx=41.9)
+            SimConfig(nx=41.9, source="paper")
         with pytest.raises(ValueError):
-            SimConfig(output_stride=2.5)
+            SimConfig(output_stride=2.5, source="paper")
         # True == 1, but a flag is not a count
         for flag in (True, np.True_):
             with pytest.raises(ValueError):
-                SimConfig(output_stride=flag)
+                SimConfig(output_stride=flag, source="paper")
 
     def test_integral_float_counts_stored_as_int(self):
-        sim = SimConfig(nx=41.0, output_stride=5.0)
+        sim = SimConfig(nx=41.0, output_stride=5.0, source="paper")
         assert (sim.nx, sim.output_stride) == (41, 5)
         assert type(sim.nx) is int and type(sim.output_stride) is int
 
@@ -337,7 +344,7 @@ class TestSimulate:
         assert np.abs(mean_err / expected - 1.0).max() <= 0.05
 
     def test_boundary_traces_converge(self, demo_net):
-        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV")
+        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV", source="paper")
         traj = simulate(demo_net, sim)
         gap0 = np.abs(traj.z[:, 0, -1] - traj.z_leader[0, -1]).max()
         gap_end = np.abs(traj.z[:, -1, -1] - traj.z_leader[-1, -1]).max()
@@ -453,7 +460,7 @@ class TestSimulate:
         cases = [(demo_net, 101), (demo_net.with_gains(g=-1e4), 101)]
         cases += [(net, 33) for net in heterogeneous_nets(rng, 3)]
         for net, nx in cases:
-            sim = SimConfig(nx=nx)
+            sim = SimConfig(nx=nx, source="paper")
             jumps = _frame_jumps(assemble_operator(net, sim), sim)
             assert jumps.lengths == [10] * 250
             step, (unit, _) = jumps.maps[1]
@@ -482,7 +489,7 @@ class TestSimulate:
     def test_jump_length_follows_cost(self, demo_net):
         # products of maps cost N+1 steps each: they pay on the demo, not on
         # 20 agents over 101 steps; a short last stride goes step by step
-        sim = SimConfig(nx=33, dt=2e-3, t_end=0.202)
+        sim = SimConfig(nx=33, dt=2e-3, t_end=0.202, source="paper")
         jumps = _frame_jumps(assemble_operator(demo_net, sim), sim)
         assert jumps.lengths == [10] * 10 + [1]
         (net,) = heterogeneous_nets(np.random.default_rng(76), 1, n_min=20, n_max=20)
@@ -492,13 +499,14 @@ class TestSimulate:
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
-        with pytest.raises(DimensionMismatch):
-            simulate(net, SimConfig(nx=21, t_end=0.01, initial_conditions="sectionV"))
+        sim = SimConfig(nx=21, t_end=0.01, source="paper", initial_conditions="sectionV")
+        with pytest.raises(ValueError, match="the sectionV profiles define 5 followers"):
+            simulate(net, sim)
 
     def test_backward_euler_also_decays(self, demo_net):
         sim = SimConfig(
             nx=41, dt=1e-3, t_end=1.0, scheme="backward_euler",
-            initial_conditions="sectionV",
+            initial_conditions="sectionV", source="paper",
         )
         series = sync_errors(simulate(demo_net, sim))
         assert series.total_l2[-1] < 0.5 * series.total_l2[0]
@@ -508,7 +516,8 @@ class TestSyncErrors:
     def test_pairwise_max_matches_pair_loop(self, demo_net):
         # same arithmetic per pair as the loop over all pairs, so equal bits
         rng = np.random.default_rng(81)
-        trajs = [simulate(demo_net, SimConfig(nx=41, t_end=0.5, initial_conditions="sectionV"))]
+        sim = SimConfig(nx=41, t_end=0.5, source="paper", initial_conditions="sectionV")
+        trajs = [simulate(demo_net, sim)]
         for n in (1, 2, 7):
             trajs.append(
                 Trajectory(
@@ -534,14 +543,14 @@ class TestSyncErrors:
         assert np.abs(series.avg_error_field).max() <= 1e-9
 
     def test_total_is_root_sum_of_squares(self, demo_net):
-        sim = SimConfig(nx=41, dt=1e-3, t_end=0.5, initial_conditions="sectionV")
+        sim = SimConfig(nx=41, dt=1e-3, t_end=0.5, initial_conditions="sectionV", source="paper")
         series = sync_errors(simulate(demo_net, sim))
         recomputed = np.sqrt((series.per_agent_l2**2).sum(axis=0))
         rel = np.abs(series.total_l2 - recomputed) / np.maximum(series.total_l2, 1e-30)
         assert rel.max() <= 1e-12
 
     def test_summed_error_field_converges(self, demo_net):
-        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV")
+        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV", source="paper")
         series = sync_errors(simulate(demo_net, sim))
         start = np.abs(series.avg_error_field[0]).max()
         end = np.abs(series.avg_error_field[-1]).max()
@@ -551,7 +560,7 @@ class TestSyncErrors:
         # coupling off: the uncontrolled agents keep exactly the mean of
         # their initial error; oracle values from the closed-form integrals
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=3.0, g=0.0)
-        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV")
+        sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV", source="paper")
         series = sync_errors(simulate(net, sim))
         leader_mean = 2.0 + 2.0 * np.sin(7.0) / 7.0
         expect_4 = abs(1.5 - leader_mean)
@@ -656,7 +665,9 @@ class TestSpectral:
     def test_grid_convergence_second_order(self, demo_net):
         totals = {}
         for nx in (51, 101, 201):
-            sim = SimConfig(nx=nx, dt=1e-3, t_end=2.5, initial_conditions="sectionV")
+            sim = SimConfig(
+                nx=nx, dt=1e-3, t_end=2.5, source="paper", initial_conditions="sectionV"
+            )
             series = sync_errors(simulate(demo_net, sim))
             totals[nx] = series.total_l2[-1]
         order = np.log2(
