@@ -100,9 +100,10 @@ def load_scenario(path) -> Scenario:
     """Read and resolve a scenario config file.
 
     A ``scenario_preset`` pins the demo network, physics, gains, forcing,
-    initial profiles and horizon; the ``sim`` block still controls the
-    numerics (nx, dt, scheme, output stride).  Without a preset the file
-    must carry the graph and physics explicitly.
+    initial profiles and horizon, and a file that also sets one of them
+    is refused; the ``sim`` block still controls the numerics (nx, dt,
+    scheme, output stride).  Without a preset the file must carry the
+    graph and physics explicitly.
     """
     path = Path(path)
     try:
@@ -122,6 +123,11 @@ def load_scenario(path) -> Scenario:
                 raise ConfigError(
                     f"unknown scenario_preset {preset!r}; expected one of {PRESET_NAMES}"
                 )
+            pinned = [key for key in ("graph", "alpha", "beta", "k", "g") if key in raw]
+            pinned += [f"sim.{key}" for key in ("source", "t_end", "initial_conditions")
+                       if key in sim_fields]
+            if pinned:
+                raise ConfigError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
             k, g = preset_gains(preset)
             graph = demo_graph()
             alpha, beta = DEMO_ALPHA, DEMO_BETA
@@ -134,6 +140,7 @@ def load_scenario(path) -> Scenario:
             k, g = raw.get("k", 0.0), raw.get("g", 0.0)
             initial = sim_fields.get("initial_conditions")
             if isinstance(initial, dict):
+                initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
                 sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
             elif initial is not None and not isinstance(initial, str):
                 raise ConfigError("sim.initial_conditions must be a preset token or an object")
@@ -211,7 +218,7 @@ def cmd_certify(args) -> int:
 
 def cmd_design(args) -> int:
     scn = load_scenario(args.config)
-    if scn.preset is None and ("k" in scn.raw or "g" in scn.raw):
+    if "k" in scn.raw or "g" in scn.raw:
         print("note: k/g in config are ignored; design synthesizes them", file=sys.stderr)
     gd = design_gains(scn.net.graph, scn.net.alpha, scn.net.beta)
     for plan in gd.per_component:

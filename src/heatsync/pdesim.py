@@ -11,13 +11,21 @@ boundary feedback reads is the j=0 coefficient.  So the generator is block
 lower-triangular over the modes: mode 0 carries the feedback and every
 other mode reads only mode 0.  Time stepping is the theta-method:
 Crank-Nicolson (theta = 1/2, the default: unconditionally stable, second
-order) or backward Euler (theta = 1, for stiff debugging).  One step is an
-affine map with the same block structure, y_j <- P_j y_j + Q_j y_0 +
-a(t) c_j, built once per run from one inverse per mode of I - theta dt A.
-Its powers keep that structure, so ``simulate`` forms the stride's power
-by repeated squaring and jumps from output frame to output frame.  The
-spectral abscissa is read off the generator's own mode blocks, with no
-time step in it.  Only numpy is needed.
+order) or backward Euler (theta = 1, for stiff debugging).
+
+The coupling C = G L (+) 0 acts on every mode alike.  When a diagonal
+scaling makes it symmetric (a common g, or per-agent g of one strict
+sign), one ``eigh`` diagonalizes it, and the fast diagonalization applies
+a second time, over the agents: a step is elementwise on every mode
+j >= 1, and mode 0 keeps one dense (N+1) x (N+1) map.  ``simulate`` then
+advances all output strides at once.  A stride stands when a bound on
+every state inside it stays below the divergence limit, else it is
+replayed one step at a time; long strides are cut into chunks so that no
+intermediate outgrows the returned frames.  Any other g (mixed signs, or
+zero on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
+a(t) c_j, from one inverse per mode of I - theta dt A, one step at a time.
+The spectral abscissa is read off the generator's own mode blocks, with
+no time step in it.  Only numpy is needed.
 """
 from __future__ import annotations
 
@@ -29,12 +37,9 @@ import numpy as np
 from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NonPositiveSeries
 from .graph import _as_float, _as_int, laplacian
-from .scenarios import FORCING_RATE, demo_initial_profiles, forcing_amplitude, forcing_shape
+from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
 
 _DIVERGENCE_LIMIT = 1e12
-# a frame jump must clear the divergence limit by this relative slack,
-# which covers the rounding in its own bound
-_JUMP_SLACK = 1e-9
 
 SOURCE_SELECTORS = ("off", "paper")
 THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
@@ -241,169 +246,168 @@ def _check_finite(y: np.ndarray, n: int, nx: int, step: int, dt: float) -> None:
         raise Divergence(step=step, t=step * dt, agent=agent)
 
 
-def _compose(outer, inner):
-    """The linear step map (P, Q) applied after (P', Q'): (P P', P Q' + Q P'_0)."""
-    (p, q), (p_in, q_in) = outer, inner
-    q_out = p @ q_in
-    q_out += q @ p_in[0]
-    return p @ p_in, q_out
+def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
+    """(V, V^-1, lam) with coupling C = G L (+) 0 = V diag(lam) V^-1, or None.
 
-
-def _apply(linear, y: np.ndarray) -> np.ndarray:
-    """y_j <- P_j y_j + Q_j y_0 on mode-major states y (..., nx, N+1).
-
-    Q is an array, or for the one-step map the factors (a, b, G) of
-    Q_j = (a_j P_j + b_j I) G, which spare a step a pass over Q.
+    A common g makes C symmetric.  Per-agent g of one strict sign makes
+    S^-1 C S symmetric for S = |G|^1/2 (+) 1, so V = S U from its ``eigh``
+    U, with cond(V) <= (max|g| / min|g|)^1/2.  Any other g gives None.
     """
-    p, q = linear
-    if isinstance(q, tuple):
-        a, b, g = q
-        fed = y[..., :1, :] @ g.T  # G y_0 as a row
-        return (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
-    return (p @ y[..., np.newaxis] + q @ y[..., :1, :, np.newaxis])[..., 0]
+    g = net.g_vector
+    if not ((g == g[:1]).all() or (g > 0).all() or (g < 0).all()):
+        return None
+    scale = np.append(np.where(g == 0.0, 1.0, np.sqrt(np.abs(g))), 1.0)  # a common g of 0: C = 0
+    lam, u = np.linalg.eigh(op.coupling / scale[:, np.newaxis] * scale)
+    return scale[:, np.newaxis] * u, u.T / scale, lam
 
 
-def _expanded(linear):
-    """The map with its Q as an array, for products."""
-    p, q = linear
-    if not isinstance(q, tuple):
-        return linear
-    a, b, g = q
-    q = p @ g
-    q *= a[:, np.newaxis, np.newaxis]
-    q += b[:, np.newaxis, np.newaxis] * g
-    return p, q
+def _implicit_inverses(op: DiscreteOperator, h: float, count: int) -> np.ndarray:
+    """Inverses of the first ``count`` mode blocks of I - h A, (1 - h rates_j) I
+    - h coupling (+ h node0_0 feedback on mode 0); LinAlgError if singular."""
+    blocks = (1.0 - h * op.rates[:count, np.newaxis, np.newaxis]) * np.eye(len(op.coupling))
+    blocks -= h * op.coupling
+    blocks[0] += h * op.node0[0] * op.feedback
+    return np.linalg.inv(blocks)
 
 
-def _norm1(linear) -> float:
-    """Induced 1-norm of (P, Q) on the stacked state: its largest column sum.
-
-    Column (j, b) of the map holds column b of P_j, and for j = 0 also
-    column b of every Q_j.  For a factored Q it is a bound, not the norm.
-    """
-    p, q = linear
-    cols = np.abs(p).sum(axis=1)
-    if isinstance(q, tuple):  # an upper bound: |Q_j| <= (|a_j| |P_j| + |b_j| I) |G|
-        a, b, g = q
-        cols[0] += (np.abs(a) @ cols + np.abs(b).sum()) @ np.abs(g)
-    else:
-        cols[0] += np.abs(q).sum(axis=(0, 1))
-    return float(cols.max())
+def _source_response(op: DiscreteOperator, sim: SimConfig, h: float) -> np.ndarray:
+    """Each mode's response c_j to one step of a unit-amplitude source, one
+    number for every agent: coupling and feedback vanish on a common field."""
+    if sim.source == "off":
+        return np.zeros(sim.nx)
+    return sim.dt * (op.inverse_modes @ forcing_shape(sim.grid)) / (1.0 - h * op.rates)
 
 
-@dataclass(frozen=True, eq=False)
-class _FrameJumps:
-    """The horizon as runs of theta-steps, each run one affine map.
+def _block_step(op: DiscreteOperator, sim: SimConfig):
+    """The theta-step as the block map y_j <- P_j y_j + Q_j y_0, for any coupling.
 
-    ``lengths`` lists the runs in order: the jump length J once per whole
-    output stride, then single steps for the remainder (J = 1 when jumping
-    does not pay).  ``maps[k]`` for k in {1, J} is (linear part M^k, forced
-    parts (A_k, B_k) or None): k steps from source time t0 map y to
-    M^k y + sin(w t0) A_k + cos(w t0) B_k.  ``gamma`` bounds ||M^k||_1 and
-    ``delta`` the forced part's 1-norm for every k <= J, so a state y is
-    safe to jump from when gamma ||y||_1 + delta stays below the divergence
-    limit: every state the jump skips then stays below it on the grid too,
-    where |cos| <= 1.
-    """
-
-    lengths: list
-    maps: dict
-    gamma: float
-    delta: float
-
-    def advance(self, y: np.ndarray, k: int, t0: float) -> np.ndarray:
-        linear, forced = self.maps[k]
-        y = _apply(linear, y)
-        if forced is not None:
-            y = y + forcing_amplitude(t0) * forced[0] + np.cos(FORCING_RATE * t0) * forced[1]
-        return y
-
-    def safe(self, y: np.ndarray) -> bool:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = self.gamma * np.abs(y).sum() + self.delta
-        return bool(bound <= (1.0 - _JUMP_SLACK) * _DIVERGENCE_LIMIT)  # False on nan
-
-
-def _frame_jumps(op: DiscreteOperator, sim: SimConfig) -> _FrameJumps:
-    """Build the one-step map and, when it pays, its stride power.
-
-    With h = theta dt, a theta-step y <- (solve(y + h f) - (1 - theta) y)/theta,
-    solve = (I - h A)^-1, is mode by mode y_j <- P_j y_j + Q_j y_0 + a(t) c_j:
-    P_j = (inv_j - (1 - theta) I)/theta with inv_j the inverse of mode j's
-    block (1 - h rates_j) I - h coupling (mode 0's also carries
-    h node0_0 feedback), Q_j = s_j inv_j F inv_0 with s_j = -h node0_j/theta
-    and s_0 = 0, and c the response to a unit-amplitude source.  Each block
-    is inverted once, with no assumption on the coupling's eigenvectors
-    (per-agent g is fine); raises LinAlgError when one is exactly singular.
-    The one-step map keeps Q factored through inv_j = theta P_j +
-    (1 - theta) I.  M^J, J the output stride, comes from repeated squaring,
-    and A_J, B_J from one pass of J one-step products that splits
-    sin(w (t0 + i dt)) into sin(w t0) cos(w i dt) + cos(w t0) sin(w i dt).
-    J drops to 1, one step at a time, unless the products that form M^J
-    cost less than the steps the jumps save.  In units of one step's
-    multiply-adds, nx (N+1)^2, a jump costs 2, the forcing pass 3 J, and a
-    product of two maps N+1: its 3 (N+1) times as many multiply-adds run
-    as matrix-matrix products, which do several times as many per second
-    as a step's matrix-vector products that stream the map from memory.
+    P_j = (inv_j - (1 - theta) I)/theta and Q_j = s_j inv_j F inv_0 with
+    s_j = -h node0_j/theta, s_0 = 0, kept factored as (a_j P_j + b_j I) G,
+    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode.
     """
     theta = THETA[sim.scheme]
     h = theta * sim.dt
-    node0 = op.node0
-    m = len(op.coupling)
-    inverses = (1.0 - h * op.rates)[:, np.newaxis, np.newaxis] * np.eye(m)
-    inverses -= h * op.coupling
-    inverses[0] += h * node0[0] * op.feedback
-    inverses = np.linalg.inv(inverses)
-    shed = (-h / theta) * node0
+    inverses = _implicit_inverses(op, h, sim.nx)
+    shed = (-h / theta) * op.node0
     shed[0] = 0.0
     g = op.feedback @ inverses[0]
-    unit = None
-    if sim.source == "paper":
-        source = op.inverse_modes @ forcing_shape(sim.grid)
-        # c: the step from y = 0 with a = 1, dt * source on every agent; the
-        # coupling and the feedback vanish on a field common to all agents,
-        # so each mode's block scales it by 1 / (1 - h rates_j)
-        unit = np.repeat((sim.dt * source / (1.0 - h * op.rates))[:, np.newaxis], m, axis=1)
-    diagonal = np.arange(m)
+    diagonal = np.arange(len(g))
     inverses[:, diagonal, diagonal] -= 1.0 - theta
     inverses /= theta
-    step = (inverses, (theta * shed, (1.0 - theta) * shed, g))
+    return inverses, theta * shed, (1.0 - theta) * shed, g
 
-    jump = min(sim.output_stride, sim.n_steps)
-    full, rest = divmod(sim.n_steps, jump)
-    products = jump.bit_length() + jump.bit_count() - 2  # squarings, then M^J's factors
-    if m * products + 3 * jump >= full * (jump - 2):
-        jump, full, rest = 1, sim.n_steps, 0
-    gamma = 1.0
-    power = None
-    square = step
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails the bound
-        # M^(2^b) for every bit b of J, multiplied into M^J
-        for b in range(jump.bit_length()):
-            if b:
-                square = _expanded(square)
-                square = _compose(square, square)
-            if jump >> b & 1:
-                power = square if power is None else _compose(_expanded(power), square)
-            gamma *= np.maximum(1.0, _norm1(square))  # keeps a nan
 
-        forced = dict.fromkeys({1, jump})
-        delta = 0.0
-        if unit is not None:
-            # A_k, B_k and M^k c as k runs up to J; delta sums ||M^k c||_1 over k < J
-            acc = np.zeros((3,) + unit.shape)
-            acc[2] = unit
-            for k, phase in enumerate(FORCING_RATE * sim.dt * np.arange(jump), start=1):
-                delta += np.abs(acc[2]).sum()
-                acc = _apply(step, acc)
-                acc[0] += np.cos(phase) * unit
-                acc[1] += np.sin(phase) * unit
-                if k in forced:
-                    forced[k] = acc[:2].copy()
-    maps = {jump: (power, forced[jump]), 1: (step, forced[1])}
-    return _FrameJumps(
-        lengths=[jump] * full + [1] * rest, maps=maps, gamma=float(gamma), delta=float(delta)
-    )
+def _apply(step, y: np.ndarray) -> np.ndarray:
+    """The block map of ``_block_step`` on a mode-major state y (nx, N+1)."""
+    p, a, b, g = step
+    fed = y[:1] @ g.T  # G y_0 as a row
+    return (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
+
+
+def _stepwise(op, sim, step, y, first, count, frames=None) -> None:
+    """``count`` block-map steps from step ``first`` on a mode-major y (nx, N+1).
+
+    |z_a| <= sum_j |y_ja| since |cos| <= 1, so a step is checked on the grid
+    only when that crosses the divergence limit.  Output frames, agent-major,
+    are appended to ``frames`` when it is given.
+    """
+    n, dt = len(op.coupling) - 1, sim.dt
+    h = THETA[sim.scheme] * dt
+    source = _source_response(op, sim, h)[:, np.newaxis]
+    for s in range(first + 1, first + count + 1):
+        y = _apply(step, y) + forcing_amplitude((s - 1) * dt + h) * source
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
+                _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
+        if frames is not None and (s % sim.output_stride == 0 or s == sim.n_steps):
+            frames.append(y.T)
+
+
+def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
+    """p^0 .. p^(count - 1) under ``times`` from p^0 = ``one``, by repeated doubling."""
+    out = one[np.newaxis]
+    while len(out) < count:
+        out = np.concatenate([out, times(out[: count - len(out)], times(out[-1], p))])
+    return out
+
+
+def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
+    """The whole run from the agent-major modal start y (N+1, nx), in the basis.
+
+    The state is a source-free part plus the source's response q_j (see
+    ``_source_response``).  A step of the former is P_0 on mode 0 and, on
+    each mode j >= 1, y^_j <- D_j y^_j + feed_j (G y_0), G = V^-1 F inv_0;
+    q_j <- rho_j q_j + a(t) c_j.  Mode 0 inside the strides comes from the
+    powers of P_0, the other modes' stride sums from products over the
+    in-stride index, chunked to the frames' size.  Returns the modal frames
+    (n_frames, N+1, nx) and per stride of L steps a bound on every max_x
+    |z_a| in it: |y^| <= max(1, |D|)^L (|y^_start| + |feed| sum |G y_0|)
+    mode by mode, likewise q, and |z_a| <= |y_0a| + (|V| sum_j |y^_j|)_a +
+    sum_j |q_j| as |cos| <= 1.
+    """
+    v, v_inv, lam = basis
+    theta = THETA[sim.scheme]
+    dt, h = sim.dt, theta * sim.dt
+    m, nx = y.shape
+    src = _source_response(op, sim, h)
+    inv0 = _implicit_inverses(op, h, 1)[0]
+    den = 1.0 - h * op.rates[1:] - h * lam[:, np.newaxis]
+    if not (den.all() and (1.0 - h * op.rates).all()):
+        raise np.linalg.LinAlgError("an implicit block is exactly singular")
+    p0 = (inv0 - (1.0 - theta) * np.eye(m)) / theta
+    g = v_inv @ op.feedback @ inv0
+    d = (1.0 / den - (1.0 - theta)) / theta
+    feed = (-h / theta) * op.node0[1:] / den
+    rho = (1.0 / (1.0 - h * op.rates) - (1.0 - theta)) / theta
+
+    stride = min(sim.output_stride, sim.n_steps)
+    full, rest = divmod(sim.n_steps, stride)
+    n_frames = full + bool(rest) + 1
+    # mode 0 of the source-free part, and its other modes in the basis until the end
+    frames = np.zeros((n_frames, m, nx))
+    y0, hat = frames[:, :, 0], frames[:, :, 1:]
+    y0[0], hat[0] = y[:, 0], v_inv @ y[:, 1:]
+    q = np.zeros((n_frames, nx))
+    bound = np.empty((n_frames - 1, m))
+    budget = n_frames * nx  # per agent, the size of the returned frames
+    for length, first, count in [(stride, 0, full)] + [(rest, full, 1)] * bool(rest):
+        last = first + count
+        power = np.linalg.matrix_power(p0, length)
+        for f in range(first, last):
+            y0[f + 1] = power @ y0[f]
+        feed_sum, amp_sum = np.zeros((count, m)), np.zeros(count)
+        top = np.abs(y0[first + 1 : last + 1])  # max |y_0| over the stride
+        chunk = max(1, min(length, budget // max(m, count, nx - 1)))
+        base, lead = _powers(p0, chunk, np.eye(m), np.matmul), np.eye(m)
+        d_pow = _powers(d, chunk, np.ones_like(d), np.multiply).transpose(1, 0, 2)
+        rho_pow = _powers(rho, chunk, np.ones_like(rho), np.multiply)
+        for start in range(0, length, chunk):
+            i = np.arange(start, min(start + chunk, length))
+            mode0 = lead @ base[: i.size] @ y0[first:last].T  # (i, agent, frame)
+            lead = lead @ base[-1] @ p0
+            w = g @ mode0
+            # D^(L-1-i) and rho^(L-1-i) over the chunk's in-stride steps i
+            lag = length - start - i.size
+            d_lag = d_pow[:, i.size - 1 :: -1] * (d**lag * feed)[:, np.newaxis]
+            hat[first + 1 : last + 1] += (w.transpose(1, 2, 0) @ d_lag).transpose(1, 0, 2)
+            top = np.maximum(top, np.abs(mode0).max(axis=0).T)
+            feed_sum += np.abs(w).sum(axis=0).T
+            amp = forcing_amplitude((stride * np.arange(first, last)[:, np.newaxis] + i) * dt + h)
+            q[first + 1 : last + 1] += amp @ (rho_pow[i.size - 1 :: -1] * (rho**lag * src))
+            amp_sum += np.abs(amp).sum(axis=1)
+        d_len, rho_len = d**length, rho**length
+        for f in range(first, last):
+            hat[f + 1] += d_len * hat[f]
+            q[f + 1] += rho_len * q[f]
+        grow = np.maximum(1.0, np.abs(d)) ** length
+        grow_src = np.maximum(1.0, np.abs(rho)) ** length
+        reach = np.einsum("fak,ak->fa", np.abs(hat[first:last]), grow)
+        reach += feed_sum * (grow * np.abs(feed)).sum(axis=1)
+        reach_src = np.abs(q[first:last]) @ grow_src + amp_sum * (grow_src @ np.abs(src))
+        bound[first:last] = top + reach @ np.abs(v).T + reach_src[:, np.newaxis]
+    frames[:, :, 1:] = v @ hat
+    frames += q[:, np.newaxis]
+    return frames, bound
 
 
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
@@ -412,49 +416,41 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
-    end).  The run goes through the runs of ``_frame_jumps``: one jump per
-    output stride when forming the stride's power pays, else one step at a
-    time, and single steps for a short last stride.  The state is mapped to
-    the grid at frames only.  Divergence is still decided step by step: a
-    run is taken in one go only when its norm bound shows that no skipped
-    step can leave the finite range; otherwise it is replayed with the
-    one-step map and every step is checked on the grid.  Raises Divergence
-    (with step and agent) if the field leaves the finite range; an exactly
-    singular implicit matrix diverges at step 1.
+    end).  With an ``_agent_basis`` the run is ``_eigen_frames``, and a
+    stride whose bound crosses the divergence limit is replayed with the
+    block map, so divergence is still decided step by step; else the block
+    map runs one step at a time.  Raises Divergence (with step and agent)
+    if the field leaves the finite range; an exactly singular implicit
+    block diverges at step 1.
     """
-    n, nx, dt = net.n, sim.nx, sim.dt
+    n = net.n
     op = assemble_operator(net, sim)
-    try:
-        jumps = _frame_jumps(op, sim)
-    except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
-        _check_finite(np.full((n + 1, nx), np.nan), n, nx, 1, dt)
-
     followers0, leader0 = _resolve_initial_conditions(net, sim)
     z = np.vstack([followers0, leader0])
-    y = op.inverse_modes @ z.T  # modal coefficients, mode-major: (nx, N+1)
-    h = THETA[sim.scheme] * dt
-
-    frames = [z]
-    times = [0.0]
-    step = 0
-    for k in jumps.lengths:
-        if jumps.safe(y):
-            y = jumps.advance(y, k, step * dt + h)
-            step += k
+    y = z @ op.inverse_modes.T  # modal coefficients, agent-major: (N+1, nx)
+    steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
+    basis = _agent_basis(net, op)
+    try:
+        if basis is None:
+            frames = [y]
+            _stepwise(op, sim, _block_step(op, sim), y.T, 0, sim.n_steps, frames)
+            frames = np.array(frames)
         else:
-            for _ in range(k):
-                y = jumps.advance(y, 1, step * dt + h)
-                step += 1
-                _check_finite((op.modes @ y).T, n, nx, step, dt)
-        if step % sim.output_stride == 0 or step == sim.n_steps:
-            frames.append((op.modes @ y).T)
-            times.append(step * dt)
-    stacked = np.array(frames)
+            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails a bound
+                frames, bound = _eigen_frames(op, sim, basis, y)
+                unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT).all(axis=1))
+            step = _block_step(op, sim) if unsafe.size else None
+            for f in unsafe:
+                _stepwise(op, sim, step, frames[f].T, steps[f], steps[f + 1] - steps[f])
+    except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
+        _check_finite(np.full((n + 1, sim.nx), np.nan), n, sim.nx, 1, sim.dt)
+    grid = (frames.reshape(-1, sim.nx) @ op.modes.T).reshape(frames.shape)
+    grid[0] = z  # the first frame is the initial state itself
     return Trajectory(
-        times=np.array(times),
+        times=steps * sim.dt,
         grid=sim.grid,
-        z=stacked[:, :n].transpose(1, 0, 2),
-        z_leader=stacked[:, n],
+        z=grid[:, :n].transpose(1, 0, 2),
+        z_leader=grid[:, n],
     )
 
 

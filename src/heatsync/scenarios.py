@@ -59,11 +59,7 @@ def forcing_shape(x: np.ndarray) -> np.ndarray:
 
 
 def forcing_amplitude(t: float) -> float:
-    """Temporal factor sin(FORCING_RATE t) of the demo forcing.
-
-    ``simulate`` relies on it being this sinusoid: it splits the source over
-    a run of steps as sin(w t0) and cos(w t0) times two fixed responses.
-    """
+    """Temporal factor sin(FORCING_RATE t) of the demo forcing."""
     return np.sin(FORCING_RATE * t)
 
 

@@ -12,10 +12,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heatsync import cli, gains, pdesim
 from heatsync.certify import Certificate
+
+from oracles import dense_simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,3 +64,18 @@ def test_in_process_replay_calls(tmp_path, name):
 
     op = pdesim.assemble_operator(net, sim)
     assert op.coupling.shape == (net.n + 1, net.n + 1)
+
+
+@pytest.mark.parametrize("name", ["demo", "large_network"])
+def test_workload_simulate_matches_dense_stepper(tmp_path, name):
+    # at a quarter of its size large_network runs 62 steps at stride 10,
+    # so its last stride is a partial one
+    wl = perfbench_module("workloads").build(name, 1, scale=0.25)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wl.config))
+    scn = cli.load_scenario(path)
+    traj, ref = pdesim.simulate(scn.net, scn.sim), dense_simulate(scn.net, scn.sim)
+    assert np.array_equal(traj.times, ref.times)
+    got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
+    want = np.concatenate([ref.z.reshape(-1), ref.z_leader.reshape(-1)])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

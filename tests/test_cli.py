@@ -220,6 +220,7 @@ class TestParsing:
             {"followers": [[0.0] * 21] * 2, "leader": [0.0] * 21},
             {"followers": [[0.0] * 21] * 3, "leader": [0.0] * 20},
             [[[0.0] * 21] * 3, [0.0] * 21],
+            {"followers": [[0.0] * 21] * 3, "leader": [0.0] * 21, "leeder": [0.0] * 21},
         ],
         ids=[
             "unknown-token",
@@ -227,6 +228,7 @@ class TestParsing:
             "two-follower-rows",
             "short-leader",
             "bare-array-pair",
+            "misspelled-leader",
         ],
     )
     @pytest.mark.parametrize("command", ["certify", "design", "simulate", "sweep"])
@@ -286,6 +288,31 @@ class TestParsing:
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            (None, "graph", {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]}),
+            (None, "alpha", 2.0),
+            (None, "beta", 1.0),
+            (None, "k", 40.0),
+            (None, "g", -2.0),
+            ("sim", "source", "off"),
+            ("sim", "t_end", 0.1),
+            ("sim", "initial_conditions", "sectionV"),
+        ],
+    )
+    def test_preset_pinned_key_exits_2(self, tmp_path, capsys, block, key, value):
+        # a preset fixes these values; a file that sets one too is refused,
+        # not read as the preset with the key silently dropped
+        payload = {"scenario_preset": "sectionV", "sim": {"nx": 21, "dt": 0.01}}
+        (payload[block] if block else payload)[key] = value
+        cfg = write_config(tmp_path / "pinned.json", payload)
+        assert main(["certify", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert (f"sim.{key}" if block else key) in captured.err
+        assert captured.out == ""
 
     def test_unknown_sim_key_exits_2(self, tmp_path):
         # a misspelled key would leave its field at the default unnoticed

@@ -26,7 +26,8 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
-from heatsync.pdesim import _expanded, _frame_jumps, _norm1
+from heatsync.pdesim import _agent_basis, _apply, _block_step, _eigen_frames
+from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 from conftest import random_connected_graph
 from oracles import (
@@ -69,6 +70,18 @@ def heterogeneous_nets(rng, count, n_min=3, n_max=8):
             )
         )
     return nets
+
+
+def route_nets(rng):
+    """One net per side of the eigenbasis route rule: per-agent g of mixed
+    sign and g zero on some agents only take the block map, g > 0 on every
+    agent takes the eigenbasis."""
+    nets = heterogeneous_nets(rng, 3)
+    mixed, partly_zero, positive = (np.abs(net.g_vector) for net in nets)
+    mixed[::2] *= -1.0
+    partly_zero[0] = 0.0
+    gains = (mixed, -partly_zero, positive)
+    return [net.with_gains(g=list(g)) for net, g in zip(nets, gains)]
 
 
 def random_profiles(rng, n, nx):
@@ -270,17 +283,21 @@ class TestOperator:
             want = (dense @ z.reshape(-1)).reshape(m, nx)
             norm = np.abs(dense).sum(axis=1).max()
             assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
-            # the one-step map of each scheme: (I - h A) z' = (I + (dt - h) A) z
+            # one step of each scheme, by the block map and by the eigenbasis
+            # route: (I - h A) z' = (I + (dt - h) A) z
             for scheme, h in (("crank_nicolson", sim.dt / 2.0), ("backward_euler", sim.dt)):
-                step = _frame_jumps(op, replace(sim, scheme=scheme))
+                one = replace(sim, scheme=scheme, t_end=sim.dt)
                 y = rng.standard_normal((m, nx))
                 z = y @ op.modes.T
-                z_next = (op.modes @ step.advance(y.T, 1, 0.0)).T
+                by_block = _apply(_block_step(op, one), y.T).T
+                by_eigen = _eigen_frames(op, one, _agent_basis(net, op), y)[0][1]
                 implicit = np.eye(m * nx) - h * dense
                 explicit = np.eye(m * nx) + (sim.dt - h) * dense
-                residual = implicit @ z_next.reshape(-1) - explicit @ z.reshape(-1)
-                bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z_next).max()
-                assert np.abs(residual).max() <= bound
+                for y_next in (by_block, by_eigen):
+                    z_next = y_next @ op.modes.T
+                    residual = implicit @ z_next.reshape(-1) - explicit @ z.reshape(-1)
+                    bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z_next).max()
+                    assert np.abs(residual).max() <= bound
 
     def test_demo_error_subsystem_is_stable(self, demo_net):
         sim = SimConfig(nx=81, dt=0.01, source="off")
@@ -367,6 +384,7 @@ class TestSimulate:
         for net in heterogeneous_nets(rng, 3):
             cases.append((net, random_profiles(rng, net.n, 33), "paper"))
             cases.append((net, random_profiles(rng, net.n, 33), "off"))
+        cases += [(net, random_profiles(rng, net.n, 33), "paper") for net in route_nets(rng)]
         for net, ic, source in cases:
             sim = SimConfig(
                 nx=33, dt=2e-3, t_end=0.3, source=source, scheme=scheme,
@@ -388,6 +406,9 @@ class TestSimulate:
         net = NetworkConfig(
             graph=build_graph(3, [], []), alpha=alpha, k=0.0, g=0.0
         )
+        # without edges g acts on nothing: mixed signs only move the run
+        # from the eigenbasis to the block map
+        nets = [net, net.with_gains(g=[-1.0, 0.0, 1.0])]
         nx = 17
         ic = (np.outer(followers, np.ones(nx)), np.zeros(nx))
         sim = SimConfig(
@@ -399,27 +420,31 @@ class TestSimulate:
             with pytest.raises(Divergence) as want:
                 dense_simulate(net, sim)
         # strides 7 and 10 put the first bad step between output frames
-        for stride in (1, 7, 10):
-            with pytest.raises(Divergence) as got:
-                simulate(net, replace(sim, output_stride=stride))
-            assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
-            assert got.value.t == want.value.t
+        for net in nets:
+            for stride in (1, 7, 10):
+                with pytest.raises(Divergence) as got:
+                    simulate(net, replace(sim, output_stride=stride))
+                assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
+                assert got.value.t == want.value.t
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_stride_invariance(self, demo_net, scheme):
-        # a frame jump equals the steps it skips; 101 steps leave a partial
-        # last stride for every stride below
+        # a stride advanced at once equals its steps; 101 steps leave a
+        # partial last stride for every stride below
         rng = np.random.default_rng(73)
         cases = [(demo_net, "sectionV", "paper"), (demo_net, "sectionV", "off")]
-        # a start this large fails the jump bound: the first strides replay
+        # a start of 5e10 clears the stride bound, and one of 2e11 fails it
+        # without diverging: the first strides replay step by step
         followers, leader = random_profiles(rng, demo_net.n, 33)
         cases.append((demo_net, (5e10 * followers, 5e10 * leader), "paper"))
         for net in heterogeneous_nets(rng, 2):
             cases.append((net, random_profiles(rng, net.n, 33), "paper"))
             cases.append((net, random_profiles(rng, net.n, 33), "off"))
-        # 20 agents: at 101 steps the strides' powers do not pay, one step at a time
+        # 20 agents: mode 0 carries a dense 21 x 21 block
         (net,) = heterogeneous_nets(rng, 1, n_min=20, n_max=20)
         cases.append((net, random_profiles(rng, net.n, 33), "paper"))
+        cases += [(net, random_profiles(rng, net.n, 33), "paper") for net in route_nets(rng)]
+        cases.append((demo_net, (2e11 * followers, 2e11 * leader), "paper"))
         for net, ic, source in cases:
             sim = SimConfig(
                 nx=33, dt=2e-3, t_end=0.202, source=source, scheme=scheme,
@@ -452,50 +477,68 @@ class TestSimulate:
             paper = simulate(net, replace(sim, source="paper")).errors()
             assert np.abs(paper - off).max() <= 1e-12 * np.abs(off).max()
 
-    def test_jump_bound_is_rigorous(self, demo_net):
-        # gamma bounds ||M^k||_1 and delta every partial forced response for
-        # k <= J, with M^k from plain one-step products of the dense map;
-        # the 1e-12 covers the rounding of the column sums alone
+    def test_stride_bound_is_rigorous(self, demo_net):
+        # the bound of every stride dominates max_x |z_a| at each of its
+        # steps, stepped here with the dense one-step map; the 1e-12 covers
+        # the rounding of the bound's sums alone
         rng = np.random.default_rng(75)
         cases = [(demo_net, 101), (demo_net.with_gains(g=-1e4), 101)]
         cases += [(net, 33) for net in heterogeneous_nets(rng, 3)]
         for net, nx in cases:
-            sim = SimConfig(nx=nx, source="paper")
-            jumps = _frame_jumps(assemble_operator(net, sim), sim)
-            assert jumps.lengths == [10] * 250
-            step, (unit, _) = jumps.maps[1]
-            p, q = _expanded(step)
-            # the one-step map's factored Q gives a bound on its norm
-            assert _norm1(step) >= _norm1((p, q))
-            m = net.n + 1
-            dense = np.zeros((nx, m, nx, m))
-            dense[np.arange(nx), :, np.arange(nx), :] = p
-            dense[:, :, 0, :] += q
-            dense = dense.reshape(nx * m, nx * m)
-            # the structured norm is the dense one: the feedback column counts
-            assert _norm1((p, q)) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-12)
-            power = np.eye(nx * m)
-            for _ in range(jumps.lengths[0]):
-                power = dense @ power
-                assert np.abs(power).sum(axis=0).max() <= jumps.gamma * (1.0 + 1e-12)
-            for t0 in np.linspace(0.0, 2.0, 41):
-                forced = np.zeros(nx * m)
-                for i in range(jumps.lengths[0]):
-                    # after i + 1 steps from source time t0
-                    forced = dense @ forced + np.sin(np.pi * (t0 + i * sim.dt)) * unit.reshape(-1)
-                    assert np.abs(forced).sum() <= jumps.delta * (1.0 + 1e-12)
-            assert jumps.gamma < 1e4 and jumps.delta > 0.0
+            followers, leader = random_profiles(rng, net.n, nx)
+            sim = SimConfig(
+                nx=nx, t_end=0.5, source="paper", initial_conditions=(followers, leader)
+            )
+            op = assemble_operator(net, sim)
+            z = np.vstack([followers, leader])
+            frames, bound = _eigen_frames(op, sim, _agent_basis(net, op), z @ op.inverse_modes.T)
+            assert bound.shape == (50, net.n + 1)
+            dense = dense_operator(net, sim)
+            h = sim.dt / 2.0
+            implicit = np.linalg.inv(np.eye(dense.shape[0]) - h * dense)
+            one_step = implicit @ (np.eye(dense.shape[0]) + h * dense)
+            unit = sim.dt * implicit @ np.tile(forcing_shape(sim.grid), net.n + 1)
+            state, peak = z.reshape(-1), np.zeros((50, net.n + 1))
+            for step in range(500):
+                state = one_step @ state + forcing_amplitude(step * sim.dt + h) * unit
+                reach = np.abs(state.reshape(net.n + 1, nx)).max(axis=1)
+                peak[step // 10] = np.maximum(peak[step // 10], reach)
+            assert (peak <= bound * (1.0 + 1e-12)).all()
+            # nor a vacuous one: it stays within a factor 100 of the peak
+            assert (bound <= 100.0 * peak).all()
 
-    def test_jump_length_follows_cost(self, demo_net):
-        # products of maps cost N+1 steps each: they pay on the demo, not on
-        # 20 agents over 101 steps; a short last stride goes step by step
-        sim = SimConfig(nx=33, dt=2e-3, t_end=0.202, source="paper")
-        jumps = _frame_jumps(assemble_operator(demo_net, sim), sim)
-        assert jumps.lengths == [10] * 10 + [1]
-        (net,) = heterogeneous_nets(np.random.default_rng(76), 1, n_min=20, n_max=20)
-        jumps = _frame_jumps(assemble_operator(net, sim), sim)
-        assert jumps.lengths == [1] * 101
-        assert list(jumps.maps) == [1]
+    def test_long_strides_are_chunked(self, demo_net):
+        # no intermediate outgrows the frames: a stride of 600 steps would
+        # stack 0.9 MB of in-stride factors for 5 kB of frames
+        sim = SimConfig(
+            nx=33, dt=2e-3, t_end=2.0, source="paper", output_stride=1,
+            initial_conditions="sectionV",
+        )
+        ref = simulate(demo_net, sim)
+        for stride in (600, 5000):
+            tracemalloc.start()
+            try:
+                traj = simulate(demo_net, replace(sim, output_stride=stride))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e5
+            steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
+            want = ref.z[:, steps]
+            assert np.abs(traj.z - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_route_rule(self, demo_net):
+        # the eigenbasis exactly when a diagonal scaling makes G L symmetric
+        nets = [demo_net, demo_net.with_gains(g=0.0)] + route_nets(np.random.default_rng(77))
+        for net, eigen in zip(nets, (True, True, False, False, True)):
+            op = assemble_operator(net, SimConfig(nx=17))
+            basis = _agent_basis(net, op)
+            assert (basis is not None) == eigen
+            if eigen:
+                v, v_inv, lam = basis
+                assert np.abs(v @ v_inv - np.eye(net.n + 1)).max() <= 1e-13
+                scale = np.abs(op.coupling).max(initial=1.0)
+                assert np.abs(v * lam @ v_inv - op.coupling).max() <= 1e-13 * scale
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
