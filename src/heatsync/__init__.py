@@ -42,12 +42,7 @@ from .pdesim import (
     spectral_abscissa,
     sync_errors,
 )
-from .scenarios import (
-    PRESET_NAMES,
-    demo_graph,
-    demo_initial_profiles,
-    preset_gains,
-)
+from .scenarios import PRESETS, demo_initial_profiles
 
 __all__ = [
     "__version__",
@@ -59,7 +54,7 @@ __all__ = [
     "GainDesign",
     "Interval",
     "NetworkConfig",
-    "PRESET_NAMES",
+    "PRESETS",
     "SimConfig",
     "SymMatrix",
     "Trajectory",
@@ -68,7 +63,6 @@ __all__ = [
     "build_graph",
     "certificate_matrix",
     "connected_components",
-    "demo_graph",
     "demo_initial_profiles",
     "design",
     "evaluate_certificate",
@@ -76,7 +70,6 @@ __all__ = [
     "k_window_partial",
     "laplacian",
     "leader_mask",
-    "preset_gains",
     "search_g",
     "simulate",
     "spectral_abscissa",

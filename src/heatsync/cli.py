@@ -37,14 +37,7 @@ from .pdesim import (
     spectral_abscissa,
     sync_errors,
 )
-from .scenarios import (
-    DEMO_ALPHA,
-    DEMO_BETA,
-    DEMO_T_END,
-    PRESET_NAMES,
-    demo_graph,
-    preset_gains,
-)
+from .scenarios import PRESETS
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
 GRAPH_KEYS = ("n", "edges", "leader_set")
@@ -99,11 +92,11 @@ def _graph_from_dict(d) -> FollowerGraph:
 def load_scenario(path) -> Scenario:
     """Read and resolve a scenario config file.
 
-    A ``scenario_preset`` pins the demo network, physics, gains, forcing,
-    initial profiles and horizon, and a file that also sets one of them
-    is refused; the ``sim`` block still controls the numerics (nx, dt,
-    scheme, output stride).  Without a preset the file must carry the
-    graph and physics explicitly.
+    A ``scenario_preset`` stands for its ``PRESETS`` entry: the network,
+    physics, gains, forcing, initial profiles and horizon, and a file that
+    also sets one of them is refused; the ``sim`` block still controls the
+    numerics (nx, dt, scheme, output stride).  Without a preset the file
+    must carry the graph and physics explicitly.
     """
     path = Path(path)
     try:
@@ -116,34 +109,31 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("config root must be a JSON object")
     _block(raw, "top-level", CONFIG_KEYS)
     sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
-    preset = raw.get("scenario_preset")
+    preset, config = raw.get("scenario_preset"), raw
     try:
         if preset is not None:
-            if preset not in PRESET_NAMES:
+            if preset not in tuple(PRESETS):  # a tuple: a list preset is unhashable
                 raise ConfigError(
-                    f"unknown scenario_preset {preset!r}; expected one of {PRESET_NAMES}"
+                    f"unknown scenario_preset {preset!r}; expected one of {tuple(PRESETS)}"
                 )
-            pinned = [key for key in ("graph", "alpha", "beta", "k", "g") if key in raw]
-            pinned += [f"sim.{key}" for key in ("source", "t_end", "initial_conditions")
-                       if key in sim_fields]
+            entry = PRESETS[preset]
+            pinned = [key for key in entry if key != "sim" and key in raw]
+            pinned += [f"sim.{key}" for key in entry["sim"] if key in sim_fields]
             if pinned:
                 raise ConfigError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
-            k, g = preset_gains(preset)
-            graph = demo_graph()
-            alpha, beta = DEMO_ALPHA, DEMO_BETA
-            sim_fields.update(source="paper", t_end=DEMO_T_END, initial_conditions="sectionV")
-        else:
-            if "graph" not in raw:
-                raise ConfigError("config needs a 'graph' block or a scenario_preset")
-            graph = _graph_from_dict(raw["graph"])
-            alpha, beta = raw.get("alpha", 0.0), raw.get("beta", 1.0)
-            k, g = raw.get("k", 0.0), raw.get("g", 0.0)
-            initial = sim_fields.get("initial_conditions")
-            if isinstance(initial, dict):
-                initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
-                sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
-            elif initial is not None and not isinstance(initial, str):
-                raise ConfigError("sim.initial_conditions must be a preset token or an object")
+            config = {**raw, **entry}
+            sim_fields.update(entry["sim"])
+        if "graph" not in config:
+            raise ConfigError("config needs a 'graph' block or a scenario_preset")
+        graph = _graph_from_dict(config["graph"])
+        alpha, beta = config.get("alpha", 0.0), config.get("beta", 1.0)
+        k, g = config.get("k", 0.0), config.get("g", 0.0)
+        initial = sim_fields.get("initial_conditions")
+        if isinstance(initial, dict):
+            initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
+            sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
+        elif initial is not None and not isinstance(initial, str):
+            raise ConfigError("sim.initial_conditions must be a preset token or an object")
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(**sim_fields)
         # profile shapes are checked here, before any command runs or writes

@@ -21,8 +21,9 @@ j >= 1, and mode 0 keeps one dense (N+1) x (N+1) map.  ``simulate`` then
 advances all output strides at once.  A stride stands when a bound on
 every state inside it stays below the divergence limit, else it is
 replayed one step at a time; long strides are cut into chunks so that no
-intermediate outgrows the returned frames.  Any other g (mixed signs, or
-zero on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
+intermediate outgrows the returned frames, and work over all the frames
+is done an eighth of them at a time.  Any other g (mixed signs, or zero
+on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
 a(t) c_j, from one inverse per mode of I - theta dt A, one step at a time.
 The spectral abscissa is read off the generator's own mode blocks, with
 no time step in it.  Only numpy is needed.
@@ -40,6 +41,7 @@ from .graph import _as_float, _as_int, laplacian
 from .scenarios import demo_initial_profiles, forcing_amplitude, forcing_shape
 
 _DIVERGENCE_LIMIT = 1e12
+_FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
 
 SOURCE_SELECTORS = ("off", "paper")
 THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
@@ -140,27 +142,22 @@ class DiscreteOperator:
         # so the modes are exact to rounding
         return np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
 
-    @cached_property
-    def inverse_modes(self) -> np.ndarray:
-        """Inverse of ``modes``: grid values to modal coefficients.
-
-        The modes are orthogonal under the trapezoid weights w, which gives
-        the inverse in closed form, diag(1, 2, .., 2, 1) modes^T diag(w),
-        exact to rounding and the same bits on every BLAS; its row 0 is w,
-        so the j=0 coefficient is the trapezoid integral.
-        """
-        scale = np.full(self.grid.size, 2.0)
-        scale[0] = scale[-1] = 1.0
-        return scale[:, np.newaxis] * self.modes.T * trapezoid_weights(self.grid.size)
-
     @property
     def node0(self) -> np.ndarray:
         """The x=0 grid node in modal coordinates, modes^-1 e_0.
 
-        Column 0 of ``inverse_modes``: row 0 of ``modes`` is all ones, so
-        it is diag(1, 2, .., 2, 1) w = w, the trapezoid weights themselves.
+        Column 0 of modes^-1 (see ``_to_modes``): row 0 of ``modes`` is all
+        ones, so it is diag(1, 2, .., 2, 1) w_0 = w, the trapezoid weights.
         """
         return trapezoid_weights(self.grid.size)
+
+
+def _to_modes(op: DiscreteOperator, z: np.ndarray) -> np.ndarray:
+    """Modal coefficients of the grid fields z (rows): the modes are orthogonal
+    under the trapezoid weights w, so modes^-1 = diag(1, 2, .., 2, 1) modes^T
+    diag(w), and ``modes`` is symmetric.  Row 0 of modes^-1 is w."""
+    w = op.node0
+    return (z * w) @ op.modes * (2 * (op.grid.size - 1) * w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +272,7 @@ def _source_response(op: DiscreteOperator, sim: SimConfig, h: float) -> np.ndarr
     number for every agent: coupling and feedback vanish on a common field."""
     if sim.source == "off":
         return np.zeros(sim.nx)
-    return sim.dt * (op.inverse_modes @ forcing_shape(sim.grid)) / (1.0 - h * op.rates)
+    return sim.dt * _to_modes(op, forcing_shape(sim.grid)) / (1.0 - h * op.rates)
 
 
 def _block_step(op: DiscreteOperator, sim: SimConfig):
@@ -329,6 +326,12 @@ def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
     while len(out) < count:
         out = np.concatenate([out, times(out[: count - len(out)], times(out[-1], p))])
     return out
+
+
+def _frame_blocks(count: int) -> list[slice]:
+    """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks."""
+    size = -(-count // _FRAME_BLOCKS)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
@@ -389,7 +392,9 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
             # D^(L-1-i) and rho^(L-1-i) over the chunk's in-stride steps i
             lag = length - start - i.size
             d_lag = d_pow[:, i.size - 1 :: -1] * (d**lag * feed)[:, np.newaxis]
-            hat[first + 1 : last + 1] += (w.transpose(1, 2, 0) @ d_lag).transpose(1, 0, 2)
+            w_t, ahead = w.transpose(1, 2, 0), hat[first + 1 : last + 1]
+            for b in _frame_blocks(count):
+                ahead[b] += (w_t[:, b] @ d_lag).transpose(1, 0, 2)
             top = np.maximum(top, np.abs(mode0).max(axis=0).T)
             feed_sum += np.abs(w).sum(axis=0).T
             amp = forcing_amplitude((stride * np.arange(first, last)[:, np.newaxis] + i) * dt + h)
@@ -401,11 +406,13 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
             q[f + 1] += rho_len * q[f]
         grow = np.maximum(1.0, np.abs(d)) ** length
         grow_src = np.maximum(1.0, np.abs(rho)) ** length
-        reach = np.einsum("fak,ak->fa", np.abs(hat[first:last]), grow)
-        reach += feed_sum * (grow * np.abs(feed)).sum(axis=1)
+        reach = feed_sum * (grow * np.abs(feed)).sum(axis=1)
+        for b in _frame_blocks(count):
+            reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
         reach_src = np.abs(q[first:last]) @ grow_src + amp_sum * (grow_src @ np.abs(src))
         bound[first:last] = top + reach @ np.abs(v).T + reach_src[:, np.newaxis]
-    frames[:, :, 1:] = v @ hat
+    for b in _frame_blocks(n_frames):
+        hat[b] = v @ hat[b]
     frames += q[:, np.newaxis]
     return frames, bound
 
@@ -427,7 +434,7 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     op = assemble_operator(net, sim)
     followers0, leader0 = _resolve_initial_conditions(net, sim)
     z = np.vstack([followers0, leader0])
-    y = z @ op.inverse_modes.T  # modal coefficients, agent-major: (N+1, nx)
+    y = _to_modes(op, z)  # agent-major: (N+1, nx)
     steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
     basis = _agent_basis(net, op)
     try:
@@ -444,13 +451,14 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
                 _stepwise(op, sim, step, frames[f].T, steps[f], steps[f + 1] - steps[f])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
         _check_finite(np.full((n + 1, sim.nx), np.nan), n, sim.nx, 1, sim.dt)
-    grid = (frames.reshape(-1, sim.nx) @ op.modes.T).reshape(frames.shape)
-    grid[0] = z  # the first frame is the initial state itself
+    for b in _frame_blocks(len(frames)):  # in place, to the grid
+        frames[b] = (frames[b].reshape(-1, sim.nx) @ op.modes.T).reshape(-1, n + 1, sim.nx)
+    frames[0] = z  # the first frame is the initial state itself
     return Trajectory(
         times=steps * sim.dt,
         grid=sim.grid,
-        z=grid[:, :n].transpose(1, 0, 2),
-        z_leader=grid[:, n],
+        z=frames[:, :n].transpose(1, 0, 2),
+        z_leader=frames[:, n],
     )
 
 

@@ -1,9 +1,10 @@
-"""Built-in demo scenarios.
+"""Built-in scenarios: the paper's Section V example and its two ablations.
 
-The demo network has five followers on a tree (edges 1-3, 2-4, 3-4, 4-5)
-with followers 1..3 hearing the leader, zero reaction rate, unit diffusion
-and a shared forcing term.  Three preset variants exist, selected by the
-preset tokens used in config files:
+``PRESETS`` maps each ``scenario_preset`` token to the config it stands
+for, written as a config file would write it: five followers on a tree
+(edges 1-3, 2-4, 3-4, 4-5) with followers 1..3 hearing the leader, zero
+reaction rate, unit diffusion, the shared forcing, the Section V initial
+profiles and a horizon of 2.5.  The presets differ in their gains:
 
 * ``sectionV``  - boundary gain 3, coupling gain -2 (full closed loop)
 * ``fig5_k0``   - boundary gain 0 (leader links cut, coupling only)
@@ -13,24 +14,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import FollowerGraph, build_graph
-
-DEMO_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5))
-DEMO_LEADERS = (1, 2, 3)
-DEMO_ALPHA = 0.0
-DEMO_BETA = 1.0
-DEMO_K = 3.0
-DEMO_G = -2.0
-DEMO_T_END = 2.5
 FORCING_RATE = np.pi  # angular rate w of the forcing's sin(w t)
 
-# (boundary gain, coupling gain) of each preset
-PRESET_GAINS = {"sectionV": (DEMO_K, DEMO_G), "fig5_k0": (0.0, DEMO_G), "fig6_g0": (DEMO_K, 0.0)}
-PRESET_NAMES = tuple(PRESET_GAINS)
-
-
-def demo_graph() -> FollowerGraph:
-    return build_graph(5, DEMO_EDGES, DEMO_LEADERS)
+_SECTION_V = {
+    "graph": {"n": 5, "edges": [[1, 3], [2, 4], [3, 4], [4, 5]], "leader_set": [1, 2, 3]},
+    "alpha": 0.0,
+    "beta": 1.0,
+    "k": 3.0,
+    "g": -2.0,
+    "sim": {"source": "paper", "t_end": 2.5, "initial_conditions": "sectionV"},
+}
+PRESETS = {
+    "sectionV": _SECTION_V,
+    "fig5_k0": {**_SECTION_V, "k": 0.0},
+    "fig6_g0": {**_SECTION_V, "g": 0.0},
+}
 
 
 def demo_initial_profiles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,10 +59,3 @@ def forcing_shape(x: np.ndarray) -> np.ndarray:
 def forcing_amplitude(t: float) -> float:
     """Temporal factor sin(FORCING_RATE t) of the demo forcing."""
     return np.sin(FORCING_RATE * t)
-
-
-def preset_gains(name: str) -> tuple[float, float]:
-    """(boundary gain, coupling gain) for a preset token."""
-    if name not in PRESET_GAINS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    return PRESET_GAINS[name]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from heatsync import NetworkConfig, build_graph, demo_graph
+from heatsync import PRESETS, NetworkConfig, build_graph
+
+
+def demo_graph():
+    """The five-follower network of the paper's Section V example."""
+    graph = PRESETS["sectionV"]["graph"]
+    return build_graph(graph["n"], graph["edges"], graph["leader_set"])
 
 
 @pytest.fixture

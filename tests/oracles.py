@@ -13,6 +13,8 @@ asserts that its config lies in that regime.
 ``modal_apply`` applies the closed-loop generator to modal coefficients
 straight from the fields of ``heatsync.DiscreteOperator`` (production
 never forms that product: its steps only solve).
+``inverse_modes`` writes the inverse of the mode matrix out as a dense
+nx x nx array; production maps grid values to modes without forming it.
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
 and the source evaluated afresh every step (``forcing_profile``);
@@ -214,6 +216,17 @@ def _neumann_heat_block(nx: int, dx: float, beta: float, alpha: float) -> np.nda
     t[idx, idx + 1] = 1.0
     t[nx - 1, nx - 2], t[nx - 1, nx - 1] = 2.0, -2.0
     return (beta / dx**2) * t + alpha * np.eye(nx)
+
+
+def inverse_modes(op) -> np.ndarray:
+    """The inverse of ``op.modes``, diag(1, 2, .., 2, 1) modes^T diag(w), densely.
+
+    The modes are orthogonal under the trapezoid weights w; row 0 of
+    ``modes`` is all ones, so column 0 is w itself, bit for bit.
+    """
+    scale = np.full(op.grid.size, 2.0)
+    scale[0] = scale[-1] = 1.0
+    return scale[:, np.newaxis] * op.modes.T * trapezoid_weights(op.grid.size)
 
 
 def modal_apply(op, y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from heatsync import (
     SimConfig,
     build_graph,
     certificate_matrix,
-    demo_graph,
     evaluate_certificate,
     fit_decay_rate,
     k_window_partial,
@@ -27,7 +26,7 @@ from heatsync import (
 )
 from heatsync.cli import main
 
-from conftest import random_connected_graph
+from conftest import demo_graph, random_connected_graph
 from oracles import (
     coupling_gain_feasible,
     is_negative_definite,

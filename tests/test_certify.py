@@ -6,7 +6,6 @@ from heatsync import (
     SymMatrix,
     build_graph,
     certificate_matrix,
-    demo_graph,
     evaluate_certificate,
     laplacian,
     search_g,
@@ -14,7 +13,7 @@ from heatsync import (
 from heatsync.certify import FEASIBILITY_MARGIN
 from heatsync.errors import InfeasibleInBracket
 
-from conftest import random_connected_graph, random_graph
+from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
     GridTooCoarse,
     closed_form_certificate,

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import heatsync
 from heatsync.certify import FEASIBILITY_MARGIN
-from heatsync.cli import load_scenario, main
+from heatsync.cli import CONFIG_KEYS, load_scenario, main
 
 from conftest import random_connected_graph
 from oracles import dense_abscissa
@@ -387,6 +388,46 @@ class TestParsing:
         scn = load_scenario(cfg)
         assert (scn.sim.nx, scn.sim.output_stride) == (41, 5)
         assert isinstance(scn.sim.nx, int) and isinstance(scn.sim.output_stride, int)
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", list(heatsync.PRESETS))
+    def test_preset_is_its_config(self, tmp_path, monkeypatch, capsys, name):
+        # the preset file and its PRESETS entry written out as a config
+        # give the same bytes; only the reports' preset field tells them apart
+        numerics = {"nx": 41, "dt": 0.002}
+        entry, before = heatsync.PRESETS[name], json.dumps(heatsync.PRESETS)
+        payloads = {
+            "preset": {"scenario_preset": name, "sim": numerics},
+            "explicit": {**entry, "sim": {**entry["sim"], **numerics}},
+        }
+        outputs = {}
+        for kind, payload in payloads.items():
+            (tmp_path / kind).mkdir()
+            monkeypatch.chdir(tmp_path / kind)
+            write_config(Path("scenario.json"), payload)
+            runs = []  # exit code and stdout of each command
+            for argv in (["certify"], ["design"], ["simulate", "--out", "out"]):
+                runs.append((main([argv[0], "scenario.json", *argv[1:]]), capsys.readouterr().out))
+            files = {
+                str(p): p.read_bytes()
+                for p in sorted(Path().rglob("*")) if p.is_file() and p.name != "scenario.json"
+            }
+            preset_line = f'  "preset": "{name if kind == "preset" else ""}",\n'.encode()
+            for report in ("scenario.certify.json", "out/manifest.json"):
+                assert preset_line in files[report]
+                files[report] = files[report].replace(preset_line, b"")
+            outputs[kind] = runs, files
+        assert len(outputs["preset"][1]) == 6
+        assert outputs["preset"] == outputs["explicit"]
+        assert json.dumps(heatsync.PRESETS) == before  # loading leaves the entry alone
+
+    @pytest.mark.parametrize("name", list(heatsync.PRESETS))
+    def test_preset_keys_are_config_keys(self, name):
+        entry = heatsync.PRESETS[name]
+        sim_keys = {f.name for f in fields(heatsync.SimConfig)}
+        assert set(entry) <= set(CONFIG_KEYS) - {"scenario_preset"}
+        assert set(entry["sim"]) <= sim_keys
 
 
 class TestCertify:

@@ -5,7 +5,6 @@ from heatsync import (
     NetworkConfig,
     build_graph,
     certificate_matrix,
-    demo_graph,
     design,
     evaluate_certificate,
     k_window_partial,
@@ -20,7 +19,7 @@ from heatsync.errors import (
 from heatsync.gains import G_MIN
 from heatsync.graph import connected_components
 
-from conftest import random_connected_graph, random_graph
+from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import sym_eigenvalues
 
 PI2 = np.pi**2

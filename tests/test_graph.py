@@ -4,14 +4,13 @@ import pytest
 from heatsync import (
     build_graph,
     connected_components,
-    demo_graph,
     design,
     laplacian,
     leader_mask,
 )
 from heatsync.errors import UncontrollableComponent
 
-from conftest import random_graph
+from conftest import demo_graph, random_graph
 
 
 def incidence(g):

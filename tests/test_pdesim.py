@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatsync import (
+    PRESETS,
     ErrorSeries,
     NetworkConfig,
     SimConfig,
@@ -13,13 +14,11 @@ from heatsync import (
     analytic_open_loop_spectrum,
     assemble_operator,
     build_graph,
-    demo_graph,
     demo_initial_profiles,
     evaluate_certificate,
     certificate_matrix,
     fit_decay_rate,
     k_window_partial,
-    preset_gains,
     simulate,
     spectral_abscissa,
     sync_errors,
@@ -29,11 +28,12 @@ from heatsync.errors import Divergence, NonPositiveSeries
 from heatsync.pdesim import _agent_basis, _apply, _block_step, _eigen_frames
 from heatsync.scenarios import forcing_amplitude, forcing_shape
 
-from conftest import random_connected_graph
+from conftest import demo_graph, random_connected_graph
 from oracles import (
     dense_abscissa,
     dense_operator,
     dense_simulate,
+    inverse_modes,
     modal_apply,
     pairwise_max,
 )
@@ -178,7 +178,7 @@ class TestL2Norm:
 
 def grid_apply(op, z):
     """The generator of ``op`` applied to grid values z, one row per agent."""
-    return modal_apply(op, z @ op.inverse_modes.T) @ op.modes.T
+    return modal_apply(op, z @ inverse_modes(op).T) @ op.modes.T
 
 
 def grid_matrix(op):
@@ -274,7 +274,7 @@ class TestOperator:
             sim = SimConfig(nx=nx, source="off")
             op = assemble_operator(net, sim)
             # node0 is the trapezoid weights: the inverse's column 0, bit for bit
-            assert np.array_equal(op.node0, op.inverse_modes[:, 0])
+            assert np.array_equal(op.node0, inverse_modes(op)[:, 0])
             dense = dense_operator(net, sim)
             m = net.n + 1
             y = rng.standard_normal((m, nx))
@@ -491,7 +491,7 @@ class TestSimulate:
             )
             op = assemble_operator(net, sim)
             z = np.vstack([followers, leader])
-            frames, bound = _eigen_frames(op, sim, _agent_basis(net, op), z @ op.inverse_modes.T)
+            frames, bound = _eigen_frames(op, sim, _agent_basis(net, op), z @ inverse_modes(op).T)
             assert bound.shape == (50, net.n + 1)
             dense = dense_operator(net, sim)
             h = sim.dt / 2.0
@@ -526,6 +526,24 @@ class TestSimulate:
             steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
             want = ref.z[:, steps]
             assert np.abs(traj.z - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_peak_memory_stays_near_the_frames(self):
+        # work over all frames goes a block of them at a time, and the grid
+        # map overwrites the modal frames, so little is held beside them
+        rng = np.random.default_rng(83)
+        net = NetworkConfig(
+            graph=random_connected_graph(rng, n_max=30, n_min=30), alpha=0.0, k=3.0, g=-2.0
+        )
+        followers, leader = random_profiles(rng, net.n, 201)
+        sim = SimConfig(nx=201, t_end=2.5, source="paper", initial_conditions=(followers, leader))
+        assert sim.n_steps == 2500 and sim.output_stride == 10
+        tracemalloc.start()
+        try:
+            traj = simulate(net, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (traj.z.nbytes + traj.z_leader.nbytes)
 
     def test_route_rule(self, demo_net):
         # the eigenbasis exactly when a diagonal scaling makes G L symmetric
@@ -671,7 +689,7 @@ class TestSpectral:
     def test_abscissa_matches_dense_oracle_on_presets(self, preset):
         # fig5_k0 and fig6_g0 have an exact zero mode (an uncontrolled
         # constant or an uncoupled agent without leader access)
-        k, g = preset_gains(preset)
+        k, g = PRESETS[preset]["k"], PRESETS[preset]["g"]
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=k, g=g)
         sim = SimConfig(nx=101, dt=1e-3, source="off")
         assert abs(spectral_abscissa(net, sim) - dense_abscissa(net, sim)) <= 1e-9
@@ -684,7 +702,7 @@ class TestSpectral:
 
     def test_abscissa_does_not_depend_on_dt(self):
         # the semi-discrete value: no time step, so no stiff grid mode, floors it
-        k, g = preset_gains("sectionV")
+        k, g = PRESETS["sectionV"]["k"], PRESETS["sectionV"]["g"]
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=k, g=g)
         values = []
         for dt in (1e-3, 0.05):
