@@ -3,7 +3,8 @@
 Scenario configs are JSON with explicit keys; agent indices in files are
 1-based.  Exit codes: 0 success (certificate feasible where applicable),
 1 a negative answer about a valid scenario (infeasible, uncontrollable,
-divergence: a HeatSyncError), 2 usage or config error (a ValueError).
+divergence: a HeatSyncError, printed as ``error: ...``), 2 usage or config
+error (a ValueError, printed as ``config error: ...``).
 All emitted files are deterministic: floats are written as shortest
 round-trip decimals and JSON keys sorted, so re-running a command on the
 same config reproduces outputs byte for byte.
@@ -25,9 +26,9 @@ from .certify import (
     certificate_matrix,
     evaluate_certificate,
 )
-from .errors import Divergence, HeatSyncError
+from .errors import HeatSyncError
 from .gains import design as design_gains
-from .graph import FollowerGraph, build_graph
+from .graph import build_graph
 from .pdesim import (
     SimConfig,
     _resolve_initial_conditions,
@@ -44,10 +45,6 @@ GRAPH_KEYS = ("n", "edges", "leader_set")
 # a design report doubles as a config, so its own keys are accepted too
 CONFIG_KEYS = ("scenario_preset", "graph", "alpha", "beta", "k", "g", "sim", "command",
                "version", "k_window_lo", "k_window_hi", "max_eig", "margin", "components")
-
-
-class ConfigError(ValueError):
-    """Config file unreadable or malformed (exit code 2)."""
 
 
 @dataclass
@@ -72,21 +69,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _block(value, name: str, known) -> dict:
-    """``value`` as a JSON object holding only ``known`` keys, else a ConfigError."""
+    """``value`` as a JSON object holding only ``known`` keys, else a ValueError."""
     if not isinstance(value, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
+        raise ValueError(f"'{name}' must be a JSON object")
     unknown = sorted(set(value) - set(known))
     if unknown:
-        raise ConfigError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
     return value
-
-
-def _graph_from_dict(d) -> FollowerGraph:
-    d = _block(d, "graph", GRAPH_KEYS)
-    try:
-        return build_graph(d["n"], d.get("edges", []), d.get("leader_set", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad graph block: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -96,36 +85,38 @@ def load_scenario(path) -> Scenario:
     physics, gains, forcing, initial profiles and horizon, and a file that
     also sets one of them is refused; the ``sim`` block still controls the
     numerics (nx, dt, scheme, output stride).  Without a preset the file
-    must carry the graph and physics explicitly.
+    must carry the graph and physics explicitly.  Every refusal is a
+    ValueError that names the file.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _block(raw, "top-level", CONFIG_KEYS)
-    sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
-    preset, config = raw.get("scenario_preset"), raw
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("config root must be a JSON object")
+        _block(raw, "top-level", CONFIG_KEYS)
+        sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
+        preset, config = raw.get("scenario_preset"), raw
         if preset is not None:
             if preset not in tuple(PRESETS):  # a tuple: a list preset is unhashable
-                raise ConfigError(
+                raise ValueError(
                     f"unknown scenario_preset {preset!r}; expected one of {tuple(PRESETS)}"
                 )
             entry = PRESETS[preset]
             pinned = [key for key in entry if key != "sim" and key in raw]
             pinned += [f"sim.{key}" for key in entry["sim"] if key in sim_fields]
             if pinned:
-                raise ConfigError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
+                raise ValueError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
             config = {**raw, **entry}
             sim_fields.update(entry["sim"])
         if "graph" not in config:
-            raise ConfigError("config needs a 'graph' block or a scenario_preset")
-        graph = _graph_from_dict(config["graph"])
+            raise ValueError("config needs a 'graph' block or a scenario_preset")
+        block = _block(config["graph"], "graph", GRAPH_KEYS)
+        graph = build_graph(block.get("n"), block.get("edges", []), block.get("leader_set", []))
         alpha, beta = config.get("alpha", 0.0), config.get("beta", 1.0)
         k, g = config.get("k", 0.0), config.get("g", 0.0)
         initial = sim_fields.get("initial_conditions")
@@ -133,15 +124,13 @@ def load_scenario(path) -> Scenario:
             initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
             sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
         elif initial is not None and not isinstance(initial, str):
-            raise ConfigError("sim.initial_conditions must be a preset token or an object")
+            raise ValueError("sim.initial_conditions must be a preset token or an object")
         net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
         sim = SimConfig(**sim_fields)
         # profile shapes are checked here, before any command runs or writes
         _resolve_initial_conditions(net, sim)
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise ValueError(f"bad config {path}: {exc}") from exc
     return Scenario(net=net, sim=sim, preset=preset, raw=raw)
 
 
@@ -178,7 +167,7 @@ def _output_dir(path: Path) -> Path:
     """``path``, refused before any work when a file stands where a directory must go."""
     existing = next(part for part in (path, *path.parents) if part.exists())
     if not existing.is_dir():
-        raise ConfigError(f"cannot write under {path}: {existing} is not a directory")
+        raise ValueError(f"cannot write under {path}: {existing} is not a directory")
     return path
 
 
@@ -261,11 +250,11 @@ def _parse_snapshots(text: str, t_end: float) -> list[float]:
     try:
         times = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad snapshot list {text!r}: {exc}") from exc
+        raise ValueError(f"bad snapshot list {text!r}: {exc}") from exc
     if not np.isfinite(times).all():
-        raise ConfigError(f"snapshot times must be finite, got {text!r}")
+        raise ValueError(f"snapshot times must be finite, got {text!r}")
     if not all(_in_horizon(t, t_end) for t in times):
-        raise ConfigError(f"snapshot times must lie in [0, {t_end:g}], got {text!r}")
+        raise ValueError(f"snapshot times must lie in [0, {t_end:g}], got {text!r}")
     return times
 
 
@@ -326,15 +315,15 @@ def cmd_spectrum(args) -> int:
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--{name} must look like lo:hi:n, got {text!r}")
+        raise ValueError(f"--{name} must look like lo:hi:n, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad --{name} range {text!r}: {exc}") from exc
+        raise ValueError(f"bad --{name} range {text!r}: {exc}") from exc
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError(f"--{name} bounds must be finite, got {text!r}")
+        raise ValueError(f"--{name} bounds must be finite, got {text!r}")
     if count < 2:
-        raise ConfigError(f"--{name} needs at least 2 points, got {count}")
+        raise ValueError(f"--{name} needs at least 2 points, got {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -344,7 +333,7 @@ def cmd_sweep(args) -> int:
     g_values = _parse_range(args.g, "g")
     out_path = Path(args.out)
     if out_path.is_dir():
-        raise ConfigError(f"cannot write {out_path}: it is a directory")
+        raise ValueError(f"cannot write {out_path}: it is a directory")
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     run_sim = bool(args.simulate)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
@@ -433,13 +422,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # input that is not a scenario, ConfigError included: the package
-        # raises ValueError on it, and HeatSyncError only on valid input
+        # input that is not a scenario: the package raises ValueError on it,
+        # and HeatSyncError only on valid input
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Divergence as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return 1
     except HeatSyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

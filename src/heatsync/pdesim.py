@@ -301,23 +301,24 @@ def _apply(step, y: np.ndarray) -> np.ndarray:
     return (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
 
 
-def _stepwise(op, sim, step, y, first, count, frames=None) -> None:
-    """``count`` block-map steps from step ``first`` on a mode-major y (nx, N+1).
+def _stepwise(op, sim, step, frames, steps) -> None:
+    """Block-map steps on agent-major modal frames (k, N+1, nx), in place: from
+    ``frames[0]``, taken at step ``steps[0]``, ``frames[k]`` is written at ``steps[k]``.
 
     |z_a| <= sum_j |y_ja| since |cos| <= 1, so a step is checked on the grid
-    only when that crosses the divergence limit.  Output frames, agent-major,
-    are appended to ``frames`` when it is given.
+    only when that crosses the divergence limit.
     """
     n, dt = len(op.coupling) - 1, sim.dt
     h = THETA[sim.scheme] * dt
     source = _source_response(op, sim, h)[:, np.newaxis]
-    for s in range(first + 1, first + count + 1):
-        y = _apply(step, y) + forcing_amplitude((s - 1) * dt + h) * source
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
-                _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
-        if frames is not None and (s % sim.output_stride == 0 or s == sim.n_steps):
-            frames.append(y.T)
+    y = frames[0].T  # mode-major
+    for k in range(1, len(steps)):
+        for s in range(steps[k - 1] + 1, steps[k] + 1):
+            y = _apply(step, y) + forcing_amplitude((s - 1) * dt + h) * source
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
+                    _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
+        frames[k] = y.T
 
 
 def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
@@ -425,10 +426,10 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     the half step) and theta = 1 for backward Euler (source at the step
     end).  With an ``_agent_basis`` the run is ``_eigen_frames``, and a
     stride whose bound crosses the divergence limit is replayed with the
-    block map, so divergence is still decided step by step; else the block
-    map runs one step at a time.  Raises Divergence (with step and agent)
-    if the field leaves the finite range; an exactly singular implicit
-    block diverges at step 1.
+    block map, which rewrites its end frame: divergence is decided step by
+    step.  Else the block map fills one frames array a step at a time.
+    Raises Divergence (with step and agent) if the field leaves the finite
+    range; an exactly singular implicit block diverges at step 1.
     """
     n = net.n
     op = assemble_operator(net, sim)
@@ -439,18 +440,19 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     basis = _agent_basis(net, op)
     try:
         if basis is None:
-            frames = [y]
-            _stepwise(op, sim, _block_step(op, sim), y.T, 0, sim.n_steps, frames)
-            frames = np.array(frames)
+            step = _block_step(op, sim)  # its inverses first: they can outweigh the frames
+            frames = np.empty((len(steps), n + 1, sim.nx))
+            frames[0] = y
+            _stepwise(op, sim, step, frames, steps)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails a bound
                 frames, bound = _eigen_frames(op, sim, basis, y)
                 unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT).all(axis=1))
             step = _block_step(op, sim) if unsafe.size else None
             for f in unsafe:
-                _stepwise(op, sim, step, frames[f].T, steps[f], steps[f + 1] - steps[f])
+                _stepwise(op, sim, step, frames[f : f + 2], steps[f : f + 2])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
-        _check_finite(np.full((n + 1, sim.nx), np.nan), n, sim.nx, 1, sim.dt)
+        raise Divergence(step=1, t=sim.dt, agent=1 if n else "leader")
     for b in _frame_blocks(len(frames)):  # in place, to the grid
         frames[b] = (frames[b].reshape(-1, sim.nx) @ op.modes.T).reshape(-1, n + 1, sim.nx)
     frames[0] = z  # the first frame is the initial state itself

@@ -13,6 +13,7 @@ import pytest
 import heatsync
 from heatsync.certify import FEASIBILITY_MARGIN
 from heatsync.cli import CONFIG_KEYS, load_scenario, main
+from heatsync.scenarios import demo_initial_profiles
 
 from conftest import random_connected_graph
 from oracles import dense_abscissa
@@ -338,6 +339,46 @@ class TestParsing:
         assert_config_error(proc)
         assert "'alhpa'" in proc.stderr
         assert not (tmp_path / "typo.certify.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario_preset": "sectionV", "alhpa": 0.5},
+            {"scenario_preset": "sectionV2"},
+            {"scenario_preset": "sectionV", "k": 4.0},
+            {"graph": {"n": 2, "edges": [[1, 1]], "leader_set": [1]}},
+            {"graph": {"edges": [], "leader_set": []}},
+            {"graph": {"n": 1, "edges": [], "leader_set": [1]}, "alpha": float("nan")},
+            {
+                "graph": {"n": 1, "edges": [], "leader_set": [1]},
+                "sim": {
+                    "nx": 16,
+                    "initial_conditions": {
+                        "followers": [[0.0] * 16], "leader": [0.0] * 16, "leeder": [0.0] * 16,
+                    },
+                },
+            },
+            [{"scenario_preset": "sectionV"}],
+            {"alpha": 0.0, "k": 3.0},
+        ],
+        ids=[
+            "unknown-key", "unknown-preset", "preset-pins-k", "self-loop", "graph-without-n",
+            "nan-alpha", "leeder", "list-root", "no-graph",
+        ],
+    )
+    def test_refusal_names_the_file(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path / "refused.json", payload)
+        assert main(["certify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert cfg in err
+
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"alpha": "\xe9"}')
+        assert main(["certify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}:") and err.count("\n") == 1
 
     def test_readme_configs_load(self, tmp_path):
         # the configs the README documents pass the key and number rules
@@ -832,11 +873,27 @@ class TestOutputPaths:
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, preset_config, tmp_path):
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
-            assert main(["simulate", preset_config, "--out", str(d)]) == 0
-        for name in ("errors.csv", "boundary.csv", "avg_error.csv", "manifest.json"):
-            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        # mixed-sign g runs on the block map, and a start of 2e11 fails the
+        # first stride's bound, so that stride is replayed step by step
+        preset = heatsync.PRESETS["sectionV"]
+        sim = {**preset["sim"], "nx": 41, "dt": 0.002}
+        followers, leader = demo_initial_profiles(np.linspace(0.0, 1.0, 41))
+        big = {"followers": (2e11 * followers).tolist(), "leader": leader.tolist()}
+        configs = [
+            preset_config,
+            write_config(
+                tmp_path / "mixed.json", {**preset, "g": [1.0, -1.0, 1.0, -1.0, 0.0], "sim": sim}
+            ),
+            write_config(
+                tmp_path / "big.json", {**preset, "sim": {**sim, "initial_conditions": big}}
+            ),
+        ]
+        for i, cfg in enumerate(configs):
+            dirs = [tmp_path / f"{i}a", tmp_path / f"{i}b"]
+            for d in dirs:
+                assert main(["simulate", cfg, "--out", str(d)]) == 0
+            for name in ("errors.csv", "boundary.csv", "avg_error.csv", "manifest.json"):
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_certify_byte_identical(self, preset_config, tmp_path):
         report = tmp_path / "scenario.certify.json"

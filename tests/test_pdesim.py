@@ -545,6 +545,21 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak <= 1.6 * (traj.z.nbytes + traj.z_leader.nbytes)
 
+    def test_fallback_peak_memory_stays_near_the_frames(self, demo_net):
+        # mixed-sign g takes the block map, which writes every frame into
+        # one array allocated after its per-mode inverses
+        net = demo_net.with_gains(g=[1.0, -1.0, 1.0, -1.0, 0.0])
+        sim = SimConfig(nx=101, t_end=2.5, source="paper", initial_conditions="sectionV")
+        assert sim.n_steps == 2500 and sim.output_stride == 10
+        assert _agent_basis(net, assemble_operator(net, sim)) is None
+        tracemalloc.start()
+        try:
+            traj = simulate(net, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (traj.z.nbytes + traj.z_leader.nbytes)
+
     def test_route_rule(self, demo_net):
         # the eigenbasis exactly when a diagonal scaling makes G L symmetric
         nets = [demo_net, demo_net.with_gains(g=0.0)] + route_nets(np.random.default_rng(77))

@@ -9,7 +9,7 @@ definition does not count.  Likewise every exception in
 defaulted parameter of a public function is passed by some call in the
 package: a value that only the tests choose is a constant.  A public
 method or property of a public class is read somewhere in the package
-too.
+too, and the command line defines no exception type of its own.
 """
 import ast
 import inspect
@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 import heatsync
-from heatsync import errors
+from heatsync import cli, errors
 
 PACKAGE = Path(heatsync.__file__).resolve().parent
 # the version is metadata
@@ -136,6 +136,17 @@ def test_every_exception_is_raised_in_the_package():
     for path in sorted(PACKAGE.glob("*.py")):
         raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
     assert sorted(defined - raised) == [], "exceptions the package never raises"
+
+
+def test_cli_defines_no_exception():
+    # bad input is a ValueError and a negative answer a HeatSyncError, in
+    # the command line as in the package
+    own = [
+        name
+        for name, cls in inspect.getmembers(cli, inspect.isclass)
+        if cls.__module__ == cli.__name__ and issubclass(cls, BaseException)
+    ]
+    assert own == [], f"exception classes defined in heatsync.cli: {own}"
 
 
 def test_every_default_is_passed_in_the_package():
