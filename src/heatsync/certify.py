@@ -13,7 +13,8 @@ a linear matrix inequality in the coupling gain.  The coupling term enters
 the lower-right block once (as g*L for a scalar gain); for g <= 0 this
 is the conservative reading and it is the one all the closed-form gain
 windows are derived from.  ``evaluate_certificate`` decides feasibility
-from the top eigenvalue of one LAPACK ``eigvalsh`` call.
+from the top eigenvalue of one LAPACK ``eigvalsh`` call.  ``certificate_sweep``
+applies that rule to a grid of gains, from stacks of the same builder.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from .graph import FollowerGraph, _as_float, laplacian, leader_mask
 _HALF_PI_SQ = np.pi**2 / 2.0
 # A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
 FEASIBILITY_MARGIN = 1e-9
+# a sweep builds and solves at most this many certificate entries at once
+_STACK_ENTRIES = 1 << 16
 
 Gains = Union[float, Sequence[float]]
 
@@ -154,6 +157,27 @@ class Certificate:
     margin: float
 
 
+def _certificate_stack(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The certificates of ``cfg`` at the gains in each row of k and g, each
+    (cells, N), or (cells, 1) for gains common to all followers: a stack
+    (cells, 2N, 2N), not yet symmetrized, with any overflow left in."""
+    n = cfg.n
+    if n < 1:
+        raise DimensionMismatch("certificates need at least one follower")
+    eye, d = np.eye(n), np.arange(n)
+    lap = laplacian(cfg.graph).astype(float)
+    kbar = np.zeros((len(k), n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse an overflow
+        kbar[:, d, d] = k * leader_mask(cfg.graph).astype(float).diagonal()
+        gl = g[:, :, np.newaxis] * lap + 0.0  # a zero entry is +0, as in the product diag(g) L
+        a = np.empty((len(k), 2 * n, 2 * n))
+        a[:, :n, :n] = -(cfg.beta * _HALF_PI_SQ) * eye
+        a[:, :n, n:] = a[:, n:, :n] = cfg.beta * kbar
+        sym_gl = (gl + gl.swapaxes(1, 2)) / 2.0
+        a[:, n:, n:] = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar) + sym_gl
+    return a
+
+
 def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
     """The 2N x 2N certificate matrix.
 
@@ -165,20 +189,12 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
 
     where sym(X) = (X + X^T)/2.  Negative definiteness certifies exponential
     leader synchronization in the L2 norm.  Raises ValueError when finite
-    parameters overflow into an entry that is not finite.
+    parameters overflow into an entry that is not finite.  This is the
+    one-cell case of ``certificate_sweep``'s stack.
     """
-    n = cfg.n
-    if n < 1:
-        raise DimensionMismatch("certificates need at least one follower")
-    eye = np.eye(n)
-    lap = laplacian(cfg.graph).astype(float)
-    kbar = np.diag(cfg.boundary_gains)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        gl = np.diag(cfg.g_vector) @ lap
-        top = np.hstack([-(cfg.beta * _HALF_PI_SQ) * eye, cfg.beta * kbar])
-        lower_right = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar.T) + (gl + gl.T) / 2.0
-        bottom = np.hstack([cfg.beta * kbar.T, lower_right])
-        matrix = SymMatrix(np.vstack([top, bottom]))
+        stack = _certificate_stack(cfg, cfg.k_vector[np.newaxis], cfg.g_vector[np.newaxis])
+        matrix = SymMatrix(stack[0])
     if not np.isfinite(matrix.mat).all():
         raise ValueError("the certificate matrix overflows: alpha, beta, k or g is too large")
     return matrix
@@ -200,3 +216,33 @@ def evaluate_certificate(matrix: SymMatrix) -> Certificate:
         feasible=feasible,
         margin=-max_eig if feasible else 0.0,
     )
+
+
+def certificate_sweep(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray):
+    """Top eigenvalues and verdicts of ``cfg``'s certificates at the common
+    gains (k[c], g[c]) of each cell c, by ``evaluate_certificate``'s rule.
+
+    The certificates are built as stacks of at most ``_STACK_ENTRIES``
+    entries and solved by one ``eigvalsh`` call per stack; a stack whose
+    solve fails is solved again one cell at a time.  A cell whose
+    certificate overflows or whose solve fails has a nan eigenvalue, as if
+    its ``certificate_matrix`` or ``evaluate_certificate`` had raised.
+    Without followers it raises DimensionMismatch, as that builder does.
+    """
+    max_eig = np.full(len(k), np.nan)
+    size = max(1, _STACK_ENTRIES // max(1, 4 * cfg.n**2))  # cells per stack
+    for lo in range(0, len(k), size):
+        cells = slice(lo, lo + size)
+        a = _certificate_stack(cfg, k[cells, np.newaxis], g[cells, np.newaxis])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in SymMatrix; refused below
+            a = (a + a.swapaxes(1, 2)) / 2.0
+        done = np.flatnonzero(np.isfinite(a).all(axis=(1, 2)))
+        try:
+            max_eig[lo + done] = np.linalg.eigvalsh(a[done])[:, -1]
+        except np.linalg.LinAlgError:
+            for c in done:
+                try:
+                    max_eig[lo + c] = np.linalg.eigvalsh(a[c])[-1]
+                except np.linalg.LinAlgError:
+                    pass
+    return max_eig, max_eig < -FEASIBILITY_MARGIN

@@ -5,6 +5,9 @@ Scenario configs are JSON with explicit keys; agent indices in files are
 1 a negative answer about a valid scenario (infeasible, uncontrollable,
 divergence: a HeatSyncError, printed as ``error: ...``), 2 usage or config
 error (a ValueError, printed as ``config error: ...``).
+A command imports only the layers it runs: ``design`` the gain synthesis,
+``simulate``, ``spectrum`` and ``sweep --simulate`` the simulator; ``sweep``
+solves its whole grid with ``certify.certificate_sweep``.
 All emitted files are deterministic: floats are written as shortest
 round-trip decimals and JSON keys sorted, so re-running a command on the
 same config reproduces outputs byte for byte.
@@ -24,21 +27,12 @@ from .certify import (
     FEASIBILITY_MARGIN,
     NetworkConfig,
     certificate_matrix,
+    certificate_sweep,
     evaluate_certificate,
 )
 from .errors import HeatSyncError
-from .gains import design as design_gains
 from .graph import build_graph
-from .pdesim import (
-    SimConfig,
-    _resolve_initial_conditions,
-    analytic_open_loop_spectrum,
-    fit_decay_rate,
-    simulate,
-    spectral_abscissa,
-    sync_errors,
-)
-from .scenarios import PRESETS
+from .scenarios import PRESETS, SimConfig, _resolve_initial_conditions
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
 GRAPH_KEYS = ("n", "edges", "leader_set")
@@ -196,6 +190,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .gains import design as design_gains
+
     scn = load_scenario(args.config)
     if "k" in scn.raw or "g" in scn.raw:
         print("note: k/g in config are ignored; design synthesizes them", file=sys.stderr)
@@ -259,6 +255,8 @@ def _parse_snapshots(text: str, t_end: float) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    from .pdesim import simulate, sync_errors
+
     scn = load_scenario(args.config)
     snapshots = (
         _parse_snapshots(args.snapshots, scn.sim.t_end)
@@ -304,6 +302,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .pdesim import analytic_open_loop_spectrum, spectral_abscissa
+
     scn = load_scenario(args.config)
     absc = spectral_abscissa(scn.net, scn.sim)
     modes = analytic_open_loop_spectrum(scn.net.alpha, scn.net.beta, n_modes=6)
@@ -337,26 +337,28 @@ def cmd_sweep(args) -> int:
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     run_sim = bool(args.simulate)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
-    successes = 0
-    rows = []
-    for k in k_values:
-        for g in g_values:
-            row = [k, g]
+    k_cells = np.repeat(k_values, len(g_values))  # row-major: k, then g
+    g_cells = np.tile(g_values, len(k_values))
+    try:
+        max_eig, feasible = certificate_sweep(scn.net, k_cells, g_cells)
+    except HeatSyncError:  # no followers: no cell has a certificate
+        max_eig = feasible = np.full(len(k_cells), np.nan)
+    if run_sim:
+        from .pdesim import fit_decay_rate, simulate, sync_errors
+
+        window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
+    rows, successes = [], 0
+    for k, g, eig, ok in zip(k_cells, g_cells, max_eig, feasible):
+        row = [k, g, eig, "true" if ok else "false"]
+        if run_sim and not np.isnan(eig):
             try:
-                cfg = scn.net.with_gains(k=float(k), g=float(g))
-                cert = evaluate_certificate(certificate_matrix(cfg))
-                row += [cert.max_eig, "true" if cert.feasible else "false"]
-                if run_sim:
-                    traj = simulate(cfg, scn.sim)
-                    series = sync_errors(traj)
-                    t_end = scn.sim.t_end
-                    window = (min(0.5, t_end / 5.0), min(2.0, t_end))
-                    row.append(fit_decay_rate(series, window))
-                successes += 1
+                series = sync_errors(simulate(scn.net.with_gains(k=float(k), g=float(g)), scn.sim))
+                row.append(fit_decay_rate(series, window))
             except (HeatSyncError, ValueError):
-                # failed cell: keep the gains, blank the metric columns
-                row = row[:2] + [""] * (len(cols) - 2)
-            rows.append(row)
+                eig = np.nan
+        # a failed cell keeps its gains and blanks the metric columns
+        rows.append([k, g] + [""] * (len(cols) - 2) if np.isnan(eig) else row)
+        successes += not np.isnan(eig)
     _write_csv(out_path, cols, rows)
     print(f"wrote {out_path} ({len(k_values) * len(g_values)} cells)")
     return 0 if successes > 0 else 1

@@ -1,4 +1,8 @@
-"""Built-in scenarios: the paper's Section V example and its two ablations.
+"""The config layer: built-in scenarios and the simulation config.
+
+``SimConfig`` holds a run's discretization and scenario data, and
+``_resolve_initial_conditions`` turns it into initial fields, so a config
+is read and checked without loading the simulator.
 
 ``PRESETS`` maps each ``scenario_preset`` token to the config it stands
 for, written as a config file would write it: five followers on a tree
@@ -12,7 +16,12 @@ profiles and a horizon of 2.5.  The presets differ in their gains:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .certify import NetworkConfig
+from .graph import _as_float, _as_int
 
 FORCING_RATE = np.pi  # angular rate w of the forcing's sin(w t)
 
@@ -59,3 +68,90 @@ def forcing_shape(x: np.ndarray) -> np.ndarray:
 def forcing_amplitude(t: float) -> float:
     """Temporal factor sin(FORCING_RATE t) of the demo forcing."""
     return np.sin(FORCING_RATE * t)
+
+
+SOURCE_SELECTORS = ("off", "paper")
+THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}  # theta of each time-stepping scheme
+
+
+@dataclass(frozen=True, eq=False)
+class SimConfig:
+    """Discretization and scenario data for one simulation run.
+
+    ``initial_conditions`` is either a preset token ("sectionV"), a pair of
+    arrays (followers (N, nx), leader (nx,)), stored as float arrays, or
+    None for all-zero fields.  A bool, a string or a value that is not
+    finite in ``dt``, ``t_end`` or a profile raises ValueError.
+    ``source`` selects the forcing term: "off" (the default) or "paper"
+    (the demo forcing (1 + cos(2 pi x)) sin(pi t), applied to every agent
+    and the leader).
+    """
+
+    nx: int = 101
+    dt: float = 1e-3
+    t_end: float = 2.5
+    source: str = "off"
+    scheme: str = "crank_nicolson"
+    output_stride: int = 10
+    initial_conditions: object = None
+
+    def __post_init__(self):
+        # counts are never truncated: 41.0 is stored as 41, 41.9 is rejected
+        object.__setattr__(self, "nx", _as_int(self.nx, "nx"))
+        object.__setattr__(self, "output_stride", _as_int(self.output_stride, "output_stride"))
+        if self.nx < 16:
+            raise ValueError(f"nx must be >= 16, got {self.nx}")
+        for name in ("dt", "t_end"):
+            value = _as_float(getattr(self, name), name)
+            if not (isinstance(value, float) and np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
+            object.__setattr__(self, name, value)
+        if self.source not in SOURCE_SELECTORS:
+            raise ValueError(f"source must be one of {SOURCE_SELECTORS}")
+        if self.scheme not in THETA:
+            raise ValueError(f"scheme must be one of {tuple(THETA)}")
+        if self.output_stride < 1:
+            raise ValueError("output_stride must be >= 1")
+        ic = self.initial_conditions
+        if isinstance(ic, str) and ic != "sectionV":
+            raise ValueError(f"unknown initial-condition preset {ic!r}; expected 'sectionV'")
+        if ic is not None and not isinstance(ic, str):
+            ic = tuple(
+                np.array(_as_float(part, f"initial {name}"))
+                for name, part in zip(("followers", "leader"), ic, strict=True)
+            )
+            if not all(np.isfinite(part).all() for part in ic):
+                raise ValueError("initial conditions must be finite")
+            object.__setattr__(self, "initial_conditions", ic)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.nx)
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / (self.nx - 1)
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_end / self.dt)))
+
+
+def _resolve_initial_conditions(
+    net: NetworkConfig, sim: SimConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    x = sim.grid
+    ic = sim.initial_conditions
+    if ic is None:
+        return np.zeros((net.n, sim.nx)), np.zeros(sim.nx)
+    if isinstance(ic, str):  # "sectionV", the one token SimConfig accepts
+        if net.n != 5:
+            raise ValueError(f"the sectionV profiles define 5 followers, config has {net.n}")
+        return demo_initial_profiles(x)
+    followers, leader = ic
+    if followers.shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
+        raise ValueError(
+            f"initial conditions must have shapes ({net.n}, {sim.nx}) and "
+            f"({sim.nx},), got {followers.shape} and {leader.shape}"
+        )
+    return followers, leader

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +80,20 @@ def test_workload_simulate_matches_dense_stepper(tmp_path, name):
     got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
     want = np.concatenate([ref.z.reshape(-1), ref.z_leader.reshape(-1)])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_large_network_sweep_memory_is_bounded(tmp_path):
+    # a sweep solves its certificates in stacks of a bounded size, so 900
+    # cells of the N=32 graph stay within a few stacks' worth of memory
+    wl = perfbench_module("workloads").build("large_network", 1)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wl.config))
+    args = ["sweep", str(path), "--k=1:9:30", "--g=-8:-1:30", "--out", str(tmp_path / "sweep.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 901
+    assert peak <= 8 * 2**20

@@ -10,8 +10,9 @@ from heatsync import (
     laplacian,
     search_g,
 )
-from heatsync.certify import FEASIBILITY_MARGIN
-from heatsync.errors import InfeasibleInBracket
+from heatsync import certify
+from heatsync.certify import FEASIBILITY_MARGIN, certificate_sweep
+from heatsync.errors import DimensionMismatch, InfeasibleInBracket
 
 from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
@@ -137,6 +138,59 @@ class TestEvaluateCertificate:
             assert cert.margin == (-cert.max_eig if cert.feasible else 0.0)
             near += abs(cert.max_eig + margin) <= 1e-11
         assert near >= 100
+
+
+def one_cell(cfg, k, g):
+    """(max_eig, feasible) of one sweep cell by the one-cell route; nan when it refuses."""
+    try:
+        cert = evaluate_certificate(certificate_matrix(cfg.with_gains(k=float(k), g=float(g))))
+    except ValueError:  # an overflow, or a LinAlgError
+        return np.nan, False
+    return cert.max_eig, cert.feasible
+
+
+class TestCertificateSweep:
+    def test_bit_equal_to_one_cell_route(self):
+        # per-agent k and g on the config are overridden by each cell's
+        # scalars; n up to 40 spans several stacks, and gains up to 1e308
+        # overflow some cells
+        rng = np.random.default_rng(20)
+        overflowed = stacked = 0
+        for _ in range(40):
+            cfg = random_general_config(rng, n_max=40)
+            k = np.concatenate([rng.uniform(-2.0, 14.0, 30), [3.0, 1e308]])
+            g = np.concatenate([rng.uniform(-12.0, 2.0, 30), [0.0, -1e308]])
+            rng.shuffle(k)
+            max_eig, feasible = certificate_sweep(cfg, k, g)
+            want = [one_cell(cfg, kc, gc) for kc, gc in zip(k, g)]
+            assert max_eig.tobytes() == np.array([w[0] for w in want]).tobytes()
+            assert feasible.tolist() == [w[1] for w in want]
+            overflowed += np.isnan(max_eig).sum()
+            stacked += len(k) * 4 * cfg.n**2 > certify._STACK_ENTRIES
+        assert overflowed >= 40 and stacked >= 5
+
+    def test_failed_solve_blanks_only_its_cell(self, monkeypatch):
+        # a LinAlgError fails the stack it is raised in; each of its cells is
+        # solved again alone, and only the cell that fails again is blank
+        solve = np.linalg.eigvalsh
+
+        def failing(a):
+            if (a[..., 0, 5] == 7.0).any():  # the boundary gain of follower 1
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a)
+
+        cfg = NetworkConfig(graph=demo_graph(), alpha=0.0, k=3.0, g=-2.0)
+        k, g = np.repeat([1.0, 7.0, 9.0], 2), np.tile([-4.0, -1.0], 3)
+        want = [one_cell(cfg, kc, gc)[0] for kc, gc in zip(k, g)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        max_eig, _ = certificate_sweep(cfg, k, g)
+        assert np.isnan(max_eig).tolist() == [False, False, True, True, False, False]
+        assert max_eig[[0, 1, 4, 5]].tolist() == [want[i] for i in (0, 1, 4, 5)]
+
+    def test_no_followers_raises(self):
+        cfg = NetworkConfig(graph=build_graph(0, [], []), alpha=0.0)
+        with pytest.raises(DimensionMismatch):
+            certificate_sweep(cfg, np.ones(3), -np.ones(3))
 
 
 def fully_controlled_kernel(n, alpha, k):

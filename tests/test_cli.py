@@ -827,6 +827,14 @@ class TestSweep:
         rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
         assert [row[2:] == ["", ""] for row in rows] == [False, False, True, True]
 
+    def test_no_followers_blanks_every_cell(self, tmp_path):
+        cfg = write_config(tmp_path / "empty.json", {"graph": {"n": 0}, "alpha": 0.0})
+        out_csv = tmp_path / "empty.csv"
+        code = main(["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", str(out_csv)])
+        assert code == 1
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(row[2:] == ["", ""] for row in rows)
+
     def test_bad_range_exits_2(self, explicit_config, tmp_path):
         code = main(
             ["sweep", explicit_config, "--k", "1:9:1", "--g", "-4:0:3",
@@ -929,3 +937,46 @@ class TestPackaging:
         proc = fresh_python(["-c", code], text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+
+
+class TestLoading:
+    """Each command loads only the layers it runs; the package loads them on demand."""
+
+    LAYERS = ("heatsync.gains", "heatsync.pdesim")
+
+    def loaded(self, args, cwd):
+        """The heatsync modules a fresh ``python -m heatsync`` process imports."""
+        proc = fresh_python(["-X", "importtime", "-m", "heatsync", *args], text=True, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        names = {line.split("|")[2].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")}
+        return {name for name in names if name.startswith("heatsync")}
+
+    @pytest.mark.parametrize(
+        "args, unloaded",
+        [
+            (["certify", "scenario.json"], LAYERS),
+            (["sweep", "scenario.json", "--k", "1:9:3", "--g", "-4:0:2", "--out", "s.csv"], LAYERS),
+            (["design", "scenario.json"], ("heatsync.pdesim",)),
+            (["simulate", "scenario.json", "--out", "sim"], ("heatsync.gains",)),
+        ],
+    )
+    def test_command_loads_only_its_layers(self, preset_config, args, unloaded):
+        loaded = self.loaded(args, Path(preset_config).parent)
+        assert "heatsync.certify" in loaded
+        assert loaded.isdisjoint(unloaded), sorted(loaded)
+
+    def test_help_lists_every_command(self):
+        proc = fresh_python(["-m", "heatsync", "--help"], text=True)
+        assert proc.returncode == 0
+        for command in ("certify", "design", "simulate", "spectrum", "sweep"):
+            assert command in proc.stdout
+
+    def test_star_import_yields_every_public_name(self):
+        code = (
+            "from heatsync import *; import heatsync; "
+            "print(all(name in globals() for name in heatsync.__all__), len(heatsync.__all__))"
+        )
+        proc = fresh_python(["-c", code], text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", str(len(heatsync.__all__))]
