@@ -11,14 +11,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "certify": ("Certificate", "NetworkConfig", "SymMatrix", "certificate_matrix",
-                "evaluate_certificate", "trapezoid_weights"),
+    "certify": ("Certificate", "SymMatrix", "certificate_matrix", "evaluate_certificate"),
     "gains": ("ComponentPlan", "GainDesign", "Interval", "design", "k_window_partial", "search_g"),
     "graph": ("FollowerGraph", "build_graph", "connected_components", "laplacian", "leader_mask"),
     "pdesim": ("DiscreteOperator", "ErrorSeries", "Trajectory", "analytic_open_loop_spectrum",
                "assemble_operator", "fit_decay_rate", "simulate", "spectral_abscissa",
-               "sync_errors"),
-    "scenarios": ("PRESETS", "SimConfig", "demo_initial_profiles"),
+               "sync_errors", "trapezoid_weights"),
+    "scenarios": ("NetworkConfig", "PRESETS", "SimConfig", "demo_initial_profiles"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

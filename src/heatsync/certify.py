@@ -15,24 +15,23 @@ is the conservative reading and it is the one all the closed-form gain
 windows are derived from.  ``evaluate_certificate`` decides feasibility
 from the top eigenvalue of one LAPACK ``eigvalsh`` call.  ``certificate_sweep``
 applies that rule to a grid of gains, from stacks of the same builder.
+This module holds the certificates only: the scenario they judge,
+``NetworkConfig``, and the verdict threshold ``FEASIBILITY_MARGIN`` live
+in the config layer, ``scenarios``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import FollowerGraph, _as_float, laplacian, leader_mask
+from .graph import laplacian, leader_mask
+from .scenarios import FEASIBILITY_MARGIN, NetworkConfig
 
 _HALF_PI_SQ = np.pi**2 / 2.0
-# A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
-FEASIBILITY_MARGIN = 1e-9
 # a sweep builds and solves at most this many certificate entries at once
 _STACK_ENTRIES = 1 << 16
-
-Gains = Union[float, Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -57,88 +56,6 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def trapezoid_weights(nx: int) -> np.ndarray:
-    """Trapezoid quadrature weights of the uniform nx-point grid on [0, 1]."""
-    dx = 1.0 / (nx - 1)
-    w = np.full(nx, dx)
-    w[0] = w[-1] = dx / 2.0
-    return w
-
-
-def _as_gain_vector(value: Gains, n: int, name: str) -> np.ndarray:
-    if np.isscalar(value):
-        return np.full(n, float(value))
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (n,):
-        raise ValueError(f"{name} must be a scalar or a length-{n} sequence")
-    return vec
-
-
-@dataclass(frozen=True, eq=False)
-class NetworkConfig:
-    """One scenario: graph topology plus physical and control parameters.
-
-    ``k`` is the boundary feedback gain (scalar or one value per follower;
-    values on followers without leader access are inert: ``boundary_gains``
-    multiplies them by the leader mask).  ``g`` is the in-domain coupling
-    gain, with the sign convention that the coupling term is ``+ g * L @ z``,
-    so attractive coupling means g < 0.  The parameters are stored as
-    floats (a per-follower gain as a list of them); a bool, a string or a
-    value that is not finite raises ValueError.
-    """
-
-    graph: FollowerGraph
-    alpha: float
-    beta: float = 1.0
-    k: Gains = 0.0
-    g: Gains = 0.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "k", "g"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        # JSON configs may carry NaN or Infinity; no verdict means anything then.
-        if not (isinstance(self.alpha, float) and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a finite number, got {self.alpha}")
-        if not (isinstance(self.beta, float) and np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be a positive finite number, got {self.beta}")
-        for name in ("k", "g"):
-            if not np.isfinite(_as_gain_vector(getattr(self, name), self.graph.n, name)).all():
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def k_vector(self) -> np.ndarray:
-        return _as_gain_vector(self.k, self.n, "k")
-
-    @property
-    def boundary_gains(self) -> np.ndarray:
-        """k_i * m_i: zero on followers without a leader link, whatever k says."""
-        return self.k_vector * leader_mask(self.graph).astype(float).diagonal()
-
-    @property
-    def g_vector(self) -> np.ndarray:
-        return _as_gain_vector(self.g, self.n, "g")
-
-    @property
-    def k_scalar(self) -> float | None:
-        return float(self.k) if np.isscalar(self.k) else None
-
-    @property
-    def g_scalar(self) -> float | None:
-        return float(self.g) if np.isscalar(self.g) else None
-
-    def with_gains(self, k: Gains | None = None, g: Gains | None = None):
-        changes = {}
-        if k is not None:
-            changes["k"] = k
-        if g is not None:
-            changes["g"] = g
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ Scenario configs are JSON with explicit keys; agent indices in files are
 1 a negative answer about a valid scenario (infeasible, uncontrollable,
 divergence: a HeatSyncError, printed as ``error: ...``), 2 usage or config
 error (a ValueError, printed as ``config error: ...``).
-A command imports only the layers it runs: ``design`` the gain synthesis,
-``simulate``, ``spectrum`` and ``sweep --simulate`` the simulator; ``sweep``
-solves its whole grid with ``certify.certificate_sweep``.
+A command imports only the layers it runs: ``certify`` and ``sweep`` the
+certificates (``sweep`` solves its whole grid with
+``certify.certificate_sweep``), ``design`` the gain synthesis, which loads
+them too, and ``simulate``, ``spectrum`` and ``sweep --simulate`` the
+simulator.  Reading a config loads neither.
 All emitted files are deterministic: floats are written as shortest
 round-trip decimals and JSON keys sorted, so re-running a command on the
 same config reproduces outputs byte for byte.
@@ -23,16 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import (
-    FEASIBILITY_MARGIN,
-    NetworkConfig,
-    certificate_matrix,
-    certificate_sweep,
-    evaluate_certificate,
-)
 from .errors import HeatSyncError
 from .graph import build_graph
-from .scenarios import PRESETS, SimConfig, _resolve_initial_conditions
+from .scenarios import (FEASIBILITY_MARGIN, PRESETS, NetworkConfig, SimConfig,
+                        _resolve_initial_conditions)
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
 GRAPH_KEYS = ("n", "edges", "leader_set")
@@ -50,16 +46,15 @@ class Scenario:
 
 
 def _fmt(value: float) -> str:
-    """Shortest round-trip decimal for CSV cells."""
+    """Shortest round-trip decimal, the ``str`` of a Python float."""
     return repr(float(value))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row; string cells are written as they are, numbers via _fmt."""
+    """One line per row of strings and Python floats, each cell as ``str`` writes it."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _block(value, name: str, known) -> dict:
@@ -171,6 +166,8 @@ def _report_path(config_path, kind: str) -> Path:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certificate_matrix, evaluate_certificate
+
     scn = load_scenario(args.config)
     cert = evaluate_certificate(certificate_matrix(scn.net))
     print(f"certificate size: {2 * scn.net.n} x {2 * scn.net.n}")
@@ -274,20 +271,21 @@ def cmd_simulate(args) -> int:
     _write_csv(
         err_path,
         ["t"] + [f"err_agent_{i + 1}" for i in range(n)] + ["err_total", "pairwise_max"],
-        zip(series.times, *series.per_agent_l2, series.total_l2, series.pairwise_max),
+        np.column_stack([series.times, *series.per_agent_l2, series.total_l2,
+                         series.pairwise_max]).tolist(),
     )
     bdy_path = out_dir / "boundary.csv"
     _write_csv(
         bdy_path,
         ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"],
-        zip(traj.times, *traj.z[:, :, -1], traj.z_leader[:, -1]),
+        np.column_stack([traj.times, *traj.z[:, :, -1], traj.z_leader[:, -1]]).tolist(),
     )
     snap_idx = [int(np.argmin(np.abs(series.times - t))) for t in snapshots]
     avg_path = out_dir / "avg_error.csv"
     _write_csv(
         avg_path,
         ["x"] + [f"ebar_t_{t:g}" for t in snapshots],
-        zip(series.grid, *series.avg_error_field[snap_idx]),
+        np.column_stack([series.grid, *series.avg_error_field[snap_idx]]).tolist(),
     )
 
     manifest = _resolved_params(scn, "simulate")
@@ -328,6 +326,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    from .certify import certificate_sweep
+
     scn = load_scenario(args.config)
     k_values = _parse_range(args.k, "k")
     g_values = _parse_range(args.g, "g")
@@ -348,11 +348,11 @@ def cmd_sweep(args) -> int:
 
         window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     rows, successes = [], 0
-    for k, g, eig, ok in zip(k_cells, g_cells, max_eig, feasible):
+    for (k, g, eig), ok in zip(np.column_stack([k_cells, g_cells, max_eig]).tolist(), feasible):
         row = [k, g, eig, "true" if ok else "false"]
         if run_sim and not np.isnan(eig):
             try:
-                series = sync_errors(simulate(scn.net.with_gains(k=float(k), g=float(g)), scn.sim))
+                series = sync_errors(simulate(scn.net.with_gains(k=k, g=g), scn.sim))
                 row.append(fit_decay_rate(series, window))
             except (HeatSyncError, ValueError):
                 eig = np.nan

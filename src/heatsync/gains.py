@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (
-    Certificate,
-    NetworkConfig,
-    certificate_matrix,
-    evaluate_certificate,
-)
+from .certify import Certificate, certificate_matrix, evaluate_certificate
 from .errors import (
     DimensionMismatch,
     EmptyWindow,
@@ -27,6 +22,7 @@ from .errors import (
     UncontrollableComponent,
 )
 from .graph import FollowerGraph, connected_components
+from .scenarios import NetworkConfig
 
 _PI_SQ = np.pi**2
 # the most attractive coupling gain that design considers

@@ -100,11 +100,9 @@ def build_graph(n, edges, leader_set) -> FollowerGraph:
 def laplacian(g: FollowerGraph) -> np.ndarray:
     """Graph Laplacian: -1 at edges, node degree on the diagonal (int64)."""
     lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for (i, j) in g.edges:
-        lap[i - 1, j - 1] -= 1
-        lap[j - 1, i - 1] -= 1
-        lap[i - 1, i - 1] += 1
-        lap[j - 1, j - 1] += 1
+    i, j = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T - 1
+    lap[i, j] = lap[j, i] = -1  # the edges are distinct pairs of distinct nodes
+    lap[np.diag_indices(g.n)] = np.bincount(np.concatenate([i, j]), minlength=g.n)
     return lap
 
 
@@ -137,6 +135,6 @@ def connected_components(g: FollowerGraph) -> list[tuple[int, ...]]:
 def leader_mask(g: FollowerGraph) -> np.ndarray:
     """Diagonal 0/1 matrix selecting the leader-connected followers (int64)."""
     m = np.zeros((g.n, g.n), dtype=np.int64)
-    for v in g.leader_set:
-        m[v - 1, v - 1] = 1
+    v = np.array(list(g.leader_set), dtype=np.int64) - 1
+    m[v, v] = 1
     return m

@@ -26,8 +26,8 @@ is done an eighth of them at a time.  Any other g (mixed signs, or zero
 on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
 a(t) c_j, from one inverse per mode of I - theta dt A, one step at a time.
 The spectral abscissa is read off the generator's own mode blocks, with
-no time step in it.  Only numpy is needed.  A run's config, ``SimConfig``,
-lives in ``scenarios``, so reading a config does not load this module.
+no time step in it.  Only numpy is needed.  ``NetworkConfig`` and
+``SimConfig`` live in ``scenarios``: reading a config loads no simulator.
 """
 from __future__ import annotations
 
@@ -36,15 +36,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import NetworkConfig, trapezoid_weights
 from .errors import DimensionMismatch, Divergence, NonPositiveSeries
 from .graph import laplacian
-# SimConfig and its tables live in the config layer; this module exports them too
-from .scenarios import (SOURCE_SELECTORS, THETA, SimConfig, _resolve_initial_conditions,
+from .scenarios import (THETA, NetworkConfig, SimConfig, _resolve_initial_conditions,
                         forcing_amplitude, forcing_shape)
 
 _DIVERGENCE_LIMIT = 1e12
 _FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
+
+
+def trapezoid_weights(nx: int) -> np.ndarray:
+    """Trapezoid weights of the uniform nx-point grid on [0, 1], the cosine modes' quadrature."""
+    dx = 1.0 / (nx - 1)
+    w = np.full(nx, dx)
+    w[0] = w[-1] = dx / 2.0
+    return w
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:

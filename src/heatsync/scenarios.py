@@ -1,8 +1,11 @@
-"""The config layer: built-in scenarios and the simulation config.
+"""The config layer: the network and simulation configs and the built-in scenarios.
 
-``SimConfig`` holds a run's discretization and scenario data, and
-``_resolve_initial_conditions`` turns it into initial fields, so a config
-is read and checked without loading the simulator.
+``NetworkConfig`` holds a scenario's graph, physics and gains, and
+``SimConfig`` a run's discretization and scenario data;
+``_resolve_initial_conditions`` turns the pair into initial fields, so a
+config is read and checked without loading the certificates or the
+simulator.  ``FEASIBILITY_MARGIN`` is the verdict threshold that
+``certify`` applies and every report records.
 
 ``PRESETS`` maps each ``scenario_preset`` token to the config it stands
 for, written as a config file would write it: five followers on a tree
@@ -16,14 +19,18 @@ profiles and a horizon of 2.5.  The presets differ in their gains:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 
-from .certify import NetworkConfig
-from .graph import _as_float, _as_int
+from .graph import FollowerGraph, _as_float, _as_int, leader_mask
 
 FORCING_RATE = np.pi  # angular rate w of the forcing's sin(w t)
+# A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
+FEASIBILITY_MARGIN = 1e-9
+
+Gains = Union[float, Sequence[float]]
 
 _SECTION_V = {
     "graph": {"n": 5, "edges": [[1, 3], [2, 4], [3, 4], [4, 5]], "leader_set": [1, 2, 3]},
@@ -68,6 +75,80 @@ def forcing_shape(x: np.ndarray) -> np.ndarray:
 def forcing_amplitude(t: float) -> float:
     """Temporal factor sin(FORCING_RATE t) of the demo forcing."""
     return np.sin(FORCING_RATE * t)
+
+
+def _as_gain_vector(value: Gains, n: int, name: str) -> np.ndarray:
+    if np.isscalar(value):
+        return np.full(n, float(value))
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (n,):
+        raise ValueError(f"{name} must be a scalar or a length-{n} sequence")
+    return vec
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkConfig:
+    """One scenario: graph topology plus physical and control parameters.
+
+    ``k`` is the boundary feedback gain (scalar or one value per follower;
+    values on followers without leader access are inert: ``boundary_gains``
+    multiplies them by the leader mask).  ``g`` is the in-domain coupling
+    gain, with the sign convention that the coupling term is ``+ g * L @ z``,
+    so attractive coupling means g < 0.  The parameters are stored as
+    floats (a per-follower gain as a list of them); a bool, a string or a
+    value that is not finite raises ValueError.
+    """
+
+    graph: FollowerGraph
+    alpha: float
+    beta: float = 1.0
+    k: Gains = 0.0
+    g: Gains = 0.0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "k", "g"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        # JSON configs may carry NaN or Infinity; no verdict means anything then.
+        if not (isinstance(self.alpha, float) and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha}")
+        if not (isinstance(self.beta, float) and np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be a positive finite number, got {self.beta}")
+        for name in ("k", "g"):
+            if not np.isfinite(_as_gain_vector(getattr(self, name), self.graph.n, name)).all():
+                raise ValueError(f"{name} must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def k_vector(self) -> np.ndarray:
+        return _as_gain_vector(self.k, self.n, "k")
+
+    @property
+    def boundary_gains(self) -> np.ndarray:
+        """k_i * m_i: zero on followers without a leader link, whatever k says."""
+        return self.k_vector * leader_mask(self.graph).astype(float).diagonal()
+
+    @property
+    def g_vector(self) -> np.ndarray:
+        return _as_gain_vector(self.g, self.n, "g")
+
+    @property
+    def k_scalar(self) -> float | None:
+        return float(self.k) if np.isscalar(self.k) else None
+
+    @property
+    def g_scalar(self) -> float | None:
+        return float(self.g) if np.isscalar(self.g) else None
+
+    def with_gains(self, k: Gains | None = None, g: Gains | None = None):
+        changes = {}
+        if k is not None:
+            changes["k"] = k
+        if g is not None:
+            changes["g"] = g
+        return replace(self, **changes)
 
 
 SOURCE_SELECTORS = ("off", "paper")

@@ -11,8 +11,9 @@ from heatsync import (
     search_g,
 )
 from heatsync import certify
-from heatsync.certify import FEASIBILITY_MARGIN, certificate_sweep
+from heatsync.certify import certificate_sweep
 from heatsync.errors import DimensionMismatch, InfeasibleInBracket
+from heatsync.scenarios import FEASIBILITY_MARGIN
 
 from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (

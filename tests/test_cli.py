@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import heatsync
-from heatsync.certify import FEASIBILITY_MARGIN
 from heatsync.cli import CONFIG_KEYS, load_scenario, main
-from heatsync.scenarios import demo_initial_profiles
+from heatsync.scenarios import FEASIBILITY_MARGIN, demo_initial_profiles
 
 from conftest import random_connected_graph
 from oracles import dense_abscissa
@@ -943,10 +942,12 @@ class TestLoading:
     """Each command loads only the layers it runs; the package loads them on demand."""
 
     LAYERS = ("heatsync.gains", "heatsync.pdesim")
+    # the certificates stay unloaded unless a command judges one
+    NO_CERTIFICATES = ("heatsync.certify", "heatsync.gains")
 
     def loaded(self, args, cwd):
-        """The heatsync modules a fresh ``python -m heatsync`` process imports."""
-        proc = fresh_python(["-X", "importtime", "-m", "heatsync", *args], text=True, cwd=cwd)
+        """The heatsync modules a fresh ``python`` process imports to run ``args``."""
+        proc = fresh_python(["-X", "importtime", *args], text=True, cwd=cwd)
         assert proc.returncode == 0, proc.stderr
         names = {line.split("|")[2].strip() for line in proc.stderr.splitlines()
                  if line.startswith("import time:")}
@@ -958,13 +959,20 @@ class TestLoading:
             (["certify", "scenario.json"], LAYERS),
             (["sweep", "scenario.json", "--k", "1:9:3", "--g", "-4:0:2", "--out", "s.csv"], LAYERS),
             (["design", "scenario.json"], ("heatsync.pdesim",)),
-            (["simulate", "scenario.json", "--out", "sim"], ("heatsync.gains",)),
+            (["simulate", "scenario.json", "--out", "sim"], NO_CERTIFICATES),
+            (["spectrum", "scenario.json"], NO_CERTIFICATES),
         ],
     )
     def test_command_loads_only_its_layers(self, preset_config, args, unloaded):
-        loaded = self.loaded(args, Path(preset_config).parent)
-        assert "heatsync.certify" in loaded
+        loaded = self.loaded(["-m", "heatsync", *args], Path(preset_config).parent)
+        if "heatsync.certify" not in unloaded:
+            assert "heatsync.certify" in loaded
         assert loaded.isdisjoint(unloaded), sorted(loaded)
+
+    def test_cli_import_loads_no_layer(self, tmp_path):
+        loaded = self.loaded(["-c", "import heatsync.cli"], tmp_path)
+        assert loaded == {"heatsync", "heatsync.cli", "heatsync.errors", "heatsync.graph",
+                          "heatsync.scenarios"}
 
     def test_help_lists_every_command(self):
         proc = fresh_python(["-m", "heatsync", "--help"], text=True)

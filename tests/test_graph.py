@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heatsync import (
+    PRESETS,
     build_graph,
     connected_components,
     design,
@@ -11,6 +12,7 @@ from heatsync import (
 from heatsync.errors import UncontrollableComponent
 
 from conftest import demo_graph, random_graph
+from test_benchmark_surface import perfbench_module
 
 
 def incidence(g):
@@ -24,6 +26,25 @@ def incidence(g):
         u[r, i - 1] = 1
         u[r, j - 1] = -1
     return u
+
+
+def loop_laplacian(g):
+    """The Laplacian filled one edge at a time, as an independent reference."""
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    for (i, j) in g.edges:
+        lap[i - 1, j - 1] -= 1
+        lap[j - 1, i - 1] -= 1
+        lap[i - 1, i - 1] += 1
+        lap[j - 1, j - 1] += 1
+    return lap
+
+
+def loop_leader_mask(g):
+    """The leader mask filled one leader at a time."""
+    m = np.zeros((g.n, g.n), dtype=np.int64)
+    for v in g.leader_set:
+        m[v - 1, v - 1] = 1
+    return m
 
 
 def design_accepts(g):
@@ -235,3 +256,32 @@ class TestLeaderMask:
         assert np.array_equal(
             leader_mask(build_graph(3, [], [1, 2, 3])), np.eye(3)
         )
+
+
+def fill_cases():
+    """Presets, both benchmark workload graphs, random graphs, and graphs
+    without edges, without leaders or without followers."""
+    blocks = [entry["graph"] for entry in PRESETS.values()]
+    workloads = perfbench_module("workloads")
+    blocks += [workloads.build(name, seed).config["graph"]
+               for name in ("demo", "large_network") for seed in (1, 3)]
+    graphs = [build_graph(b["n"], b["edges"], b["leader_set"]) for b in blocks]
+    rng = np.random.default_rng(21)
+    graphs += [random_graph(rng, n_max=40, edge_prob=p)
+               for p in (0.05, 0.3, 0.9) for _ in range(10)]
+    graphs += [build_graph(0, [], []), build_graph(6, [], [2, 5]),
+               build_graph(4, [(1, 2), (3, 4)], [])]
+    return graphs
+
+
+class TestIndexArrayFill:
+    """``laplacian`` and ``leader_mask`` fill from index arrays; the result is
+    the matrix that one write per edge or leader gives, entry and dtype."""
+
+    @pytest.mark.parametrize("fill, reference", [(laplacian, loop_laplacian),
+                                                 (leader_mask, loop_leader_mask)])
+    def test_equals_the_loop_fill(self, fill, reference):
+        for g in fill_cases():
+            got, want = fill(g), reference(g)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), g
