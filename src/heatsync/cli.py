@@ -278,14 +278,16 @@ def cmd_simulate(args) -> int:
     _write_csv(
         bdy_path,
         ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"],
-        np.column_stack([traj.times, *traj.z[:, :, -1], traj.z_leader[:, -1]]).tolist(),
+        np.column_stack([traj.times, traj.frames @ traj.modes[-1]]).tolist(),  # x = 1
     )
     snap_idx = [int(np.argmin(np.abs(series.times - t))) for t in snapshots]
+    snap = traj.frames[snap_idx]
+    ebar = (snap[:, :n] - snap[:, n:]).sum(axis=1) @ traj.modes.T  # only these reach the grid
     avg_path = out_dir / "avg_error.csv"
     _write_csv(
         avg_path,
         ["x"] + [f"ebar_t_{t:g}" for t in snapshots],
-        np.column_stack([series.grid, *series.avg_error_field[snap_idx]]).tolist(),
+        np.column_stack([scn.sim.grid, *ebar]).tolist(),
     )
 
     manifest = _resolved_params(scn, "simulate")

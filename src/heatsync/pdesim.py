@@ -25,9 +25,11 @@ intermediate outgrows the returned frames, and work over all the frames
 is done an eighth of them at a time.  Any other g (mixed signs, or zero
 on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
 a(t) c_j, from one inverse per mode of I - theta dt A, one step at a time.
-The spectral abscissa is read off the generator's own mode blocks, with
-no time step in it.  Only numpy is needed.  ``NetworkConfig`` and
-``SimConfig`` live in ``scenarios``: reading a config loads no simulator.
+The run stays in the cosine basis: ``simulate`` returns the modal frames,
+and ``sync_errors`` reads them by discrete Parseval.  The spectral
+abscissa is read off the generator's own mode blocks, with no time step
+in it.  Only numpy is needed.  ``NetworkConfig`` and ``SimConfig`` live
+in ``scenarios``: reading a config loads no simulator.
 """
 from __future__ import annotations
 
@@ -105,20 +107,13 @@ def _to_modes(op: DiscreteOperator, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled space-time fields of one run."""
+    """Sampled modal frames of one run: ``frames[f, a]`` holds the cosine
+    coefficients of agent a (the leader last) at ``times[f]``, and a caller
+    maps only the frames it needs to the grid, ``modes @ frames[f, a]``."""
 
     times: np.ndarray  # (n_frames,)
-    grid: np.ndarray  # (nx,)
-    z: np.ndarray  # (n_agents, n_frames, nx)
-    z_leader: np.ndarray  # (n_frames, nx)
-
-    @property
-    def n_agents(self) -> int:
-        return self.z.shape[0]
-
-    def errors(self) -> np.ndarray:
-        """Follower error fields z_i - z_leader, shape (n_agents, n_frames, nx)."""
-        return self.z - self.z_leader[np.newaxis, :, :]
+    frames: np.ndarray  # (n_frames, N+1, nx)
+    modes: np.ndarray  # (nx, nx), the operator's mode matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +121,8 @@ class ErrorSeries:
     """L2 error diagnostics derived from a trajectory."""
 
     times: np.ndarray  # (n_frames,)
-    grid: np.ndarray  # (nx,)
-    per_agent_l2: np.ndarray  # (n_agents, n_frames)
+    per_agent_l2: np.ndarray  # (n_agents, n_frames), ||z_i - z_leader||_L2
     total_l2: np.ndarray  # (n_frames,)
-    avg_error_field: np.ndarray  # (n_frames, nx), sum of the error fields
     pairwise_max: np.ndarray  # (n_frames,), max_{i<j} ||z_i - z_j||_L2
 
 
@@ -252,9 +245,9 @@ def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
     return out
 
 
-def _frame_blocks(count: int) -> list[slice]:
-    """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks."""
-    size = -(-count // _FRAME_BLOCKS)
+def _frame_blocks(count: int, parts: int = _FRAME_BLOCKS) -> list[slice]:
+    """Slices that cut ``count`` frames into at most ``parts`` blocks."""
+    size = -(-count // parts)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
@@ -356,9 +349,7 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     """
     n = net.n
     op = assemble_operator(net, sim)
-    followers0, leader0 = _resolve_initial_conditions(net, sim)
-    z = np.vstack([followers0, leader0])
-    y = _to_modes(op, z)  # agent-major: (N+1, nx)
+    y = _to_modes(op, np.vstack(_resolve_initial_conditions(net, sim)))  # agent-major: (N+1, nx)
     steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
     basis = _agent_basis(net, op)
     try:
@@ -376,43 +367,49 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
                 _stepwise(op, sim, step, frames[f : f + 2], steps[f : f + 2])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
         raise Divergence(step=1, t=sim.dt, agent=1 if n else "leader")
-    for b in _frame_blocks(len(frames)):  # in place, to the grid
-        frames[b] = (frames[b].reshape(-1, sim.nx) @ op.modes.T).reshape(-1, n + 1, sim.nx)
-    frames[0] = z  # the first frame is the initial state itself
-    return Trajectory(
-        times=steps * sim.dt,
-        grid=sim.grid,
-        z=frames[:, :n].transpose(1, 0, 2),
-        z_leader=frames[:, n],
-    )
+    return Trajectory(times=steps * sim.dt, frames=frames, modes=op.modes)
 
 
 def sync_errors(traj: Trajectory) -> ErrorSeries:
-    """Per-agent L2 errors, total error, summed error field and disagreement.
+    """Per-agent L2 errors to the leader, their root sum of squares, and the
+    largest L2 distance between two followers, all off the modal frames.
 
-    The total is the root of the summed squared per-agent errors, and the
-    summed error field is the plain sum of the error fields over agents.
+    Discrete Parseval for the DCT-I: modes^T diag(w) modes = diag(c) for the
+    trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so ||modes y||_w^2 =
+    sum_j c_j y_j^2.  Pairs are ranked per frame by the Gram matrix of the
+    followers centred on the first, u_a = y_a - y_1, in the c-weighted
+    product: d_ab^2 = |u_a|^2 + |u_b|^2 - 2 <u_a, u_b>.  As |u_a| = d_a1,
+    its rounding scales with the disagreement, not the fields, and equal
+    followers give exact zeros.  Every pair within 8 nx eps max_a |u_a|^2 of
+    the frame's top, twice a bound on that rounding, is measured again as
+    sum_j c_j (y_a - y_b)_j^2 and the largest wins, so a near-tie cannot
+    change the winner.  Work goes a block of frames at a time, cut finer
+    when a block's Gram matrices would outgrow its frames.
     """
-    w = trapezoid_weights(traj.grid.size)
-    e = traj.errors()
-    per_sq = np.einsum("atx,x->at", e**2, w)
-    per = np.sqrt(per_sq)
-    total = np.sqrt(per_sq.sum(axis=0))
-    avg_field = e.sum(axis=0)
-    z = traj.z
-    pair = np.zeros(traj.times.size)
-    for i in range(traj.n_agents):
-        d = z[i] - z[i + 1 :]
-        dist = np.sqrt(np.einsum("jtx,x->jt", d**2, w))
-        pair = np.maximum(pair, dist.max(axis=0, initial=0.0))
-    return ErrorSeries(
-        times=traj.times.copy(),
-        grid=traj.grid.copy(),
-        per_agent_l2=per,
-        total_l2=total,
-        avg_error_field=avg_field,
-        pairwise_max=pair,
-    )
+    frames = traj.frames
+    count, n, nx = len(frames), frames.shape[1] - 1, frames.shape[2]
+    c = np.where(np.arange(nx) % (nx - 1), 0.5, 1.0)  # 1 at j = 0 and j = nx - 1
+    per_sq, pair_sq = np.empty((n, count)), np.zeros(count)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    for b in _frame_blocks(count, _FRAME_BLOCKS * max(1, -(-n // nx))):
+        y = frames[b, :n]
+        per_sq[:, b] = ((y - frames[b, n:]) ** 2 @ c).T
+        if n < 2:
+            continue
+        u = y - y[:, :1]
+        gram = (u * c) @ u.transpose(0, 2, 1)
+        norm = np.diagonal(gram, axis1=1, axis2=2)
+        d2 = np.where(upper, norm[:, :, np.newaxis] + norm[:, np.newaxis] - 2.0 * gram, -np.inf)
+        slack = 8 * nx * np.finfo(float).eps * norm.max(axis=1)
+        # all centred norms 0: the followers are equal, and so is every pair
+        top = np.where(slack > 0.0, d2.max(axis=(1, 2)) - slack, np.inf)
+        f, i, j = np.nonzero(d2 >= top[:, np.newaxis, np.newaxis])
+        rows = len(y) * n  # a block's followers' worth of differences at a time
+        for lo in range(0, f.size, rows):
+            k = slice(lo, lo + rows)
+            np.maximum.at(pair_sq[b], f[k], (y[f[k], i[k]] - y[f[k], j[k]]) ** 2 @ c)
+    return ErrorSeries(times=traj.times.copy(), per_agent_l2=np.sqrt(per_sq),
+                       total_l2=np.sqrt(per_sq.sum(axis=0)), pairwise_max=np.sqrt(pair_sq))
 
 
 def fit_decay_rate(series: ErrorSeries, window: tuple[float, float]) -> float:

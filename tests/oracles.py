@@ -19,9 +19,15 @@ nx x nx array; production maps grid values to modes without forming it.
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
 and the source evaluated afresh every step (``forcing_profile``);
 production holds the generator in the cosine basis and steps it one mode
-at a time.  ``dense_abscissa`` takes every eigenvalue of the leading
-N*nx block of ``dense_operator``, the error generator; production reads
-them off the (N x N) mode blocks.  ``NoConvergence`` is raised by the
+at a time.  ``GridTrajectory`` holds a run as fields on the grid, the
+route production left: ``on_grid`` maps every frame of a modal
+``heatsync.Trajectory`` there and ``from_grid`` back, ``grid_errors``
+takes trapezoid sums of the error fields and ``pairwise_max`` of the
+follower differences, pair by pair.  ``modal_pairwise_max`` loops over the
+pairs on the modal differences with the Parseval weights; production
+ranks them by a Gram matrix.  ``dense_abscissa`` takes every eigenvalue
+of the leading N*nx block of ``dense_operator``, the error generator;
+production reads them off the (N x N) mode blocks.  ``NoConvergence`` is raised by the
 Jacobi solver only.
 ``wirtinger_check`` probes the one-sided Wirtinger inequality on sampled
 profiles by finite differences, for acceptance check C5; production
@@ -279,7 +285,7 @@ def dense_abscissa(net, sim) -> float:
     return float(np.linalg.eigvals(dense_operator(net, sim)[:m, :m]).real.max())
 
 
-def dense_simulate(net, sim) -> Trajectory:
+def dense_simulate(net, sim) -> GridTrajectory:
     """Crank-Nicolson / backward Euler on ``dense_operator`` with a dense LU.
 
     Samples like ``heatsync.simulate`` and raises Divergence by the same
@@ -307,22 +313,85 @@ def dense_simulate(net, sim) -> Trajectory:
             frames.append(y.copy())
             times.append(step * sim.dt)
     stacked = np.array(frames)
-    return Trajectory(
+    return GridTrajectory(
         times=np.array(times),
-        grid=x,
         z=stacked[:, : n * nx].reshape(len(times), n, nx).transpose(1, 0, 2),
         z_leader=stacked[:, n * nx :],
     )
 
 
-def pairwise_max(traj) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class GridTrajectory:
+    """Sampled space-time fields of one run on the uniform grid over [0, 1]."""
+
+    times: np.ndarray  # (n_frames,)
+    z: np.ndarray  # (n_agents, n_frames, nx)
+    z_leader: np.ndarray  # (n_frames, nx)
+
+    @property
+    def n_agents(self) -> int:
+        return self.z.shape[0]
+
+    def errors(self) -> np.ndarray:
+        """Follower error fields z_i - z_leader, shape (n_agents, n_frames, nx)."""
+        return self.z - self.z_leader[np.newaxis, :, :]
+
+
+def on_grid(traj: Trajectory) -> GridTrajectory:
+    """Every frame of a modal trajectory mapped to the grid."""
+    fields = traj.frames @ traj.modes.T  # (n_frames, N+1, nx)
+    return GridTrajectory(
+        times=traj.times, z=fields[:, :-1].transpose(1, 0, 2), z_leader=fields[:, -1]
+    )
+
+
+def cosine_modes(nx: int) -> np.ndarray:
+    """The mode matrix cos(j pi x_i) = cos(pi i j / (nx - 1)) of the nx-point
+    grid; the phase i j reduced mod 2 (nx - 1) keeps it exact to rounding."""
+    ij = np.outer(np.arange(nx), np.arange(nx)) % (2 * (nx - 1))
+    return np.cos(np.pi * ij / (nx - 1))
+
+
+def from_grid(times, z, z_leader) -> Trajectory:
+    """The modal trajectory of grid fields z (n_agents, n_frames, nx) and
+    z_leader (n_frames, nx), by a dense solve against ``cosine_modes``."""
+    modes = cosine_modes(z_leader.shape[-1])
+    fields = np.concatenate([z.transpose(1, 0, 2), z_leader[:, np.newaxis]], axis=1)
+    frames = np.linalg.solve(modes, fields.reshape(-1, modes.shape[0]).T).T
+    return Trajectory(times=np.asarray(times), frames=frames.reshape(fields.shape), modes=modes)
+
+
+def grid_errors(traj: GridTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoid L2 norms of the error fields, (n_agents, n_frames), their
+    root sum of squares over agents, and the summed error field (n_frames, nx)."""
+    w = trapezoid_weights(traj.z_leader.shape[-1])
+    e = traj.errors()
+    per_sq = np.einsum("atx,x->at", e**2, w)
+    return np.sqrt(per_sq), np.sqrt(per_sq.sum(axis=0)), e.sum(axis=0)
+
+
+def pairwise_max(traj: GridTrajectory) -> np.ndarray:
     """max over agent pairs i < j of the trapezoid L2 norm of z_i - z_j, pair by pair."""
-    w = trapezoid_weights(traj.grid.size)
+    w = trapezoid_weights(traj.z_leader.shape[-1])
     pair = np.zeros(traj.times.size)
     for i in range(traj.n_agents):
         for j in range(i + 1, traj.n_agents):
             diff = traj.z[i] - traj.z[j]
             pair = np.maximum(pair, np.sqrt(np.einsum("tx,x->t", diff**2, w)))
+    return pair
+
+
+def modal_pairwise_max(traj: Trajectory) -> np.ndarray:
+    """max over follower pairs a < b of sqrt(sum_j c_j (y_a - y_b)_j^2), pair
+    by pair on the modal frames, c = (1, 1/2, .., 1/2, 1) (discrete Parseval)."""
+    n, nx = traj.frames.shape[1] - 1, traj.frames.shape[2]
+    c = np.full(nx, 0.5)
+    c[0] = c[-1] = 1.0
+    pair = np.zeros(traj.times.size)
+    for a in range(n):
+        for b in range(a + 1, n):
+            diff = traj.frames[:, a] - traj.frames[:, b]
+            pair = np.maximum(pair, np.sqrt(diff**2 @ c))
     return pair
 
 

@@ -19,7 +19,7 @@ import pytest
 from heatsync import cli, gains, pdesim
 from heatsync.certify import Certificate
 
-from oracles import dense_simulate
+from oracles import dense_simulate, on_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,7 +75,7 @@ def test_workload_simulate_matches_dense_stepper(tmp_path, name):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(wl.config))
     scn = cli.load_scenario(path)
-    traj, ref = pdesim.simulate(scn.net, scn.sim), dense_simulate(scn.net, scn.sim)
+    traj, ref = on_grid(pdesim.simulate(scn.net, scn.sim)), dense_simulate(scn.net, scn.sim)
     assert np.array_equal(traj.times, ref.times)
     got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
     want = np.concatenate([ref.z.reshape(-1), ref.z_leader.reshape(-1)])

@@ -668,6 +668,26 @@ class TestSimulate:
         # nothing was written, so no output directory was made either
         assert not (tmp_path / "d").exists()
 
+    def test_leader_only(self, tmp_path):
+        # no followers: no errors to the leader and no pairs, all zeros, and
+        # nothing averages over the empty follower set; the source moves the leader
+        cfg = write_config(
+            tmp_path / "leader.json",
+            {"graph": {"n": 0}, "sim": {"nx": 21, "dt": 0.01, "t_end": 0.5, "source": "paper"}},
+        )
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == 0
+        errors = (out_dir / "errors.csv").read_text().splitlines()
+        assert errors[0] == "t,err_total,pairwise_max"
+        assert len(errors) == 1 + 6
+        assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in errors[1:])
+        boundary = (out_dir / "boundary.csv").read_text().splitlines()
+        assert boundary[0] == "t,z_leader"
+        assert len(boundary) == 1 + 6 and float(boundary[-1].split(",")[1]) > 0.0
+        avg = (out_dir / "avg_error.csv").read_text().splitlines()
+        assert avg[0] == "x,ebar_t_0.1,ebar_t_0.5"
+        assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in avg[1:])
+
 
 class TestSpectrum:
     def test_prints_modes_and_abscissa(self, tmp_path, capsys):

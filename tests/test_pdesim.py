@@ -28,13 +28,18 @@ from heatsync.errors import Divergence, NonPositiveSeries
 from heatsync.pdesim import _agent_basis, _apply, _block_step, _eigen_frames
 from heatsync.scenarios import forcing_amplitude, forcing_shape
 
-from conftest import demo_graph, random_connected_graph
+from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
+    cosine_modes,
     dense_abscissa,
     dense_operator,
     dense_simulate,
+    from_grid,
+    grid_errors,
     inverse_modes,
     modal_apply,
+    modal_pairwise_max,
+    on_grid,
     pairwise_max,
 )
 
@@ -91,6 +96,7 @@ def random_profiles(rng, n, nx):
 
 
 def relative_gap(traj, ref):
+    traj = on_grid(traj)
     assert np.array_equal(traj.times, ref.times)
     got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
     want = np.concatenate([ref.z.reshape(-1), ref.z_leader.reshape(-1)])
@@ -154,13 +160,7 @@ class TestSimConfig:
 
 def l2_norm(field: np.ndarray) -> float:
     """The per-agent L2 norm sync_errors reports for a one-frame field."""
-    nx = field.size
-    traj = Trajectory(
-        times=np.zeros(1),
-        grid=np.linspace(0.0, 1.0, nx),
-        z=field[np.newaxis, np.newaxis, :],
-        z_leader=np.zeros((1, nx)),
-    )
+    traj = from_grid(np.zeros(1), field[np.newaxis, np.newaxis, :], np.zeros((1, field.size)))
     return float(sync_errors(traj).per_agent_l2[0, 0])
 
 
@@ -324,7 +324,7 @@ class TestSimulate:
         )
         traj = simulate(net, sim)
         w = trapezoid_weights(nx)
-        means = traj.z_leader @ w
+        means = on_grid(traj).z_leader @ w
         assert np.abs(means - means[0]).max() <= 1e-13
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -343,7 +343,7 @@ class TestSimulate:
         )
         traj = simulate(net, sim)
         w = trapezoid_weights(nx)
-        err_means = traj.errors() @ w  # (agents, frames)
+        err_means = on_grid(traj).errors() @ w  # (agents, frames)
         drift = np.abs(err_means - err_means[:, :1]).max()
         assert drift <= 1e-13
 
@@ -356,13 +356,13 @@ class TestSimulate:
         sim = SimConfig(nx=nx, dt=1e-3, t_end=2.0, source="off", initial_conditions=ic)
         traj = simulate(net, sim)
         w = trapezoid_weights(nx)
-        mean_err = traj.errors()[0] @ w
+        mean_err = on_grid(traj).errors()[0] @ w
         expected = mean_err[0] * np.exp(0.5 * traj.times)
         assert np.abs(mean_err / expected - 1.0).max() <= 0.05
 
     def test_boundary_traces_converge(self, demo_net):
         sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV", source="paper")
-        traj = simulate(demo_net, sim)
+        traj = on_grid(simulate(demo_net, sim))
         gap0 = np.abs(traj.z[:, 0, -1] - traj.z_leader[0, -1]).max()
         gap_end = np.abs(traj.z[:, -1, -1] - traj.z_leader[-1, -1]).max()
         assert gap_end <= 0.10 * gap0
@@ -450,9 +450,9 @@ class TestSimulate:
                 nx=33, dt=2e-3, t_end=0.202, source=source, scheme=scheme,
                 output_stride=1, initial_conditions=ic,
             )
-            ref = simulate(net, sim)
+            ref = on_grid(simulate(net, sim))
             for stride in (3, 7, 10):
-                traj = simulate(net, replace(sim, output_stride=stride))
+                traj = on_grid(simulate(net, replace(sim, output_stride=stride)))
                 steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
                 assert np.array_equal(traj.times, steps * sim.dt)
                 got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
@@ -473,8 +473,8 @@ class TestSimulate:
                 nx=33, t_end=1.0, source="off", scheme=scheme, output_stride=7,
                 initial_conditions=ic,
             )
-            off = simulate(net, sim).errors()
-            paper = simulate(net, replace(sim, source="paper")).errors()
+            off = on_grid(simulate(net, sim)).errors()
+            paper = on_grid(simulate(net, replace(sim, source="paper"))).errors()
             assert np.abs(paper - off).max() <= 1e-12 * np.abs(off).max()
 
     def test_stride_bound_is_rigorous(self, demo_net):
@@ -514,7 +514,7 @@ class TestSimulate:
             nx=33, dt=2e-3, t_end=2.0, source="paper", output_stride=1,
             initial_conditions="sectionV",
         )
-        ref = simulate(demo_net, sim)
+        ref = on_grid(simulate(demo_net, sim))
         for stride in (600, 5000):
             tracemalloc.start()
             try:
@@ -525,11 +525,11 @@ class TestSimulate:
             assert peak < 2e5
             steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
             want = ref.z[:, steps]
-            assert np.abs(traj.z - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(on_grid(traj).z - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_peak_memory_stays_near_the_frames(self):
-        # work over all frames goes a block of them at a time, and the grid
-        # map overwrites the modal frames, so little is held beside them
+        # work over all frames goes a block of them at a time, and the run
+        # stays modal, so little is held beside the frames
         rng = np.random.default_rng(83)
         net = NetworkConfig(
             graph=random_connected_graph(rng, n_max=30, n_min=30), alpha=0.0, k=3.0, g=-2.0
@@ -543,7 +543,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * (traj.z.nbytes + traj.z_leader.nbytes)
+        assert peak <= 1.6 * traj.frames.nbytes
 
     def test_fallback_peak_memory_stays_near_the_frames(self, demo_net):
         # mixed-sign g takes the block map, which writes every frame into
@@ -558,7 +558,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (traj.z.nbytes + traj.z_leader.nbytes)
+        assert peak <= 1.5 * traj.frames.nbytes
 
     def test_route_rule(self, demo_net):
         # the eigenbasis exactly when a diagonal scaling makes G L symmetric
@@ -590,21 +590,62 @@ class TestSimulate:
 
 class TestSyncErrors:
     def test_pairwise_max_matches_pair_loop(self, demo_net):
-        # same arithmetic per pair as the loop over all pairs, so equal bits
+        # the modal pair loop to rounding, and the grid's to its own rounding
         rng = np.random.default_rng(81)
         sim = SimConfig(nx=41, t_end=0.5, source="paper", initial_conditions="sectionV")
         trajs = [simulate(demo_net, sim)]
         for n in (1, 2, 7):
-            trajs.append(
-                Trajectory(
-                    times=np.arange(4.0),
-                    grid=np.linspace(0.0, 1.0, 17),
-                    z=rng.standard_normal((n, 4, 17)),
-                    z_leader=rng.standard_normal((4, 17)),
-                )
-            )
+            z, z_leader = rng.standard_normal((n, 4, 17)), rng.standard_normal((4, 17))
+            trajs.append(from_grid(np.arange(4.0), z, z_leader))
         for traj in trajs:
-            assert np.array_equal(sync_errors(traj).pairwise_max, pairwise_max(traj))
+            got = sync_errors(traj).pairwise_max
+            assert np.abs(got - modal_pairwise_max(traj)).max() <= 1e-14 * got.max(initial=0.0)
+            assert np.abs(got - pairwise_max(on_grid(traj))).max() <= 1e-12 * got.max(initial=0.0)
+
+    @pytest.mark.parametrize("kind", ["generic", "near", "ties"])
+    def test_random_modal_trajectories(self, kind):
+        # "near": every agent within 1e-9 of one field, where the grid loses
+        # ~1e-7 of each difference to cancellation, so pairs are judged on
+        # the modal differences; "ties": followers copied, so distances tie
+        # exactly, or every follower is the same
+        rng = np.random.default_rng({"generic": 91, "near": 92, "ties": 93}[kind])
+        for _ in range(100):
+            n, nx, count = (int(v) for v in rng.integers((1, 9, 1), (9, 66, 12)))
+            frames = rng.standard_normal((count, n + 1, nx)) / (1.0 + np.arange(nx))
+            if kind == "near":
+                frames = frames[:, :1] + 1e-9 * frames
+            elif kind == "ties":
+                frames[:, :n] = frames[:, rng.integers(0, int(rng.integers(1, n + 1)), n)]
+            traj = Trajectory(times=np.arange(float(count)), frames=frames, modes=cosine_modes(nx))
+            got = sync_errors(traj)
+            want = modal_pairwise_max(traj)
+            assert (np.abs(got.pairwise_max - want) <= 1e-14 * want).all()
+            grid = on_grid(traj)
+            per, total, _ = grid_errors(grid)
+            scale = max(np.abs(grid.z).max(), np.abs(grid.z_leader).max())
+            assert np.abs(got.per_agent_l2 - per).max(initial=0.0) <= 1e-13 * scale
+            assert np.abs(got.total_l2 - total).max() <= 1e-13 * scale
+
+    def test_peak_memory_stays_below_the_frames(self, demo_net):
+        # a block of frames at a time, and per frame an N x N Gram matrix
+        rng = np.random.default_rng(87)
+        graph = random_connected_graph(rng, n_max=100, n_min=100)
+        big = NetworkConfig(graph=graph, alpha=0.0, k=3.0, g=-2.0)
+        followers, leader = random_profiles(rng, big.n, 401)
+        cases = [
+            (big, SimConfig(nx=401, t_end=0.25, source="paper",
+                            initial_conditions=(followers, leader))),
+            (demo_net, SimConfig(nx=101, source="paper", initial_conditions="sectionV")),
+        ]
+        for net, sim in cases:
+            traj = simulate(net, sim)
+            tracemalloc.start()
+            try:
+                sync_errors(traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.6 * traj.frames.nbytes
 
     def test_zero_on_synchronized_state(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=3.0, g=-2.0)
@@ -613,10 +654,11 @@ class TestSyncErrors:
         shared = leader_profile(x)
         ic = (np.tile(shared, (5, 1)), shared)
         sim = SimConfig(nx=nx, dt=1e-3, t_end=0.5, source="paper", initial_conditions=ic)
-        series = sync_errors(simulate(net, sim))
+        traj = simulate(net, sim)
+        series = sync_errors(traj)
         assert series.total_l2.max() <= 1e-9
         assert series.pairwise_max.max() <= 1e-9
-        assert np.abs(series.avg_error_field).max() <= 1e-9
+        assert np.abs(grid_errors(on_grid(traj))[2]).max() <= 1e-9
 
     def test_total_is_root_sum_of_squares(self, demo_net):
         sim = SimConfig(nx=41, dt=1e-3, t_end=0.5, initial_conditions="sectionV", source="paper")
@@ -627,9 +669,9 @@ class TestSyncErrors:
 
     def test_summed_error_field_converges(self, demo_net):
         sim = SimConfig(nx=101, dt=1e-3, t_end=2.5, initial_conditions="sectionV", source="paper")
-        series = sync_errors(simulate(demo_net, sim))
-        start = np.abs(series.avg_error_field[0]).max()
-        end = np.abs(series.avg_error_field[-1]).max()
+        summed = grid_errors(on_grid(simulate(demo_net, sim)))[2]
+        start = np.abs(summed[0]).max()
+        end = np.abs(summed[-1]).max()
         assert end <= 0.15 * start
 
     def test_self_coupling_only_asymptotes(self):
@@ -654,10 +696,8 @@ class TestDecayFit:
         n = t.size
         return ErrorSeries(
             times=t,
-            grid=np.linspace(0, 1, 11),
             per_agent_l2=total[np.newaxis, :],
             total_l2=total,
-            avg_error_field=np.zeros((n, 11)),
             pairwise_max=np.zeros(n),
         )
 
@@ -737,6 +777,30 @@ class TestSpectral:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_abscissa_within_half_the_certified_margin(self):
+        # read as d/dt ||e||^2 <= -m ||e||^2, a feasible certificate of margin
+        # m makes ||e|| decay at m/2: the abscissa lies at or below -m/2.
+        # Measured, the bound is attained, so the slack covers rounding alone
+        rng = np.random.default_rng(57)
+        checked = 0
+        while checked < 150:
+            graph = random_graph(rng, n_max=8, n_min=1, edge_prob=float(rng.uniform()))
+            n = graph.n
+            # common or per-agent gains
+            k = rng.uniform(0.0, 8.0, n).tolist() if rng.random() < 0.5 else rng.uniform(0.0, 8.0)
+            g = rng.uniform(-6.0, 0.0, n).tolist() if rng.random() < 0.5 else rng.uniform(-6.0, 0.0)
+            net = NetworkConfig(
+                graph=graph, alpha=float(rng.uniform(-1.0, 1.0)),
+                beta=float(rng.uniform(0.3, 2.0)), k=k, g=g,
+            )
+            cert = evaluate_certificate(certificate_matrix(net))
+            if not cert.feasible:
+                continue
+            for nx in (17, 101):
+                abscissa = spectral_abscissa(net, SimConfig(nx=nx))
+                assert abscissa <= -cert.margin / 2.0 + 1e-12 * max(1.0, cert.margin)
+            checked += 1
 
     def test_grid_convergence_second_order(self, demo_net):
         totals = {}
