@@ -245,9 +245,9 @@ def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
     return out
 
 
-def _frame_blocks(count: int, parts: int = _FRAME_BLOCKS) -> list[slice]:
-    """Slices that cut ``count`` frames into at most ``parts`` blocks."""
-    size = -(-count // parts)
+def _frame_blocks(count: int) -> list[slice]:
+    """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks."""
+    size = -(-count // _FRAME_BLOCKS)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
@@ -376,38 +376,20 @@ def sync_errors(traj: Trajectory) -> ErrorSeries:
 
     Discrete Parseval for the DCT-I: modes^T diag(w) modes = diag(c) for the
     trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so ||modes y||_w^2 =
-    sum_j c_j y_j^2.  Pairs are ranked per frame by the Gram matrix of the
-    followers centred on the first, u_a = y_a - y_1, in the c-weighted
-    product: d_ab^2 = |u_a|^2 + |u_b|^2 - 2 <u_a, u_b>.  As |u_a| = d_a1,
-    its rounding scales with the disagreement, not the fields, and equal
-    followers give exact zeros.  Every pair within 8 nx eps max_a |u_a|^2 of
-    the frame's top, twice a bound on that rounding, is measured again as
-    sum_j c_j (y_a - y_b)_j^2 and the largest wins, so a near-tie cannot
-    change the winner.  Work goes a block of frames at a time, cut finer
-    when a block's Gram matrices would outgrow its frames.
+    sum_j c_j y_j^2.  Each distance is that sum over the modal difference
+    itself, so nothing cancels between the fields; pairs go one follower
+    against all later ones, a block of frames at a time.
     """
     frames = traj.frames
     count, n, nx = len(frames), frames.shape[1] - 1, frames.shape[2]
     c = np.where(np.arange(nx) % (nx - 1), 0.5, 1.0)  # 1 at j = 0 and j = nx - 1
     per_sq, pair_sq = np.empty((n, count)), np.zeros(count)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    for b in _frame_blocks(count, _FRAME_BLOCKS * max(1, -(-n // nx))):
+    for b in _frame_blocks(count):
         y = frames[b, :n]
         per_sq[:, b] = ((y - frames[b, n:]) ** 2 @ c).T
-        if n < 2:
-            continue
-        u = y - y[:, :1]
-        gram = (u * c) @ u.transpose(0, 2, 1)
-        norm = np.diagonal(gram, axis1=1, axis2=2)
-        d2 = np.where(upper, norm[:, :, np.newaxis] + norm[:, np.newaxis] - 2.0 * gram, -np.inf)
-        slack = 8 * nx * np.finfo(float).eps * norm.max(axis=1)
-        # all centred norms 0: the followers are equal, and so is every pair
-        top = np.where(slack > 0.0, d2.max(axis=(1, 2)) - slack, np.inf)
-        f, i, j = np.nonzero(d2 >= top[:, np.newaxis, np.newaxis])
-        rows = len(y) * n  # a block's followers' worth of differences at a time
-        for lo in range(0, f.size, rows):
-            k = slice(lo, lo + rows)
-            np.maximum.at(pair_sq[b], f[k], (y[f[k], i[k]] - y[f[k], j[k]]) ** 2 @ c)
+        for a in range(n - 1):
+            d2 = (y[:, a : a + 1] - y[:, a + 1 :]) ** 2 @ c
+            pair_sq[b] = np.maximum(pair_sq[b], d2.max(axis=1))
     return ErrorSeries(times=traj.times.copy(), per_agent_l2=np.sqrt(per_sq),
                        total_l2=np.sqrt(per_sq.sum(axis=0)), pairwise_max=np.sqrt(pair_sq))
 

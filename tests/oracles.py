@@ -25,7 +25,7 @@ route production left: ``on_grid`` maps every frame of a modal
 takes trapezoid sums of the error fields and ``pairwise_max`` of the
 follower differences, pair by pair.  ``modal_pairwise_max`` loops over the
 pairs on the modal differences with the Parseval weights; production
-ranks them by a Gram matrix.  ``dense_abscissa`` takes every eigenvalue
+does the same a follower against all later ones per block of frames.  ``dense_abscissa`` takes every eigenvalue
 of the leading N*nx block of ``dense_operator``, the error generator;
 production reads them off the (N x N) mode blocks.  ``NoConvergence`` is raised by the
 Jacobi solver only.

@@ -12,10 +12,11 @@ import pytest
 
 import heatsync
 from heatsync.cli import CONFIG_KEYS, load_scenario, main
+from heatsync.pdesim import simulate
 from heatsync.scenarios import FEASIBILITY_MARGIN, demo_initial_profiles
 
 from conftest import random_connected_graph
-from oracles import dense_abscissa
+from oracles import dense_abscissa, grid_errors, on_grid, pairwise_max
 
 
 def fresh_python(args, **kwargs):
@@ -667,6 +668,31 @@ class TestSimulate:
         assert "diverged" in capsys.readouterr().err
         # nothing was written, so no output directory was made either
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("g", [-2.0, [1.0, -1.0, 1.0, -1.0, 0.0]], ids=["preset", "mixed_g"])
+    def test_outputs_match_the_grid_route(self, tmp_path, g):
+        # every frame mapped to the grid and read there; mixed-sign g runs on the block map
+        preset = heatsync.PRESETS["sectionV"]
+        cfg = write_config(
+            tmp_path / "scenario.json",
+            {**preset, "g": g, "sim": {**preset["sim"], "nx": 41, "dt": 0.002}},
+        )
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == 0
+        scn = load_scenario(cfg)
+        grid = on_grid(simulate(scn.net, scn.sim))
+        per, total, summed = grid_errors(grid)
+        snap_idx = [int(np.argmin(np.abs(grid.times - t))) for t in (0.1, 0.5, 1.0, 2.5)]
+        expected = {
+            "errors.csv": [grid.times, *per, total, pairwise_max(grid)],
+            "boundary.csv": [grid.times, *grid.z[..., -1], grid.z_leader[:, -1]],
+            "avg_error.csv": [scn.sim.grid, *summed[snap_idx]],
+        }
+        for name, columns in expected.items():
+            want = np.column_stack(columns)
+            got = np.loadtxt(out_dir / name, delimiter=",", skiprows=1, ndmin=2)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
     def test_leader_only(self, tmp_path):
         # no followers: no errors to the leader and no pairs, all zeros, and

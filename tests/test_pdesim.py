@@ -627,7 +627,7 @@ class TestSyncErrors:
             assert np.abs(got.total_l2 - total).max() <= 1e-13 * scale
 
     def test_peak_memory_stays_below_the_frames(self, demo_net):
-        # a block of frames at a time, and per frame an N x N Gram matrix
+        # a block of frames at a time, and a follower's differences to all later ones
         rng = np.random.default_rng(87)
         graph = random_connected_graph(rng, n_max=100, n_min=100)
         big = NetworkConfig(graph=graph, alpha=0.0, k=3.0, g=-2.0)
