@@ -77,7 +77,7 @@ class Certificate:
 def _certificate_stack(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The certificates of ``cfg`` at the gains in each row of k and g, each
     (cells, N), or (cells, 1) for gains common to all followers: a stack
-    (cells, 2N, 2N), not yet symmetrized, with any overflow left in."""
+    (cells, 2N, 2N), symmetric as built, with any overflow left in."""
     n = cfg.n
     if n < 1:
         raise DimensionMismatch("certificates need at least one follower")
@@ -148,12 +148,12 @@ def certificate_sweep(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray):
     """
     max_eig = np.full(len(k), np.nan)
     size = max(1, _STACK_ENTRIES // max(1, 4 * cfg.n**2))  # cells per stack
+    half = np.finfo(float).max / 2.0
     for lo in range(0, len(k), size):
         cells = slice(lo, lo + size)
         a = _certificate_stack(cfg, k[cells, np.newaxis], g[cells, np.newaxis])
-        with np.errstate(over="ignore", invalid="ignore"):  # as in SymMatrix; refused below
-            a = (a + a.swapaxes(1, 2)) / 2.0
-        done = np.flatnonzero(np.isfinite(a).all(axis=(1, 2)))
+        # symmetric as built: SymMatrix's (a + a^T)/2 is a, bar overflow past half the range
+        done = np.flatnonzero((a.max(axis=(1, 2)) <= half) & (a.min(axis=(1, 2)) >= -half))
         try:
             max_eig[lo + done] = np.linalg.eigvalsh(a[done])[:, -1]
         except np.linalg.LinAlgError:

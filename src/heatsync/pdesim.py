@@ -18,7 +18,7 @@ scaling makes it symmetric (a common g, or per-agent g of one strict
 sign), one ``eigh`` diagonalizes it, and the fast diagonalization applies
 a second time, over the agents: a step is elementwise on every mode
 j >= 1, and mode 0 keeps one dense (N+1) x (N+1) map.  ``simulate`` then
-advances all output strides at once.  A stride stands when a bound on
+walks all output strides forward at once.  A stride stands when a bound on
 every state inside it stays below the divergence limit, else it is
 replayed one step at a time; long strides are cut into chunks so that no
 intermediate outgrows the returned frames, and work over all the frames
@@ -237,14 +237,6 @@ def _stepwise(op, sim, step, frames, steps) -> None:
         frames[k] = y.T
 
 
-def _powers(p: np.ndarray, count: int, one: np.ndarray, times) -> np.ndarray:
-    """p^0 .. p^(count - 1) under ``times`` from p^0 = ``one``, by repeated doubling."""
-    out = one[np.newaxis]
-    while len(out) < count:
-        out = np.concatenate([out, times(out[: count - len(out)], times(out[-1], p))])
-    return out
-
-
 def _frame_blocks(count: int) -> list[slice]:
     """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks."""
     size = -(-count // _FRAME_BLOCKS)
@@ -257,13 +249,14 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
     The state is a source-free part plus the source's response q_j (see
     ``_source_response``).  A step of the former is P_0 on mode 0 and, on
     each mode j >= 1, y^_j <- D_j y^_j + feed_j (G y_0), G = V^-1 F inv_0;
-    q_j <- rho_j q_j + a(t) c_j.  Mode 0 inside the strides comes from the
-    powers of P_0, the other modes' stride sums from products over the
-    in-stride index, chunked to the frames' size.  Returns the modal frames
-    (n_frames, N+1, nx) and per stride of L steps a bound on every max_x
-    |z_a| in it: |y^| <= max(1, |D|)^L (|y^_start| + |feed| sum |G y_0|)
-    mode by mode, likewise q, and |z_a| <= |y_0a| + (|V| sum_j |y^_j|)_a +
-    sum_j |q_j| as |cos| <= 1.
+    q_j <- rho_j q_j + a(t) c_j.  All strides are walked forward at once,
+    in chunks of c steps sized to the frames: mode 0 and q a step at a
+    time, the other modes' chunk sum as one product over the in-stride
+    index k with D^(c-1-k) feed, the earlier chunks' sum carried on by D^c.
+    Returns the modal frames (n_frames, N+1, nx) and per stride of L steps
+    a bound on every max_x |z_a| in it: |y^| <= max(1, |D|)^L (|y^_start|
+    + |feed| sum |G y_0|) mode by mode, likewise q, and |z_a| <= |y_0a| +
+    (|V| sum_j |y^_j|)_a + sum_j |q_j| as |cos| <= 1.
     """
     v, v_inv, lam = basis
     theta = THETA[sim.scheme]
@@ -298,25 +291,30 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
         feed_sum, amp_sum = np.zeros((count, m)), np.zeros(count)
         top = np.abs(y0[first + 1 : last + 1])  # max |y_0| over the stride
         chunk = max(1, min(length, budget // max(m, count, nx - 1)))
-        base, lead = _powers(p0, chunk, np.eye(m), np.matmul), np.eye(m)
-        d_pow = _powers(d, chunk, np.ones_like(d), np.multiply).transpose(1, 0, 2)
-        rho_pow = _powers(rho, chunk, np.ones_like(rho), np.multiply)
-        for start in range(0, length, chunk):
-            i = np.arange(start, min(start + chunk, length))
-            mode0 = lead @ base[: i.size] @ y0[first:last].T  # (i, agent, frame)
-            lead = lead @ base[-1] @ p0
-            w = g @ mode0
-            # D^(L-1-i) and rho^(L-1-i) over the chunk's in-stride steps i
-            lag = length - start - i.size
-            d_lag = d_pow[:, i.size - 1 :: -1] * (d**lag * feed)[:, np.newaxis]
-            w_t, ahead = w.transpose(1, 2, 0), hat[first + 1 : last + 1]
-            for b in _frame_blocks(count):
-                ahead[b] += (w_t[:, b] @ d_lag).transpose(1, 0, 2)
-            top = np.maximum(top, np.abs(mode0).max(axis=0).T)
-            feed_sum += np.abs(w).sum(axis=0).T
+        table = np.empty((m, chunk, nx - 1))  # D^(chunk-1-k) feed, from its end
+        table[:, -1] = feed
+        for k in range(chunk - 1, 0, -1):
+            np.multiply(d, table[:, k], out=table[:, k - 1])
+        mode0, ahead, q_end = y0[first:last].T, hat[first + 1 : last + 1], q[first + 1 : last + 1]
+        # D^chunk carries the earlier chunks' sum on to the end of a later chunk
+        carry = np.prod(np.broadcast_to(d, (chunk, *d.shape)), axis=0) if chunk < length else 1.0
+        for start in range(length % -chunk, length, chunk):  # only the first chunk is short
+            i = np.arange(max(start, 0), start + chunk)  # the chunk's in-stride steps
             amp = forcing_amplitude((stride * np.arange(first, last)[:, np.newaxis] + i) * dt + h)
-            q[first + 1 : last + 1] += amp @ (rho_pow[i.size - 1 :: -1] * (rho**lag * src))
+            walk = np.empty((i.size, m, count))  # mode 0 at those steps, every stride
+            for k in range(i.size):  # q_end holds q / c until the stride ends
+                walk[k], mode0 = mode0, p0 @ mode0
+                q_end *= rho
+                q_end += amp[:, k, np.newaxis]
+            w_t = (g @ walk).transpose(1, 2, 0)  # G y_0 as (basis, stride, step)
+            for b in _frame_blocks(count):
+                if start > 0:
+                    ahead[b] *= carry
+                ahead[b] += (w_t[:, b] @ table[:, chunk - i.size :]).transpose(1, 0, 2)
+            top = np.maximum(top, np.abs(walk).max(axis=0).T)
+            feed_sum += np.abs(w_t).sum(axis=2).T
             amp_sum += np.abs(amp).sum(axis=1)
+        q_end *= src
         d_len, rho_len = d**length, rho**length
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]

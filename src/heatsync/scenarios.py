@@ -230,6 +230,7 @@ def _resolve_initial_conditions(
             raise ValueError(f"the sectionV profiles define 5 followers, config has {net.n}")
         return demo_initial_profiles(x)
     followers, leader = ic
+    followers = followers if followers.size else followers.reshape(0, sim.nx)  # [] has shape (0,)
     if followers.shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
         raise ValueError(
             f"initial conditions must have shapes ({net.n}, {sim.nx}) and "

@@ -48,8 +48,8 @@ from heatsync import (
     leader_mask,
     trapezoid_weights,
 )
-from heatsync.pdesim import _check_finite, _resolve_initial_conditions
-from heatsync.scenarios import forcing_amplitude, forcing_shape
+from heatsync.pdesim import _check_finite
+from heatsync.scenarios import _resolve_initial_conditions, forcing_amplitude, forcing_shape
 
 
 class NoConvergence(Exception):

@@ -170,6 +170,32 @@ class TestCertificateSweep:
             stacked += len(k) * 4 * cfg.n**2 > certify._STACK_ENTRIES
         assert overflowed >= 40 and stacked >= 5
 
+    def test_stacks_are_symmetric_as_built(self):
+        # both off-diagonal blocks are beta Kbar and the lower block adds
+        # sym(G L), so every stack equals its transpose bit for bit, for
+        # per-agent gains as for gains common to all followers
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            cfg = random_general_config(rng, n_max=12)
+            for cols in (cfg.n, 1):
+                k = rng.uniform(-2.0, 14.0, (5, cols))
+                g = rng.uniform(-12.0, 2.0, (5, cols))
+                a = certify._certificate_stack(cfg, k, g)
+                assert np.array_equal(a, a.swapaxes(1, 2))
+
+    def test_half_range_entries_refused_as_by_one_cell_route(self):
+        # an entry past half the float range is finite in the stack, but
+        # SymMatrix's (a + a^T)/2 overflows on it and certificate_matrix
+        # refuses the cell: the sweep blanks it too; 2 alpha = 8e307 is not refused
+        k, g = np.array([3.0, 0.0, 1e308]), np.array([-2.0, 0.0, -1.0])
+        for alpha, beta in ((6e307, 1.0), (0.0, 2e307), (4e307, 1.0), (0.0, 1.0)):
+            cfg = NetworkConfig(graph=demo_graph(), alpha=alpha, beta=beta)
+            max_eig, feasible = certificate_sweep(cfg, k, g)
+            want = [one_cell(cfg, kc, gc) for kc, gc in zip(k, g)]
+            assert max_eig.tobytes() == np.array([w[0] for w in want]).tobytes()
+            assert feasible.tolist() == [w[1] for w in want]
+            assert np.isnan(max_eig[:2]).all() == (alpha > 5e307 or beta > 1e307)
+
     def test_failed_solve_blanks_only_its_cell(self, monkeypatch):
         # a LinAlgError fails the stack it is raised in; each of its cells is
         # solved again alone, and only the cell that fails again is blank

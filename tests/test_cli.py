@@ -220,6 +220,7 @@ class TestParsing:
             "bogus",
             "sectionV",
             {"followers": [[0.0] * 21] * 2, "leader": [0.0] * 21},
+            {"followers": [], "leader": [0.0] * 21},
             {"followers": [[0.0] * 21] * 3, "leader": [0.0] * 20},
             [[[0.0] * 21] * 3, [0.0] * 21],
             {"followers": [[0.0] * 21] * 3, "leader": [0.0] * 21, "leeder": [0.0] * 21},
@@ -228,6 +229,7 @@ class TestParsing:
             "unknown-token",
             "sectionV-on-three-agents",
             "two-follower-rows",
+            "no-follower-rows",
             "short-leader",
             "bare-array-pair",
             "misspelled-leader",
@@ -696,23 +698,35 @@ class TestSimulate:
 
     def test_leader_only(self, tmp_path):
         # no followers: no errors to the leader and no pairs, all zeros, and
-        # nothing averages over the empty follower set; the source moves the leader
-        cfg = write_config(
-            tmp_path / "leader.json",
-            {"graph": {"n": 0}, "sim": {"nx": 21, "dt": 0.01, "t_end": 0.5, "source": "paper"}},
-        )
-        out_dir = tmp_path / "run"
-        assert main(["simulate", cfg, "--out", str(out_dir)]) == 0
-        errors = (out_dir / "errors.csv").read_text().splitlines()
-        assert errors[0] == "t,err_total,pairwise_max"
-        assert len(errors) == 1 + 6
-        assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in errors[1:])
-        boundary = (out_dir / "boundary.csv").read_text().splitlines()
-        assert boundary[0] == "t,z_leader"
-        assert len(boundary) == 1 + 6 and float(boundary[-1].split(",")[1]) > 0.0
-        avg = (out_dir / "avg_error.csv").read_text().splitlines()
-        assert avg[0] == "x,ebar_t_0.1,ebar_t_0.5"
-        assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in avg[1:])
+        # nothing averages over the empty follower set; the source moves the
+        # leader, from zero or from an explicit profile beside an empty
+        # followers list, which reads as zero followers
+        leader = 1.5 + np.sin(3.0 * np.linspace(0.0, 1.0, 21))
+        explicit = {"followers": [], "leader": leader.tolist()}
+        for name, initial in (("zero", None), ("explicit", explicit)):
+            sim = {"nx": 21, "dt": 0.01, "t_end": 0.5, "source": "paper"}
+            if initial:
+                sim["initial_conditions"] = initial
+            cfg = write_config(tmp_path / f"{name}.json", {"graph": {"n": 0}, "sim": sim})
+            out_dir = tmp_path / name
+            assert main(["simulate", cfg, "--out", str(out_dir)]) == 0
+            errors = (out_dir / "errors.csv").read_text().splitlines()
+            assert errors[0] == "t,err_total,pairwise_max"
+            assert len(errors) == 1 + 6
+            assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in errors[1:])
+            boundary = (out_dir / "boundary.csv").read_text().splitlines()
+            assert boundary[0] == "t,z_leader"
+            assert len(boundary) == 1 + 6 and float(boundary[-1].split(",")[1]) > 0.0
+            start = float(boundary[1].split(",")[1])
+            assert abs(start - (leader[-1] if initial else 0.0)) <= 1e-13
+            avg = (out_dir / "avg_error.csv").read_text().splitlines()
+            assert avg[0] == "x,ebar_t_0.1,ebar_t_0.5"
+            assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in avg[1:])
+        # a follower row where the graph has none is still refused
+        explicit["followers"] = [[0.0] * 21]
+        sim["initial_conditions"] = explicit
+        cfg = write_config(tmp_path / "extra_row.json", {"graph": {"n": 0}, "sim": sim})
+        assert main(["simulate", cfg, "--out", str(tmp_path / "refused")]) == 2
 
 
 class TestSpectrum:

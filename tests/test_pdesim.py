@@ -480,36 +480,43 @@ class TestSimulate:
     def test_stride_bound_is_rigorous(self, demo_net):
         # the bound of every stride dominates max_x |z_a| at each of its
         # steps, stepped here with the dense one-step map; the 1e-12 covers
-        # the rounding of the bound's sums alone
+        # the rounding of the bound's sums alone.  A 10-step stride fits one
+        # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 5
+        # steps, each carried on to the stride's end (128 leaves a last
+        # chunk of 3 steps, and a last stride of 116 steps)
         rng = np.random.default_rng(75)
-        cases = [(demo_net, 101), (demo_net.with_gains(g=-1e4), 101)]
-        cases += [(net, 33) for net in heterogeneous_nets(rng, 3)]
-        for net, nx in cases:
+        cases = [(demo_net, 101, 10), (demo_net.with_gains(g=-1e4), 101, 10)]
+        cases += [(net, 33, 10) for net in heterogeneous_nets(rng, 3)]
+        long_nets = [demo_net] + heterogeneous_nets(np.random.default_rng(76), 2)
+        cases += [(net, 33, stride) for net in long_nets for stride in (125, 128)]
+        for net, nx, stride in cases:
             followers, leader = random_profiles(rng, net.n, nx)
             sim = SimConfig(
-                nx=nx, t_end=0.5, source="paper", initial_conditions=(followers, leader)
+                nx=nx, t_end=0.5, source="paper", output_stride=stride,
+                initial_conditions=(followers, leader),
             )
             op = assemble_operator(net, sim)
             z = np.vstack([followers, leader])
             frames, bound = _eigen_frames(op, sim, _agent_basis(net, op), z @ inverse_modes(op).T)
-            assert bound.shape == (50, net.n + 1)
+            assert bound.shape == (-(-500 // stride), net.n + 1)
             dense = dense_operator(net, sim)
             h = sim.dt / 2.0
             implicit = np.linalg.inv(np.eye(dense.shape[0]) - h * dense)
             one_step = implicit @ (np.eye(dense.shape[0]) + h * dense)
             unit = sim.dt * implicit @ np.tile(forcing_shape(sim.grid), net.n + 1)
-            state, peak = z.reshape(-1), np.zeros((50, net.n + 1))
+            state, peak = z.reshape(-1), np.zeros(bound.shape)
             for step in range(500):
                 state = one_step @ state + forcing_amplitude(step * sim.dt + h) * unit
                 reach = np.abs(state.reshape(net.n + 1, nx)).max(axis=1)
-                peak[step // 10] = np.maximum(peak[step // 10], reach)
+                peak[step // stride] = np.maximum(peak[step // stride], reach)
             assert (peak <= bound * (1.0 + 1e-12)).all()
-            # nor a vacuous one: it stays within a factor 100 of the peak
+            # nor a vacuous one: it stays within a factor 100 of the peak,
+            # on the long strides too (at most 25x here)
             assert (bound <= 100.0 * peak).all()
 
     def test_long_strides_are_chunked(self, demo_net):
-        # no intermediate outgrows the frames: a stride of 600 steps would
-        # stack 0.9 MB of in-stride factors for 5 kB of frames
+        # no intermediate outgrows the frames: unchunked, a stride of 600
+        # steps would build a 0.9 MB table of D^k feed for 5 kB of frames
         sim = SimConfig(
             nx=33, dt=2e-3, t_end=2.0, source="paper", output_stride=1,
             initial_conditions="sectionV",
@@ -529,21 +536,26 @@ class TestSimulate:
 
     def test_peak_memory_stays_near_the_frames(self):
         # work over all frames goes a block of them at a time, and the run
-        # stays modal, so little is held beside the frames
+        # stays modal, so little is held beside the frames.  With 26 frames
+        # a chunk is a whole stride, and its D table weighs 0.38x the frames
         rng = np.random.default_rng(83)
         net = NetworkConfig(
             graph=random_connected_graph(rng, n_max=30, n_min=30), alpha=0.0, k=3.0, g=-2.0
         )
         followers, leader = random_profiles(rng, net.n, 201)
-        sim = SimConfig(nx=201, t_end=2.5, source="paper", initial_conditions=(followers, leader))
-        assert sim.n_steps == 2500 and sim.output_stride == 10
-        tracemalloc.start()
-        try:
-            traj = simulate(net, sim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * traj.frames.nbytes
+        for t_end, frames, factor in ((2.5, 251, 1.6), (0.25, 26, 2.5)):
+            sim = SimConfig(
+                nx=201, t_end=t_end, source="paper", initial_conditions=(followers, leader)
+            )
+            assert sim.output_stride == 10
+            tracemalloc.start()
+            try:
+                traj = simulate(net, sim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.frames) == frames
+            assert peak <= factor * traj.frames.nbytes
 
     def test_fallback_peak_memory_stays_near_the_frames(self, demo_net):
         # mixed-sign g takes the block map, which writes every frame into
