@@ -482,8 +482,9 @@ class TestSimulate:
         # steps, stepped here with the dense one-step map; the 1e-12 covers
         # the rounding of the bound's sums alone.  A 10-step stride fits one
         # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 5
-        # steps, each carried on to the stride's end (128 leaves a last
-        # chunk of 3 steps, and a last stride of 116 steps)
+        # steps, each carried on to the stride's end (128 leaves a first
+        # chunk of 3 steps, and a last stride of 116 steps whose first
+        # chunk has 1 step)
         rng = np.random.default_rng(75)
         cases = [(demo_net, 101, 10), (demo_net.with_gains(g=-1e4), 101, 10)]
         cases += [(net, 33, 10) for net in heterogeneous_nets(rng, 3)]
