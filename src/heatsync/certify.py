@@ -14,7 +14,8 @@ the lower-right block once (as g*L for a scalar gain); for g <= 0 this
 is the conservative reading and it is the one all the closed-form gain
 windows are derived from.  ``evaluate_certificate`` decides feasibility
 from the top eigenvalue of one LAPACK ``eigvalsh`` call.  ``certificate_sweep``
-applies that rule to a grid of gains, from stacks of the same builder.
+applies that rule to a grid of gains, from stacks of the same builder, which
+alone decides when a certificate is out of range; both routes refuse it then.
 This module holds the certificates only: the scenario they judge,
 ``NetworkConfig``, and the verdict threshold ``FEASIBILITY_MARGIN`` live
 in the config layer, ``scenarios``.
@@ -74,25 +75,27 @@ class Certificate:
     margin: float
 
 
-def _certificate_stack(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _certificate_stack(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray):
     """The certificates of ``cfg`` at the gains in each row of k and g, each
     (cells, N), or (cells, 1) for gains common to all followers: a stack
-    (cells, 2N, 2N), symmetric as built, with any overflow left in."""
+    (cells, 2N, 2N), symmetric as built, and per cell whether it is in range:
+    every entry within +-max/2, where SymMatrix's (a + a^T)/2 is exact (nan is not)."""
     n = cfg.n
     if n < 1:
         raise DimensionMismatch("certificates need at least one follower")
-    eye, d = np.eye(n), np.arange(n)
-    lap = laplacian(cfg.graph).astype(float)
-    kbar = np.zeros((len(k), n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse an overflow
-        kbar[:, d, d] = k * leader_mask(cfg.graph).astype(float).diagonal()
-        gl = g[:, :, np.newaxis] * lap + 0.0  # a zero entry is +0, as in the product diag(g) L
-        a = np.empty((len(k), 2 * n, 2 * n))
-        a[:, :n, :n] = -(cfg.beta * _HALF_PI_SQ) * eye
-        a[:, :n, n:] = a[:, n:, :n] = cfg.beta * kbar
-        sym_gl = (gl + gl.swapaxes(1, 2)) / 2.0
-        a[:, n:, n:] = 2.0 * cfg.alpha * eye - cfg.beta * (kbar + kbar) + sym_gl
-    return a
+    stack = np.zeros((len(k), 2 * n, 2 * n))
+    d, lower = np.arange(n), stack[:, n:, n:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow puts its cell out of range
+        stack[:, :n, :n] = -(cfg.beta * _HALF_PI_SQ) * np.eye(n)  # its -0.0s: eigvalsh reads signs
+        km = k * leader_mask(cfg.graph).astype(float).diagonal()
+        stack[:, d, n + d] = stack[:, n + d, d] = cfg.beta * km
+        gl = g[:, :, np.newaxis] * laplacian(cfg.graph)
+        gl += 0.0  # a zero entry is +0, as in the product diag(g) L
+        np.add(gl, gl.swapaxes(1, 2), out=lower)
+        lower /= 2.0
+        lower[:, d, d] = 2.0 * cfg.alpha - cfg.beta * (km + km) + lower[:, d, d]
+    half = np.finfo(float).max / 2.0
+    return stack, (stack.max(axis=(1, 2)) <= half) & (stack.min(axis=(1, 2)) >= -half)
 
 
 def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
@@ -105,16 +108,13 @@ def certificate_matrix(cfg: NetworkConfig) -> SymMatrix:
         [ beta Kbar            2 alpha I - 2 beta Kbar + sym(G L)     ]
 
     where sym(X) = (X + X^T)/2.  Negative definiteness certifies exponential
-    leader synchronization in the L2 norm.  Raises ValueError when finite
-    parameters overflow into an entry that is not finite.  This is the
-    one-cell case of ``certificate_sweep``'s stack.
+    leader synchronization in the L2 norm.  This is the one-cell case of
+    ``certificate_sweep``'s stack; a cell out of its range raises ValueError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        stack = _certificate_stack(cfg, cfg.k_vector[np.newaxis], cfg.g_vector[np.newaxis])
-        matrix = SymMatrix(stack[0])
-    if not np.isfinite(matrix.mat).all():
+    stack, in_range = _certificate_stack(cfg, cfg.k_vector[np.newaxis], cfg.g_vector[np.newaxis])
+    if not in_range[0]:
         raise ValueError("the certificate matrix overflows: alpha, beta, k or g is too large")
-    return matrix
+    return SymMatrix(stack[0])
 
 
 def evaluate_certificate(matrix: SymMatrix) -> Certificate:
@@ -140,20 +140,17 @@ def certificate_sweep(cfg: NetworkConfig, k: np.ndarray, g: np.ndarray):
     gains (k[c], g[c]) of each cell c, by ``evaluate_certificate``'s rule.
 
     The certificates are built as stacks of at most ``_STACK_ENTRIES``
-    entries and solved by one ``eigvalsh`` call per stack; a stack whose
-    solve fails is solved again one cell at a time.  A cell whose
-    certificate overflows or whose solve fails has a nan eigenvalue, as if
-    its ``certificate_matrix`` or ``evaluate_certificate`` had raised.
+    entries, and the cells in range are solved by one ``eigvalsh`` call per
+    stack; a stack whose solve fails is solved again one cell at a time.  A
+    cell out of range or whose solve fails has a nan eigenvalue, as if its
+    ``certificate_matrix`` or ``evaluate_certificate`` had raised.
     Without followers it raises DimensionMismatch, as that builder does.
     """
     max_eig = np.full(len(k), np.nan)
     size = max(1, _STACK_ENTRIES // max(1, 4 * cfg.n**2))  # cells per stack
-    half = np.finfo(float).max / 2.0
     for lo in range(0, len(k), size):
-        cells = slice(lo, lo + size)
-        a = _certificate_stack(cfg, k[cells, np.newaxis], g[cells, np.newaxis])
-        # symmetric as built: SymMatrix's (a + a^T)/2 is a, bar overflow past half the range
-        done = np.flatnonzero((a.max(axis=(1, 2)) <= half) & (a.min(axis=(1, 2)) >= -half))
+        a, in_range = _certificate_stack(cfg, k[lo : lo + size, None], g[lo : lo + size, None])
+        done = np.flatnonzero(in_range)
         try:
             max_eig[lo + done] = np.linalg.eigvalsh(a[done])[:, -1]
         except np.linalg.LinAlgError:

@@ -68,6 +68,8 @@ class TestNetworkConfig:
         [
             np.nan, np.inf, -np.inf, True, pytest.param(np.True_, id="np.True_"), "0.5",
             pytest.param(10**400, id="10**400"),
+            pytest.param(np.array([True] * 5), id="bool-array"),
+            pytest.param(np.array(["0.5"] * 5), id="str-array"),
         ],
     )
     @pytest.mark.parametrize(
@@ -79,7 +81,9 @@ class TestNetworkConfig:
             values[field[0]] = [1.0, 1.0, bad, 1.0, 1.0]
         else:
             values[field] = bad
-        with pytest.raises(ValueError):
+        # an array is named by its first entry
+        match = r"\[0\] must be a number" if isinstance(bad, np.ndarray) else None
+        with pytest.raises(ValueError, match=match):
             NetworkConfig(graph=demo_graph(), **values)
 
 
@@ -180,7 +184,7 @@ class TestCertificateSweep:
             for cols in (cfg.n, 1):
                 k = rng.uniform(-2.0, 14.0, (5, cols))
                 g = rng.uniform(-12.0, 2.0, (5, cols))
-                a = certify._certificate_stack(cfg, k, g)
+                a, _ = certify._certificate_stack(cfg, k, g)
                 assert np.array_equal(a, a.swapaxes(1, 2))
 
     def test_half_range_entries_refused_as_by_one_cell_route(self):

@@ -403,10 +403,12 @@ class TestParsing:
             ("certify", {"k": 1e308}),
             ("spectrum", {"k": 3, "g": 1e308}),
             ("spectrum", {"alpha": 1e308, "g": 5e307}),
+            # t_end / dt overflows: no step count, so no OverflowError deep in simulate
+            ("simulate", {"sim": {"nx": 21, "dt": 1e-320}}),
         ],
         ids=[
             "beta-certify", "beta-design", "beta-spectrum", "beta-simulate", "alpha", "k",
-            "g-spectrum", "alpha-g-spectrum",
+            "g-spectrum", "alpha-g-spectrum", "dt-simulate",
         ],
     )
     def test_overflowing_matrices_exit_2(self, tmp_path, command, params):
@@ -769,6 +771,13 @@ class TestSpectrum:
         abscissa = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
         scn = load_scenario(cfg)
         assert abs(abscissa - dense_abscissa(scn.net, scn.sim)) <= 1e-9
+
+    def test_no_followers_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "none.json", {"graph": {"n": 0}, "sim": {"nx": 21}})
+        assert main(["spectrum", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spectral abscissa needs at least one follower\n"
 
     def test_stdout_does_not_depend_on_dt(self, tmp_path, capsys):
         printed = []

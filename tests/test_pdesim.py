@@ -133,6 +133,15 @@ class TestSimConfig:
                     nx=16, source="paper",
                     initial_conditions=(np.zeros((2, 16)), [0.0] * 15 + [bad]),
                 )
+        # nor is an array of bools, named by its first entry
+        with pytest.raises(ValueError, match=r"initial leader\[0\] must be a number"):
+            SimConfig(
+                nx=16, source="paper",
+                initial_conditions=(np.zeros((2, 16)), np.array([True] * 16)),
+            )
+        # a step count beyond the float range
+        with pytest.raises(ValueError, match="t_end=2.5 and dt=1e-320"):
+            SimConfig(dt=1e-320, source="paper")
         with pytest.raises(ValueError):
             SimConfig(source="mystery")
         with pytest.raises(ValueError):
@@ -393,16 +402,20 @@ class TestSimulate:
             assert relative_gap(simulate(net, sim), dense_simulate(net, sim)) <= 1e-10
 
     @pytest.mark.parametrize(
-        "alpha, followers, scheme",
+        "alpha, followers, scheme, dt",
         [
-            (60.0, [1.0, 0.0, 0.0], "crank_nicolson"),
-            (60.0, [0.0, 1.0, 0.0], "backward_euler"),
-            (45.0, [0.0, 0.0, -1.0], "crank_nicolson"),
+            (60.0, [1.0, 0.0, 0.0], "crank_nicolson", 1e-3),
+            (60.0, [0.0, 1.0, 0.0], "backward_euler", 1e-3),
+            (45.0, [0.0, 0.0, -1.0], "crank_nicolson", 1e-3),
             # I - (dt/2) A is exactly singular: no state after step 1
-            (2000.0, [1.0, 0.0, 0.0], "crank_nicolson"),
+            (2000.0, [1.0, 0.0, 0.0], "crank_nicolson", 1e-3),
+            # only the j = 16 block of I - theta dt A is exactly singular
+            # (theta dt (alpha - 1024) = 1); the mode-0 block inverts
+            (3072.0, [1.0, 0.0, 0.0], "crank_nicolson", 2.0**-10),
+            (2048.0, [1.0, 0.0, 0.0], "backward_euler", 2.0**-10),
         ],
     )
-    def test_divergence_matches_dense_stepper(self, alpha, followers, scheme):
+    def test_divergence_matches_dense_stepper(self, alpha, followers, scheme, dt):
         net = NetworkConfig(
             graph=build_graph(3, [], []), alpha=alpha, k=0.0, g=0.0
         )
@@ -412,7 +425,7 @@ class TestSimulate:
         nx = 17
         ic = (np.outer(followers, np.ones(nx)), np.zeros(nx))
         sim = SimConfig(
-            nx=nx, dt=1e-3, t_end=5.0, source="off", scheme=scheme,
+            nx=nx, dt=dt, t_end=5.0, source="off", scheme=scheme,
             initial_conditions=ic,
         )
         with warnings.catch_warnings():
@@ -430,7 +443,8 @@ class TestSimulate:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_stride_invariance(self, demo_net, scheme):
         # a stride advanced at once equals its steps; 101 steps leave a
-        # partial last stride for every stride below
+        # partial last stride for every stride below, and a 50-step stride
+        # spans many chunks, so its chunk sums are carried on
         rng = np.random.default_rng(73)
         cases = [(demo_net, "sectionV", "paper"), (demo_net, "sectionV", "off")]
         # a start of 5e10 clears the stride bound, and one of 2e11 fails it
@@ -451,7 +465,7 @@ class TestSimulate:
                 output_stride=1, initial_conditions=ic,
             )
             ref = on_grid(simulate(net, sim))
-            for stride in (3, 7, 10):
+            for stride in (3, 7, 10, 50):
                 traj = on_grid(simulate(net, replace(sim, output_stride=stride)))
                 steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
                 assert np.array_equal(traj.times, steps * sim.dt)
