@@ -13,18 +13,18 @@ other mode reads only mode 0.  Time stepping is the theta-method:
 Crank-Nicolson (theta = 1/2, the default: unconditionally stable, second
 order) or backward Euler (theta = 1, for stiff debugging).
 
-The coupling C = G L (+) 0 acts on every mode alike.  When a diagonal
+``simulate`` has one stepper: the block map y_j <- P_j y_j + Q_j y_0 +
+a(t) c_j, from one inverse per mode of I - theta dt A, walks a stride one
+step at a time, and it walks every stride that no bound vouches for.  The
+coupling C = G L (+) 0 acts on every mode alike, and when a diagonal
 scaling makes it symmetric (a common g, or per-agent g of one strict
-sign), one ``eigh`` diagonalizes it, and the fast diagonalization applies
-a second time, over the agents: a step is elementwise on every mode
-j >= 1, and mode 0 keeps one dense (N+1) x (N+1) map.  ``simulate`` then
-walks all output strides forward at once.  A stride stands when a bound on
-every state inside it stays below the divergence limit, else it is
-replayed one step at a time; long strides are cut into chunks so that no
-intermediate outgrows the returned frames, and work over all the frames
-is done an eighth of them at a time.  Any other g (mixed signs, or zero
-on some agents only) steps the block map y_j <- P_j y_j + Q_j y_0 +
-a(t) c_j, from one inverse per mode of I - theta dt A, one step at a time.
+sign) one ``eigh`` diagonalizes it: the fast diagonalization applies a
+second time, over the agents, and all output strides are walked forward
+at once, with a bound on every state inside each.  A stride whose bound
+stays below the divergence limit is vouched for.  Long strides are cut
+into chunks so that no intermediate outgrows the returned frames, and
+work over all the frames is done an eighth of them at a time.  Any other
+g (mixed signs, or zero on some agents only) has no bound.
 The run stays in the cosine basis: ``simulate`` returns the modal frames,
 and ``sync_errors`` reads them by discrete Parseval.  The spectral
 abscissa is read off the generator's own mode blocks, with no time step
@@ -192,11 +192,12 @@ def _source_response(op: DiscreteOperator, sim: SimConfig, h: float) -> np.ndarr
 
 
 def _block_step(op: DiscreteOperator, sim: SimConfig):
-    """The theta-step as the block map y_j <- P_j y_j + Q_j y_0, for any coupling.
+    """One theta-step as the block map y_j <- P_j y_j + Q_j y_0 + a(t) c_j, any coupling.
 
     P_j = (inv_j - (1 - theta) I)/theta and Q_j = s_j inv_j F inv_0 with
     s_j = -h node0_j/theta, s_0 = 0, kept factored as (a_j P_j + b_j I) G,
-    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode.
+    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode, and c
+    from ``_source_response``.  ``simulate`` builds it at most once per run.
     """
     theta = THETA[sim.scheme]
     h = theta * sim.dt
@@ -207,34 +208,28 @@ def _block_step(op: DiscreteOperator, sim: SimConfig):
     diagonal = np.arange(len(g))
     inverses[:, diagonal, diagonal] -= 1.0 - theta
     inverses /= theta
-    return inverses, theta * shed, (1.0 - theta) * shed, g
-
-
-def _apply(step, y: np.ndarray) -> np.ndarray:
-    """The block map of ``_block_step`` on a mode-major state y (nx, N+1)."""
-    p, a, b, g = step
-    fed = y[:1] @ g.T  # G y_0 as a row
-    return (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
+    source = _source_response(op, sim, h)[:, np.newaxis]
+    return inverses, theta * shed, (1.0 - theta) * shed, g, source
 
 
 def _stepwise(op, sim, step, frames, steps) -> None:
-    """Block-map steps on agent-major modal frames (k, N+1, nx), in place: from
-    ``frames[0]``, taken at step ``steps[0]``, ``frames[k]`` is written at ``steps[k]``.
+    """One stride of the block map ``step`` on agent-major modal frames (2, N+1, nx),
+    in place: from ``frames[0]`` at step ``steps[0]``, ``frames[1]`` at ``steps[1]``.
 
     |z_a| <= sum_j |y_ja| since |cos| <= 1, so a step is checked on the grid
     only when that crosses the divergence limit.
     """
-    n, dt = len(op.coupling) - 1, sim.dt
-    h = THETA[sim.scheme] * dt
-    source = _source_response(op, sim, h)[:, np.newaxis]
+    p, a, b, g, source = step
+    n, dt, h = len(op.coupling) - 1, sim.dt, THETA[sim.scheme] * sim.dt
     y = frames[0].T  # mode-major
-    for k in range(1, len(steps)):
-        for s in range(steps[k - 1] + 1, steps[k] + 1):
-            y = _apply(step, y) + forcing_amplitude((s - 1) * dt + h) * source
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
-                    _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
-        frames[k] = y.T
+    for s in range(steps[0] + 1, steps[1] + 1):
+        fed = y[:1] @ g.T  # G y_0 as a row
+        y = ((p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
+             + forcing_amplitude((s - 1) * dt + h) * source)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
+                _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
+    frames[1] = y.T
 
 
 def _frame_blocks(count: int) -> list[slice]:
@@ -254,9 +249,10 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
     time, the other modes' chunk sum as one product over the in-stride
     index k with D^(c-1-k) feed, the earlier chunks' sum carried on by D^c.
     Returns the modal frames (n_frames, N+1, nx) and per stride of L steps
-    a bound on every max_x |z_a| in it: |y^| <= max(1, |D|)^L (|y^_start|
+    a bound on every max_x |z_a| in it: |y^| <= max(1, |D^L|) (|y^_start|
     + |feed| sum |G y_0|) mode by mode, likewise q, and |z_a| <= |y_0a| +
-    (|V| sum_j |y^_j|)_a + sum_j |q_j| as |cos| <= 1.
+    (|V| sum_j |y^_j|)_a + sum_j |q_j| as |cos| <= 1.  An exactly singular
+    block needs no check here: its zero divisor makes every bound non-finite.
     """
     v, v_inv, lam = basis
     theta = THETA[sim.scheme]
@@ -265,8 +261,6 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
     src = _source_response(op, sim, h)
     inv0 = _implicit_inverses(op, h, 1)[0]
     den = 1.0 - h * op.rates[1:] - h * lam[:, np.newaxis]
-    if not (den.all() and (1.0 - h * op.rates).all()):
-        raise np.linalg.LinAlgError("an implicit block is exactly singular")
     p0 = (inv0 - (1.0 - theta) * np.eye(m)) / theta
     g = v_inv @ op.feedback @ inv0
     d = (1.0 / den - (1.0 - theta)) / theta
@@ -319,8 +313,7 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]
             q[f + 1] += rho_len * q[f]
-        grow = np.maximum(1.0, np.abs(d)) ** length
-        grow_src = np.maximum(1.0, np.abs(rho)) ** length
+        grow, grow_src = np.maximum(1.0, np.abs(d_len)), np.maximum(1.0, np.abs(rho_len))
         reach = feed_sum * (grow * np.abs(feed)).sum(axis=1)
         for b in _frame_blocks(count):
             reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
@@ -338,12 +331,12 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
-    end).  With an ``_agent_basis`` the run is ``_eigen_frames``, and a
-    stride whose bound crosses the divergence limit is replayed with the
-    block map, which rewrites its end frame: divergence is decided step by
-    step.  Else the block map fills one frames array a step at a time.
-    Raises Divergence (with step and agent) if the field leaves the finite
-    range; an exactly singular implicit block diverges at step 1.
+    end).  With an ``_agent_basis`` the run is ``_eigen_frames``; the block
+    map then walks each stride that its bound does not vouch for, from the
+    frame before, and rewrites its end frame, or every stride when there is
+    no basis: divergence is decided step by step.  Raises Divergence (with
+    step and agent) if the field leaves the finite range; an exactly
+    singular implicit block diverges at step 1.
     """
     n = net.n
     op = assemble_operator(net, sim)
@@ -351,18 +344,17 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
     basis = _agent_basis(net, op)
     try:
-        if basis is None:
+        if basis is None:  # no bound: every stride is unsafe
             step = _block_step(op, sim)  # its inverses first: they can outweigh the frames
             frames = np.empty((len(steps), n + 1, sim.nx))
-            frames[0] = y
-            _stepwise(op, sim, step, frames, steps)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up only fails a bound
+            frames[0], unsafe = y, range(len(steps) - 1)
+        else:  # a blow-up or an exactly singular block only fails a bound
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 frames, bound = _eigen_frames(op, sim, basis, y)
                 unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT).all(axis=1))
-            step = _block_step(op, sim) if unsafe.size else None
-            for f in unsafe:
-                _stepwise(op, sim, step, frames[f : f + 2], steps[f : f + 2])
+            step = _block_step(op, sim) if len(unsafe) else None
+        for f in unsafe:
+            _stepwise(op, sim, step, frames[f : f + 2], steps[f : f + 2])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
         raise Divergence(step=1, t=sim.dt, agent=1 if n else "leader")
     return Trajectory(times=steps * sim.dt, frames=frames, modes=op.modes)

@@ -162,7 +162,8 @@ class SimConfig:
     ``initial_conditions`` is either a preset token ("sectionV"), a pair of
     arrays (followers (N, nx), leader (nx,)), stored as float arrays, or
     None for all-zero fields.  A bool, a string or a value that is not
-    finite in ``dt``, ``t_end``, ``t_end / dt`` or a profile raises ValueError.
+    finite in ``dt``, ``t_end``, ``t_end / dt`` or a profile, or a step count
+    beyond int64, raises ValueError.
     ``source`` selects the forcing term: "off" (the default) or "paper"
     (the demo forcing (1 + cos(2 pi x)) sin(pi t), applied to every agent
     and the leader).
@@ -187,8 +188,10 @@ class SimConfig:
             if not (isinstance(value, float) and np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
             object.__setattr__(self, name, value)
-        if not np.isfinite(self.t_end / self.dt):  # else n_steps overflows
-            raise ValueError(f"t_end / dt must be finite, got t_end={self.t_end} and dt={self.dt}")
+        # the step indices are int64: a larger count is refused here, not inside numpy
+        if not (np.isfinite(self.t_end / self.dt) and self.n_steps <= np.iinfo(np.int64).max):
+            raise ValueError("t_end / dt must be a finite step count below 2**63, "
+                             f"got t_end={self.t_end} and dt={self.dt}")
         if self.source not in SOURCE_SELECTORS:
             raise ValueError(f"source must be one of {SOURCE_SELECTORS}")
         if self.scheme not in THETA:

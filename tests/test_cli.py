@@ -392,6 +392,19 @@ class TestParsing:
             path.write_text(block)
             assert load_scenario(path).net.n == 5
 
+    def test_readme_python_example_holds(self):
+        # the README's one Python block runs as written, and its comments hold
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+        assert len(blocks) == 1
+        scope = {}
+        exec(blocks[0], scope)
+        assert scope["cert"].feasible is True
+        assert abs(scope["cert"].max_eig - (-0.896)) <= 1e-3
+        series = scope["series"]
+        assert abs(series.total_l2[-1] / series.total_l2[0] - 0.066) <= 1e-3
+        assert scope["fit_decay_rate"](series, (0.5, 2.0)) < 0
+
     @pytest.mark.parametrize(
         "command, params",
         [
@@ -405,10 +418,12 @@ class TestParsing:
             ("spectrum", {"alpha": 1e308, "g": 5e307}),
             # t_end / dt overflows: no step count, so no OverflowError deep in simulate
             ("simulate", {"sim": {"nx": 21, "dt": 1e-320}}),
+            # t_end / dt is finite but beyond the int64 step indices
+            ("simulate", {"sim": {"nx": 21, "dt": 1e-300}}),
         ],
         ids=[
             "beta-certify", "beta-design", "beta-spectrum", "beta-simulate", "alpha", "k",
-            "g-spectrum", "alpha-g-spectrum", "dt-simulate",
+            "g-spectrum", "alpha-g-spectrum", "dt-simulate", "dt-steps-simulate",
         ],
     )
     def test_overflowing_matrices_exit_2(self, tmp_path, command, params):
@@ -424,6 +439,8 @@ class TestParsing:
         extra = ["--out", str(out)] if command == "simulate" else []
         proc = fresh_python(["-m", "heatsync", command, cfg, *extra], text=True)
         assert_config_error(proc)
+        if "sim" in params:  # the message names the file and the step size
+            assert f"bad config {cfg}" in proc.stderr and f"dt={params['sim']['dt']}" in proc.stderr
         assert not out.exists()
         assert not list(tmp_path.glob("big.*.json"))
 
@@ -950,7 +967,7 @@ class TestOutputPaths:
 class TestDeterminism:
     def test_simulate_byte_identical(self, preset_config, tmp_path):
         # mixed-sign g runs on the block map, and a start of 2e11 fails the
-        # first stride's bound, so that stride is replayed step by step
+        # first stride's bound, so the block map walks that stride
         preset = heatsync.PRESETS["sectionV"]
         sim = {**preset["sim"], "nx": 41, "dt": 0.002}
         followers, leader = demo_initial_profiles(np.linspace(0.0, 1.0, 41))

@@ -25,7 +25,7 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
-from heatsync.pdesim import _agent_basis, _apply, _block_step, _eigen_frames
+from heatsync.pdesim import _agent_basis, _block_step, _eigen_frames, _stepwise
 from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 from conftest import demo_graph, random_connected_graph, random_graph
@@ -139,9 +139,14 @@ class TestSimConfig:
                 nx=16, source="paper",
                 initial_conditions=(np.zeros((2, 16)), np.array([True] * 16)),
             )
-        # a step count beyond the float range
+        # a step count beyond the float range, or beyond int64
         with pytest.raises(ValueError, match="t_end=2.5 and dt=1e-320"):
             SimConfig(dt=1e-320, source="paper")
+        with pytest.raises(ValueError, match="t_end=2.5 and dt=1e-300"):
+            SimConfig(dt=1e-300, source="paper")
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            SimConfig(dt=1.0, t_end=2.0**64, source="paper")
+        assert SimConfig(dt=1.0, t_end=2.0**62, source="paper").n_steps == 2**62  # never run
         with pytest.raises(ValueError):
             SimConfig(source="mystery")
         with pytest.raises(ValueError):
@@ -298,7 +303,9 @@ class TestOperator:
                 one = replace(sim, scheme=scheme, t_end=sim.dt)
                 y = rng.standard_normal((m, nx))
                 z = y @ op.modes.T
-                by_block = _apply(_block_step(op, one), y.T).T
+                pair = np.stack([y, y])  # the step overwrites frame 1
+                _stepwise(op, one, _block_step(op, one), pair, [0, 1])
+                by_block = pair[1]
                 by_eigen = _eigen_frames(op, one, _agent_basis(net, op), y)[0][1]
                 implicit = np.eye(m * nx) - h * dense
                 explicit = np.eye(m * nx) + (sim.dt - h) * dense
@@ -448,7 +455,7 @@ class TestSimulate:
         rng = np.random.default_rng(73)
         cases = [(demo_net, "sectionV", "paper"), (demo_net, "sectionV", "off")]
         # a start of 5e10 clears the stride bound, and one of 2e11 fails it
-        # without diverging: the first strides replay step by step
+        # without diverging: the block map walks the first strides
         followers, leader = random_profiles(rng, demo_net.n, 33)
         cases.append((demo_net, (5e10 * followers, 5e10 * leader), "paper"))
         for net in heterogeneous_nets(rng, 2):
@@ -574,18 +581,31 @@ class TestSimulate:
 
     def test_fallback_peak_memory_stays_near_the_frames(self, demo_net):
         # mixed-sign g takes the block map, which writes every frame into
-        # one array allocated after its per-mode inverses
-        net = demo_net.with_gains(g=[1.0, -1.0, 1.0, -1.0, 0.0])
-        sim = SimConfig(nx=101, t_end=2.5, source="paper", initial_conditions="sectionV")
-        assert sim.n_steps == 2500 and sim.output_stride == 10
-        assert _agent_basis(net, assemble_operator(net, sim)) is None
-        tracemalloc.start()
-        try:
-            traj = simulate(net, sim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * traj.frames.nbytes
+        # one array allocated after its per-mode inverses.  On a 60-follower
+        # path with 26 frames the inverses (2 x 5.98 MB) outweigh the frames:
+        # built first they set the peak at 4.9x, frames allocated first read 5.9x
+        n = 60
+        path = NetworkConfig(
+            graph=build_graph(n, [(i, i + 1) for i in range(1, n)], [1, 20, 40]),
+            alpha=0.0, k=3.0, g=[(-1.0) ** i for i in range(n)],
+        )
+        profiles = random_profiles(np.random.default_rng(60), n, 201)
+        cases = [
+            (demo_net.with_gains(g=[1.0, -1.0, 1.0, -1.0, 0.0]), 101, 2.5, "sectionV", 251, 1.5),
+            (path, 201, 0.25, profiles, 26, 5.3),
+        ]
+        for net, nx, t_end, ic, frames, factor in cases:
+            sim = SimConfig(nx=nx, t_end=t_end, source="paper", initial_conditions=ic)
+            assert sim.output_stride == 10
+            assert _agent_basis(net, assemble_operator(net, sim)) is None
+            tracemalloc.start()
+            try:
+                traj = simulate(net, sim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.frames) == frames
+            assert peak <= factor * traj.frames.nbytes
 
     def test_route_rule(self, demo_net):
         # the eigenbasis exactly when a diagonal scaling makes G L symmetric
