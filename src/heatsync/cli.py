@@ -275,14 +275,15 @@ def cmd_simulate(args) -> int:
                          series.pairwise_max]).tolist(),
     )
     bdy_path = out_dir / "boundary.csv"
+    leader = traj.leader @ traj.modes[-1]  # x = 1
     _write_csv(
         bdy_path,
         ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"],
-        np.column_stack([traj.times, traj.frames @ traj.modes[-1]]).tolist(),  # x = 1
+        np.column_stack([traj.times, traj.frames @ traj.modes[-1] + leader[:, np.newaxis],
+                         leader]).tolist(),
     )
     snap_idx = [int(np.argmin(np.abs(series.times - t))) for t in snapshots]
-    snap = traj.frames[snap_idx]
-    ebar = (snap[:, :n] - snap[:, n:]).sum(axis=1) @ traj.modes.T  # only these reach the grid
+    ebar = traj.frames[snap_idx].sum(axis=1) @ traj.modes.T  # only these reach the grid
     avg_path = out_dir / "avg_error.csv"
     _write_csv(
         avg_path,

@@ -7,32 +7,29 @@ operator.  It is held in the cosine basis cos(j pi x), which diagonalizes
 the ghost-point stencil exactly (fast diagonalization, Lynch, Rice & Thomas
 1964): every mode of every agent decays at its own rate, the in-domain
 coupling acts on each mode alike, and the trapezoid integral that the
-boundary feedback reads is the j=0 coefficient.  So the generator is block
-lower-triangular over the modes: mode 0 carries the feedback and every
-other mode reads only mode 0.  Time stepping is the theta-method:
-Crank-Nicolson (theta = 1/2, the default: unconditionally stable, second
-order) or backward Euler (theta = 1, for stiff debugging).
+boundary feedback reads is the j=0 coefficient.  Time stepping is the
+theta-method: Crank-Nicolson (theta = 1/2, the default: unconditionally
+stable, second order) or backward Euler (theta = 1, for stiff debugging).
 
-``simulate`` has one stepper: the block map y_j <- P_j y_j + Q_j y_0 +
-a(t) c_j, from one inverse per mode of I - theta dt A, walks a stride one
-step at a time, and it walks every stride that no bound vouches for.  The
-coupling C = G L (+) 0 acts on every mode alike, and when a diagonal
-scaling makes it symmetric (a common g, or per-agent g of one strict
-sign) one ``eigh`` diagonalizes it: the fast diagonalization applies a
-second time, over the agents, and all output strides are walked forward
-at once, with a bound on every state inside each.  A stride whose bound
-stays below the divergence limit is vouched for.  Long strides are cut
-into chunks so that no intermediate outgrows the returned frames, and
-work over all the frames is done an eighth of them at a time.  Any other
-g (mixed signs, or zero on some agents only) has no bound.
-The run stays in the cosine basis: ``simulate`` returns the modal frames,
-and ``sync_errors`` reads them by discrete Parseval.  The spectral
-abscissa is read off the generator's own mode blocks, with no time step
-in it.  Only numpy is needed.  ``NetworkConfig`` and ``SimConfig`` live
-in ``scenarios``: reading a config loads no simulator.
+The forcing acts on every agent alike, and the coupling and the feedback
+vanish on a field common to all agents, so ``simulate`` runs the follower
+errors z_i - z_leader as a source-free N x N system and the leader alone,
+one scalar recurrence per mode.  The error generator is block
+lower-triangular over the modes: mode 0 carries the feedback and every
+other mode reads only mode 0.  Its one stepper, the block map, walks every
+output stride that no bound vouches for.  When a diagonal scaling makes
+the coupling G L symmetric (a common g, or per-agent g of one strict sign)
+one ``eigh`` diagonalizes it, the fast diagonalization over the agents,
+and all strides are walked forward at once with a bound on every state
+inside each.  Work over all the frames is done an eighth of them at a
+time.  ``simulate`` returns modal frames, and ``sync_errors`` reads the
+error frames by discrete Parseval.  Only numpy is needed.
+``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
+loads no simulator.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,26 +54,23 @@ def trapezoid_weights(nx: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Spatially discretized closed-loop generator in the cosine basis.
+    """Spatially discretized error generator in the cosine basis.
 
-    A state is a matrix Y of modal coefficients with one row per agent
-    (z_1 .. z_N, z_leader) and one column per mode j = 0 .. nx-1; agent a's
-    field on the grid is ``modes @ Y[a]``.  The generator maps Y to
-    ``Y * rates + coupling @ Y - outer(feedback @ Y[:, 0], node0)``:
-    ``rates`` are the heat stencil's eigenvalues, ``coupling`` is
-    G L (+) 0, and row i of ``feedback`` is (2 beta/dx) k_i m_i
-    (e_i - e_leader), the flux that the boundary feedback on the trapezoid
-    integral Y[:, 0] injects at the x=0 node, ``node0`` in modal coordinates.
-    The leading N x N blocks of ``coupling`` and ``feedback`` generate the
-    follower errors z_i - z_leader: the coupling and the feedback vanish on
-    a field common to all agents, and the leader obeys the same heat
-    equation as every follower, so it drops out of the differences.
+    A state is a matrix E of modal coefficients of the follower errors e_i
+    = z_i - z_leader, one row per follower and one column per mode j = 0 ..
+    nx-1; error i's field on the grid is ``modes @ E[i]``.  The generator
+    maps E to ``E * rates + coupling @ E - outer(feedback * E[:, 0], node0)``:
+    ``rates`` are the heat stencil's eigenvalues, ``coupling`` is G L, and
+    ``feedback[i]`` = (2 beta/dx) k_i m_i is the flux per unit of trapezoid
+    integral E[i, 0] that the boundary feedback injects at the x=0 node,
+    ``node0`` in modal coordinates.  The leader obeys y' = y * rates plus
+    the forcing, which, common to all agents, drops out of the errors.
     """
 
     grid: np.ndarray  # (nx,)
     rates: np.ndarray  # (nx,), alpha - (4 beta/dx^2) sin^2(j pi dx/2)
-    coupling: np.ndarray  # (N+1, N+1)
-    feedback: np.ndarray  # same shape as coupling
+    coupling: np.ndarray  # (N, N)
+    feedback: np.ndarray  # (N,)
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -107,18 +101,20 @@ def _to_modes(op: DiscreteOperator, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled modal frames of one run: ``frames[f, a]`` holds the cosine
-    coefficients of agent a (the leader last) at ``times[f]``, and a caller
-    maps only the frames it needs to the grid, ``modes @ frames[f, a]``."""
+    """Sampled modal frames of one run: ``frames[f, i]`` holds the cosine
+    coefficients of follower i's error z_i - z_leader at ``times[f]``, and
+    ``leader[f]`` the leader's.  A caller maps only the frames it needs to
+    the grid: follower i's field is ``modes @ (frames[f, i] + leader[f])``."""
 
     times: np.ndarray  # (n_frames,)
-    frames: np.ndarray  # (n_frames, N+1, nx)
+    frames: np.ndarray  # (n_frames, N, nx)
+    leader: np.ndarray  # (n_frames, nx)
     modes: np.ndarray  # (nx, nx), the operator's mode matrix
 
 
 @dataclass(frozen=True, eq=False)
 class ErrorSeries:
-    """L2 error diagnostics derived from a trajectory."""
+    """L2 error diagnostics derived from a trajectory's error frames."""
 
     times: np.ndarray  # (n_frames,)
     per_agent_l2: np.ndarray  # (n_agents, n_frames), ||z_i - z_leader||_L2
@@ -127,109 +123,103 @@ class ErrorSeries:
 
 
 def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
-    """Build the discrete closed-loop generator for a scenario.
+    """Build the discrete error generator for a scenario.
 
     Every agent obeys the Neumann heat stencil; follower x=0 nodes pick up
     the boundary feedback flux -(2 beta / dx) * k_i m_i * trapezoid(z_i - z_l)
     from eliminating the ghost node against the prescribed boundary slope,
-    and the in-domain coupling adds g_i * l_ij pointwise across agents.  The
-    leader is pure Neumann and feeds back to nothing.  Raises ValueError
-    when finite parameters overflow into an entry of ``rates``,
-    ``coupling`` or ``feedback`` that is not finite.
+    and the in-domain coupling adds g_i * l_ij pointwise across agents.
+    Raises ValueError when finite parameters overflow into an entry of
+    ``rates``, ``coupling`` or ``feedback`` that is not finite.
     """
-    n, j = net.n, np.arange(sim.nx)
-    coupling = np.zeros((n + 1, n + 1))
-    feedback = np.zeros((n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        j = np.arange(sim.nx)
         rates = net.alpha - 4.0 * net.beta / sim.dx**2 * np.sin(np.pi * j * sim.dx / 2) ** 2
-        coupling[:n, :n] = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
-        flux = (2.0 * net.beta / sim.dx) * net.boundary_gains
-    feedback[:n, :n] = np.diag(flux)
-    feedback[:n, n] = -flux
+        coupling = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
+        feedback = (2.0 * net.beta / sim.dx) * net.boundary_gains
     if not all(np.isfinite(part).all() for part in (rates, coupling, feedback)):
         raise ValueError("the closed-loop operator overflows: alpha, beta, k or g is too large")
     return DiscreteOperator(grid=sim.grid, rates=rates, coupling=coupling, feedback=feedback)
 
 
-def _check_finite(y: np.ndarray, n: int, nx: int, step: int, dt: float) -> None:
-    bad = ~np.isfinite(y) | (np.abs(y) > _DIVERGENCE_LIMIT)
-    if bad.any():
-        block = int(np.argmax(bad.reshape(-1, nx).any(axis=1)))
-        agent = "leader" if block == n else block + 1
-        raise Divergence(step=step, t=step * dt, agent=agent)
-
-
 def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
-    """(V, V^-1, lam) with coupling C = G L (+) 0 = V diag(lam) V^-1, or None.
+    """(V, V^-1, lam) with coupling C = G L = V diag(lam) V^-1, or None.
 
     A common g makes C symmetric.  Per-agent g of one strict sign makes
-    S^-1 C S symmetric for S = |G|^1/2 (+) 1, so V = S U from its ``eigh``
-    U, with cond(V) <= (max|g| / min|g|)^1/2.  Any other g gives None.
+    S^-1 C S symmetric for S = |G|^1/2, so V = S U from its ``eigh`` U,
+    with cond(V) <= (max|g| / min|g|)^1/2.  Any other g gives None.
     """
     g = net.g_vector
     if not ((g == g[:1]).all() or (g > 0).all() or (g < 0).all()):
         return None
-    scale = np.append(np.where(g == 0.0, 1.0, np.sqrt(np.abs(g))), 1.0)  # a common g of 0: C = 0
+    scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))  # a common g of 0: C = 0
     lam, u = np.linalg.eigh(op.coupling / scale[:, np.newaxis] * scale)
     return scale[:, np.newaxis] * u, u.T / scale, lam
 
 
 def _implicit_inverses(op: DiscreteOperator, h: float, count: int) -> np.ndarray:
     """Inverses of the first ``count`` mode blocks of I - h A, (1 - h rates_j) I
-    - h coupling (+ h node0_0 feedback on mode 0); LinAlgError if singular."""
+    - h coupling (+ h node0_0 diag(feedback) on mode 0); LinAlgError if singular."""
     blocks = (1.0 - h * op.rates[:count, np.newaxis, np.newaxis]) * np.eye(len(op.coupling))
     blocks -= h * op.coupling
-    blocks[0] += h * op.node0[0] * op.feedback
+    blocks[0] += h * op.node0[0] * np.diag(op.feedback)
     return np.linalg.inv(blocks)
 
 
-def _source_response(op: DiscreteOperator, sim: SimConfig, h: float) -> np.ndarray:
-    """Each mode's response c_j to one step of a unit-amplitude source, one
-    number for every agent: coupling and feedback vanish on a common field."""
-    if sim.source == "off":
-        return np.zeros(sim.nx)
-    return sim.dt * _to_modes(op, forcing_shape(sim.grid)) / (1.0 - h * op.rates)
+def _leader_step(op: DiscreteOperator, sim: SimConfig):
+    """(rho, c): one theta-step of the leader is y_j <- rho_j y_j + a(t) c_j on
+    every mode, with the source amplitude a at t_n + theta dt; c = 0 without
+    a source.  An exactly singular mode makes rho_j infinite."""
+    theta = THETA[sim.scheme]
+    inverse = 1.0 / (1.0 - theta * sim.dt * op.rates)
+    shape = forcing_shape(sim.grid) if sim.source == "paper" else np.zeros(sim.nx)
+    return (inverse - (1.0 - theta)) / theta, sim.dt * _to_modes(op, shape) * inverse
 
 
 def _block_step(op: DiscreteOperator, sim: SimConfig):
-    """One theta-step as the block map y_j <- P_j y_j + Q_j y_0 + a(t) c_j, any coupling.
+    """One theta-step of the errors as the block map y_j <- P_j y_j + Q_j y_0, any coupling.
 
     P_j = (inv_j - (1 - theta) I)/theta and Q_j = s_j inv_j F inv_0 with
     s_j = -h node0_j/theta, s_0 = 0, kept factored as (a_j P_j + b_j I) G,
-    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode, and c
-    from ``_source_response``.  ``simulate`` builds it at most once per run.
+    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode.
+    ``simulate`` builds it at most once per run.
     """
     theta = THETA[sim.scheme]
     h = theta * sim.dt
     inverses = _implicit_inverses(op, h, sim.nx)
     shed = (-h / theta) * op.node0
     shed[0] = 0.0
-    g = op.feedback @ inverses[0]
+    g = op.feedback[:, np.newaxis] * inverses[0]
     diagonal = np.arange(len(g))
     inverses[:, diagonal, diagonal] -= 1.0 - theta
     inverses /= theta
-    source = _source_response(op, sim, h)[:, np.newaxis]
-    return inverses, theta * shed, (1.0 - theta) * shed, g, source
+    return inverses, theta * shed, (1.0 - theta) * shed, g
 
 
-def _stepwise(op, sim, step, frames, steps) -> None:
-    """One stride of the block map ``step`` on agent-major modal frames (2, N+1, nx),
-    in place: from ``frames[0]`` at step ``steps[0]``, ``frames[1]`` at ``steps[1]``.
+def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
+    """One stride of the block map ``step`` on modal error frames (2, N, nx)
+    and of the leader's ``recurrence`` on its modal frames ``lead`` (2, nx),
+    in place: from frame 0 at step ``steps[0]``, frame 1 at ``steps[1]``.
 
-    |z_a| <= sum_j |y_ja| since |cos| <= 1, so a step is checked on the grid
-    only when that crosses the divergence limit.
+    |z_i| <= sum_j |e_ij| + sum_j |y_j| for the leader's y since |cos| <= 1,
+    so a step is checked on the grid, followers first, only past the limit.
     """
-    p, a, b, g, source = step
-    n, dt, h = len(op.coupling) - 1, sim.dt, THETA[sim.scheme] * sim.dt
-    y = frames[0].T  # mode-major
-    for s in range(steps[0] + 1, steps[1] + 1):
-        fed = y[:1] @ g.T  # G y_0 as a row
-        y = ((p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
-             + forcing_amplitude((s - 1) * dt + h) * source)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.abs(y).sum(axis=0).max() <= _DIVERGENCE_LIMIT:
-                _check_finite((op.modes @ y).T, n, sim.nx, s, dt)
-    frames[1] = y.T
+    p, a, b, g = step
+    rho, c = recurrence
+    dt, h = sim.dt, THETA[sim.scheme] * sim.dt
+    y, x = frames[0].T, lead[0]  # mode-major
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps[0] + 1, steps[1] + 1):
+            fed = y[:1] @ g.T  # G y_0 as a row
+            y = (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
+            x = rho * x + forcing_amplitude((s - 1) * dt + h) * c
+            if not np.abs(y).sum(axis=0).max(initial=0.0) + np.abs(x).sum() <= _DIVERGENCE_LIMIT:
+                fields = op.modes @ np.column_stack([y + x[:, np.newaxis], x])
+                bad = (~np.isfinite(fields) | (np.abs(fields) > _DIVERGENCE_LIMIT)).any(axis=0)
+                if bad.any():
+                    agent = int(np.argmax(bad)) + 1
+                    raise Divergence(step=s, t=s * dt, agent=agent if agent <= len(g) else "leader")
+    frames[1], lead[1] = y.T, x
 
 
 def _frame_blocks(count: int) -> list[slice]:
@@ -238,44 +228,42 @@ def _frame_blocks(count: int) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
-def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
-    """The whole run from the agent-major modal start y (N+1, nx), in the basis.
+def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, lead, recurrence):
+    """The whole run in the basis, from the modal error start y (N, nx) and
+    the leader's frames ``lead`` (n_frames, nx), zero past lead[0], in place.
 
-    The state is a source-free part plus the source's response q_j (see
-    ``_source_response``).  A step of the former is P_0 on mode 0 and, on
-    each mode j >= 1, y^_j <- D_j y^_j + feed_j (G y_0), G = V^-1 F inv_0;
-    q_j <- rho_j q_j + a(t) c_j.  All strides are walked forward at once,
-    in chunks of c steps sized to the frames: mode 0 and q a step at a
-    time, the other modes' chunk sum as one product over the in-stride
-    index k with D^(c-1-k) feed, the earlier chunks' sum carried on by D^c.
-    Returns the modal frames (n_frames, N+1, nx) and per stride of L steps
-    a bound on every max_x |z_a| in it: |y^| <= max(1, |D^L|) (|y^_start|
-    + |feed| sum |G y_0|) mode by mode, likewise q, and |z_a| <= |y_0a| +
-    (|V| sum_j |y^_j|)_a + sum_j |q_j| as |cos| <= 1.  An exactly singular
-    block needs no check here: its zero divisor makes every bound non-finite.
+    An error step is P_0 on mode 0 and, on each mode j >= 1, y^_j <- D_j
+    y^_j + feed_j (G y_0), G = V^-1 F inv_0; a leader step is y_j <- rho_j
+    y_j + a(t) c_j, its ``recurrence`` (see ``_leader_step``).  All strides are walked forward
+    at once, in chunks of c steps sized to the frames: mode 0 and the
+    leader a step at a time, the other modes' chunk sum as one product over
+    the in-stride index k with D^(c-1-k) feed, the earlier chunks' sum
+    carried on by D^c.  Returns the modal error frames (n_frames, N, nx)
+    and per stride of L steps a bound on every max_x |z_a| in it: |y^| <=
+    max(1, |D^L|) (|y^_start| + |feed| sum |G y_0|) mode by mode, likewise
+    the leader's y, and |z_i| <= |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j|
+    as |cos| <= 1.  An exactly singular block needs no check here: its zero
+    divisor makes every bound non-finite.
     """
     v, v_inv, lam = basis
+    rho, c = recurrence
     theta = THETA[sim.scheme]
     dt, h = sim.dt, theta * sim.dt
     m, nx = y.shape
-    src = _source_response(op, sim, h)
     inv0 = _implicit_inverses(op, h, 1)[0]
     den = 1.0 - h * op.rates[1:] - h * lam[:, np.newaxis]
     p0 = (inv0 - (1.0 - theta) * np.eye(m)) / theta
-    g = v_inv @ op.feedback @ inv0
+    g = v_inv @ (op.feedback[:, np.newaxis] * inv0)
     d = (1.0 / den - (1.0 - theta)) / theta
     feed = (-h / theta) * op.node0[1:] / den
-    rho = (1.0 / (1.0 - h * op.rates) - (1.0 - theta)) / theta
 
     stride = min(sim.output_stride, sim.n_steps)
     full, rest = divmod(sim.n_steps, stride)
     n_frames = full + bool(rest) + 1
-    # mode 0 of the source-free part, and its other modes in the basis until the end
     frames = np.zeros((n_frames, m, nx))
-    y0, hat = frames[:, :, 0], frames[:, :, 1:]
+    y0, hat = frames[:, :, 0], frames[:, :, 1:]  # mode 0; the others in the basis until the end
     y0[0], hat[0] = y[:, 0], v_inv @ y[:, 1:]
-    q = np.zeros((n_frames, nx))
-    bound = np.empty((n_frames - 1, m))
+    bound = np.empty(n_frames - 1)
     budget = n_frames * nx  # per agent, the size of the returned frames
     for length, first, count in [(stride, 0, full)] + [(rest, full, 1)] * bool(rest):
         last = first + count
@@ -289,17 +277,17 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
         table[:, -1] = feed
         for k in range(chunk - 1, 0, -1):
             np.multiply(d, table[:, k], out=table[:, k - 1])
-        mode0, ahead, q_end = y0[first:last].T, hat[first + 1 : last + 1], q[first + 1 : last + 1]
+        mode0, ahead, ends = y0[first:last].T, hat[first + 1 : last + 1], lead[first + 1 : last + 1]
         # D^chunk carries the earlier chunks' sum on to the end of a later chunk
         carry = np.prod(np.broadcast_to(d, (chunk, *d.shape)), axis=0) if chunk < length else 1.0
         for start in range(length % -chunk, length, chunk):  # only the first chunk is short
             i = np.arange(max(start, 0), start + chunk)  # the chunk's in-stride steps
             amp = forcing_amplitude((stride * np.arange(first, last)[:, np.newaxis] + i) * dt + h)
             walk = np.empty((i.size, m, count))  # mode 0 at those steps, every stride
-            for k in range(i.size):  # q_end holds q / c until the stride ends
+            for k in range(i.size):  # ends holds the leader's walk from zero / c
                 walk[k], mode0 = mode0, p0 @ mode0
-                q_end *= rho
-                q_end += amp[:, k, np.newaxis]
+                ends *= rho
+                ends += amp[:, k, np.newaxis]
             w_t = (g @ walk).transpose(1, 2, 0)  # G y_0 as (basis, stride, step)
             for b in _frame_blocks(count):
                 if start > 0:
@@ -308,20 +296,19 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray):
             top = np.maximum(top, np.abs(walk).max(axis=0).T)
             feed_sum += np.abs(w_t).sum(axis=2).T
             amp_sum += np.abs(amp).sum(axis=1)
-        q_end *= src
+        ends *= c
         d_len, rho_len = d**length, rho**length
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]
-            q[f + 1] += rho_len * q[f]
-        grow, grow_src = np.maximum(1.0, np.abs(d_len)), np.maximum(1.0, np.abs(rho_len))
+            lead[f + 1] += rho_len * lead[f]
+        grow, grow_lead = np.maximum(1.0, np.abs(d_len)), np.maximum(1.0, np.abs(rho_len))
         reach = feed_sum * (grow * np.abs(feed)).sum(axis=1)
         for b in _frame_blocks(count):
             reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
-        reach_src = np.abs(q[first:last]) @ grow_src + amp_sum * (grow_src @ np.abs(src))
-        bound[first:last] = top + reach @ np.abs(v).T + reach_src[:, np.newaxis]
+        reach_lead = np.abs(lead[first:last]) @ grow_lead + amp_sum * (grow_lead @ np.abs(c))
+        bound[first:last] = (top + reach @ np.abs(v).T).max(axis=1, initial=0.0) + reach_lead
     for b in _frame_blocks(n_frames):
         hat[b] = v @ hat[b]
-    frames += q[:, np.newaxis]
     return frames, bound
 
 
@@ -331,52 +318,66 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     The theta-method (I - theta dt A) y_{n+1} = (I + (1 - theta) dt A) y_n
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
-    end).  With an ``_agent_basis`` the run is ``_eigen_frames``; the block
-    map then walks each stride that its bound does not vouch for, from the
-    frame before, and rewrites its end frame, or every stride when there is
-    no basis: divergence is decided step by step.  Raises Divergence (with
-    step and agent) if the field leaves the finite range; an exactly
-    singular implicit block diverges at step 1.
+    end), on the errors without f and on the leader with it.  With an
+    ``_agent_basis`` the run is ``_eigen_frames``; the block map then walks
+    each stride that its bound does not vouch for, from the frame before,
+    and rewrites its end frames, or every stride when there is no basis:
+    divergence is decided step by step.  Raises Divergence (with step and
+    agent) if a field leaves the finite range; an exactly singular implicit
+    block diverges at step 1.  Raises ValueError, before any array of the
+    run is made, when its frames alone exceed physical memory.
     """
-    n = net.n
+    count = -(-sim.n_steps // sim.output_stride) + 1
+    size = 8 * count * (net.n + 1) * sim.nx
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValueError(f"the run returns {count} frames of {size} bytes, "
+                         f"more than the {memory} bytes of physical memory")
     op = assemble_operator(net, sim)
-    y = _to_modes(op, np.vstack(_resolve_initial_conditions(net, sim)))  # agent-major: (N+1, nx)
+    followers, leader = _resolve_initial_conditions(net, sim)
+    errors = _to_modes(op, followers - leader)  # taken on the grid
     steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
     basis = _agent_basis(net, op)
     try:
-        if basis is None:  # no bound: every stride is unsafe
-            step = _block_step(op, sim)  # its inverses first: they can outweigh the frames
-            frames = np.empty((len(steps), n + 1, sim.nx))
-            frames[0], unsafe = y, range(len(steps) - 1)
-        else:  # a blow-up or an exactly singular block only fails a bound
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                frames, bound = _eigen_frames(op, sim, basis, y)
-                unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT).all(axis=1))
-            step = _block_step(op, sim) if len(unsafe) else None
+        # no basis, no bound: inverses first, as they can outweigh the frames
+        step = _block_step(op, sim) if basis is None else None
+        lead = np.zeros((count, sim.nx))
+        lead[0] = _to_modes(op, leader)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only fails a bound
+            recurrence = _leader_step(op, sim)
+            if basis is None:
+                frames, bound = np.empty((count, net.n, sim.nx)), np.full(count - 1, np.inf)
+                frames[0] = errors
+            else:
+                frames, bound = _eigen_frames(op, sim, basis, errors, lead, recurrence)
+        unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT))
+        if step is None and len(unsafe):
+            step = _block_step(op, sim)
         for f in unsafe:
-            _stepwise(op, sim, step, frames[f : f + 2], steps[f : f + 2])
+            pair = slice(f, f + 2)
+            _stepwise(op, sim, step, recurrence, frames[pair], lead[pair], steps[pair])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
-        raise Divergence(step=1, t=sim.dt, agent=1 if n else "leader")
-    return Trajectory(times=steps * sim.dt, frames=frames, modes=op.modes)
+        raise Divergence(step=1, t=sim.dt, agent=1)
+    return Trajectory(times=steps * sim.dt, frames=frames, leader=lead, modes=op.modes)
 
 
 def sync_errors(traj: Trajectory) -> ErrorSeries:
     """Per-agent L2 errors to the leader, their root sum of squares, and the
-    largest L2 distance between two followers, all off the modal frames.
+    largest L2 distance between two followers, all off the modal error frames.
 
     Discrete Parseval for the DCT-I: modes^T diag(w) modes = diag(c) for the
     trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so ||modes y||_w^2 =
-    sum_j c_j y_j^2.  Each distance is that sum over the modal difference
-    itself, so nothing cancels between the fields; pairs go one follower
-    against all later ones, a block of frames at a time.
+    sum_j c_j y_j^2.  Each pair distance is that sum over the modal
+    difference of two errors itself, so nothing cancels between the fields;
+    pairs go one follower against all later ones, a block of frames at a time.
     """
     frames = traj.frames
-    count, n, nx = len(frames), frames.shape[1] - 1, frames.shape[2]
+    count, n, nx = frames.shape
     c = np.where(np.arange(nx) % (nx - 1), 0.5, 1.0)  # 1 at j = 0 and j = nx - 1
     per_sq, pair_sq = np.empty((n, count)), np.zeros(count)
     for b in _frame_blocks(count):
-        y = frames[b, :n]
-        per_sq[:, b] = ((y - frames[b, n:]) ** 2 @ c).T
+        y = frames[b]
+        per_sq[:, b] = (y**2 @ c).T
         for a in range(n - 1):
             d2 = (y[:, a : a + 1] - y[:, a + 1 :]) ** 2 @ c
             pair_sq[b] = np.maximum(pair_sq[b], d2.max(axis=1))
@@ -406,23 +407,20 @@ def fit_decay_rate(series: ErrorSeries, window: tuple[float, float]) -> float:
 def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
     """Spectral abscissa, max Re lam, of the semi-discrete error generator.
 
-    The errors z_i - z_leader evolve under the leading N x N blocks C and F
-    of ``coupling`` and ``feedback`` (see ``DiscreteOperator``).  That
-    generator is block lower-triangular over the cosine modes, so its
-    eigenvalues are those of the N x N mode blocks: rates_0 +
-    eig(C - node0_0 F) for the constant mode and rates_j + eig(C) for the
-    others.  The value describes the spatial discretization alone; no time
-    step enters it.  Raises ValueError when finite parameters overflow into
-    an abscissa that is not finite.
+    The generator (see ``DiscreteOperator``) is block lower-triangular over
+    the cosine modes, so its eigenvalues are those of the N x N mode
+    blocks: rates_0 + eig(C - node0_0 F) for the constant mode and rates_j
+    + eig(C) for the others, with C the coupling and F = diag(feedback).
+    The value describes the spatial discretization alone; no time step
+    enters it.  Raises ValueError when finite parameters overflow into an
+    abscissa that is not finite.
     """
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
     op = assemble_operator(net, sim)
-    n = net.n
-    c, f = op.coupling[:n, :n], op.feedback[:n, :n]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        lam0 = op.rates[0] + np.linalg.eigvals(c - op.node0[0] * f)
-        lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(c)
+        lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * np.diag(op.feedback))
+        lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(op.coupling)
         abscissa = np.maximum(lam0.real.max(), lam_rest.real.max())  # keeps a nan
     if not np.isfinite(abscissa):
         raise ValueError("the spectral abscissa overflows: alpha, beta, k or g is too large")

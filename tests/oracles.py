@@ -10,18 +10,20 @@ Production decides certificates from one ``eigvalsh`` call in
 a certificate with beta = 1 and common scalar gains as an N x N
 positive-definiteness test and a sign test on the Laplacian kernel; each
 asserts that its config lies in that regime.
-``modal_apply`` applies the closed-loop generator to modal coefficients
+``modal_apply`` applies the error generator to modal error coefficients
 straight from the fields of ``heatsync.DiscreteOperator`` (production
 never forms that product: its steps only solve).
 ``inverse_modes`` writes the inverse of the mode matrix out as a dense
 nx x nx array; production maps grid values to modes without forming it.
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
-and the source evaluated afresh every step (``forcing_profile``);
-production holds the generator in the cosine basis and steps it one mode
-at a time.  ``GridTrajectory`` holds a run as fields on the grid, the
+and the source evaluated afresh every step (``forcing_profile``), and
+decides divergence on the grid by its own rule; production runs the
+follower errors and the leader apart in the cosine basis and steps them
+one mode at a time.  ``GridTrajectory`` holds a run as fields on the grid, the
 route production left: ``on_grid`` maps every frame of a modal
-``heatsync.Trajectory`` there and ``from_grid`` back, ``grid_errors``
+``heatsync.Trajectory`` there, each follower as its error plus the
+leader, and ``from_grid`` back, ``grid_errors``
 takes trapezoid sums of the error fields and ``pairwise_max`` of the
 follower differences, pair by pair.  ``modal_pairwise_max`` loops over the
 pairs on the modal differences with the Parseval weights; production
@@ -48,7 +50,7 @@ from heatsync import (
     leader_mask,
     trapezoid_weights,
 )
-from heatsync.pdesim import _check_finite
+from heatsync.errors import Divergence
 from heatsync.scenarios import _resolve_initial_conditions, forcing_amplitude, forcing_shape
 
 
@@ -236,8 +238,8 @@ def inverse_modes(op) -> np.ndarray:
 
 
 def modal_apply(op, y: np.ndarray) -> np.ndarray:
-    """The generator of ``op`` (a DiscreteOperator) applied to modal coefficients ``y``."""
-    flux = np.outer(op.feedback @ y[:, 0], op.node0)
+    """The generator of ``op`` (a DiscreteOperator) applied to modal error coefficients ``y``."""
+    flux = np.outer(op.feedback * y[:, 0], op.node0)
     return y * op.rates + op.coupling @ y - flux
 
 
@@ -288,8 +290,9 @@ def dense_abscissa(net, sim) -> float:
 def dense_simulate(net, sim) -> GridTrajectory:
     """Crank-Nicolson / backward Euler on ``dense_operator`` with a dense LU.
 
-    Samples like ``heatsync.simulate`` and raises Divergence by the same
-    rule (``_check_finite``).
+    Samples like ``heatsync.simulate`` and raises Divergence at the first
+    step with a grid value beyond 1e12 or not finite, naming the first such
+    agent, followers before the leader.
     """
     n, nx = net.n, sim.nx
     a = dense_operator(net, sim)
@@ -308,7 +311,10 @@ def dense_simulate(net, sim) -> GridTrajectory:
         if sim.source == "paper":
             rhs += sim.dt * np.tile(forcing_profile(x, t_src), n + 1)
         y = lu_solve(lu, rhs)
-        _check_finite(y, n, nx, step, sim.dt)
+        bad = (~np.isfinite(y) | (np.abs(y) > 1e12)).reshape(n + 1, nx).any(axis=1)
+        if bad.any():
+            agent = int(np.argmax(bad)) + 1
+            raise Divergence(step=step, t=step * sim.dt, agent=agent if agent <= n else "leader")
         if step % sim.output_stride == 0 or step == sim.n_steps:
             frames.append(y.copy())
             times.append(step * sim.dt)
@@ -338,10 +344,12 @@ class GridTrajectory:
 
 
 def on_grid(traj: Trajectory) -> GridTrajectory:
-    """Every frame of a modal trajectory mapped to the grid."""
-    fields = traj.frames @ traj.modes.T  # (n_frames, N+1, nx)
+    """Every frame of a modal trajectory mapped to the grid, each follower's
+    field as its error plus the leader's."""
+    leader = traj.leader @ traj.modes.T  # (n_frames, nx)
+    errors = traj.frames @ traj.modes.T  # (n_frames, N, nx)
     return GridTrajectory(
-        times=traj.times, z=fields[:, :-1].transpose(1, 0, 2), z_leader=fields[:, -1]
+        times=traj.times, z=(errors + leader[:, np.newaxis]).transpose(1, 0, 2), z_leader=leader
     )
 
 
@@ -354,11 +362,16 @@ def cosine_modes(nx: int) -> np.ndarray:
 
 def from_grid(times, z, z_leader) -> Trajectory:
     """The modal trajectory of grid fields z (n_agents, n_frames, nx) and
-    z_leader (n_frames, nx), by a dense solve against ``cosine_modes``."""
+    z_leader (n_frames, nx), by a dense solve against ``cosine_modes``; the
+    errors are taken on the grid."""
     modes = cosine_modes(z_leader.shape[-1])
-    fields = np.concatenate([z.transpose(1, 0, 2), z_leader[:, np.newaxis]], axis=1)
-    frames = np.linalg.solve(modes, fields.reshape(-1, modes.shape[0]).T).T
-    return Trajectory(times=np.asarray(times), frames=frames.reshape(fields.shape), modes=modes)
+
+    def to_modes(fields):
+        return np.linalg.solve(modes, fields.reshape(-1, modes.shape[0]).T).T.reshape(fields.shape)
+
+    errors = (z - z_leader).transpose(1, 0, 2)
+    return Trajectory(times=np.asarray(times), frames=to_modes(errors), leader=to_modes(z_leader),
+                      modes=modes)
 
 
 def grid_errors(traj: GridTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,8 +396,8 @@ def pairwise_max(traj: GridTrajectory) -> np.ndarray:
 
 def modal_pairwise_max(traj: Trajectory) -> np.ndarray:
     """max over follower pairs a < b of sqrt(sum_j c_j (y_a - y_b)_j^2), pair
-    by pair on the modal frames, c = (1, 1/2, .., 1/2, 1) (discrete Parseval)."""
-    n, nx = traj.frames.shape[1] - 1, traj.frames.shape[2]
+    by pair on the modal error frames, c = (1, 1/2, .., 1/2, 1) (discrete Parseval)."""
+    n, nx = traj.frames.shape[1:]
     c = np.full(nx, 0.5)
     c[0] = c[-1] = 1.0
     pair = np.zeros(traj.times.size)

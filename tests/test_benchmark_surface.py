@@ -64,7 +64,7 @@ def test_in_process_replay_calls(tmp_path, name):
     assert cert.matrix.dim == 2 * net.n
 
     op = pdesim.assemble_operator(net, sim)
-    assert op.coupling.shape == (net.n + 1, net.n + 1)
+    assert op.coupling.shape == (net.n, net.n)
 
 
 @pytest.mark.parametrize("name", ["demo", "large_network"])

@@ -690,6 +690,50 @@ class TestSimulate:
         # nothing was written, so no output directory was made either
         assert not (tmp_path / "d").exists()
 
+    def test_run_too_large_to_hold_exits_2(self, explicit_config, tmp_path, capsys):
+        # 10^12 steps, each a frame of 6 agents x 101 nodes: refused by its
+        # size before any array of the run is made, so nothing is allocated
+        payload = json.loads(Path(explicit_config).read_text())
+        payload["sim"].update(nx=101, dt=1e-9, t_end=1000.0, output_stride=1)
+        cfg = write_config(tmp_path / "huge.json", payload)
+        count, size = 10**12 + 1, (10**12 + 1) * 6 * 101 * 8
+        assert size > 2**50
+        out_dir = tmp_path / "huge"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert f"{count} frames of {size} bytes" in err
+        assert not out_dir.exists()
+        scn = load_scenario(cfg)
+        with pytest.raises(ValueError, match=f"{count} frames"):
+            simulate(scn.net, scn.sim)
+
+    @pytest.mark.parametrize("g", [-2.0, [1.0, -1.0, 1.0, -1.0, 0.0]], ids=["preset", "mixed_g"])
+    def test_errors_ignore_a_common_shift_and_the_source(self, explicit_config, tmp_path, g):
+        # the errors run apart from the leader and the source: shifting every
+        # profile by one field phi, or switching the source, leaves
+        # errors.csv byte for byte.  The profiles are dyadic, so the shift
+        # is exact and so are the initial errors
+        x = np.linspace(0.0, 1.0, 41)
+        followers, leader = (np.round(p * 2**20) / 2**20 for p in demo_initial_profiles(x))
+        phi = np.round((1.0 + 0.5 * np.cos(3.0 * np.pi * x)) * 2**20) / 2**20
+        payload = json.loads(Path(explicit_config).read_text())
+        payload["g"] = g
+        outputs = {}
+        for shift in (0.0, 1.0):
+            for source in ("off", "paper"):
+                initial = {"followers": (followers + shift * phi).tolist(),
+                           "leader": (leader + shift * phi).tolist()}
+                payload["sim"].update(source=source, initial_conditions=initial)
+                name = f"{shift:g}-{source}"
+                out_dir = tmp_path / name
+                assert main(["simulate", write_config(tmp_path / f"{name}.json", payload),
+                             "--out", str(out_dir)]) == 0
+                outputs[name] = [(out_dir / f).read_bytes() for f in ("errors.csv", "boundary.csv")]
+        errors, boundaries = zip(*outputs.values())
+        assert len(set(errors)) == 1
+        assert len(set(boundaries)) == 4  # the fields themselves do move
+
     @pytest.mark.parametrize("g", [-2.0, [1.0, -1.0, 1.0, -1.0, 0.0]], ids=["preset", "mixed_g"])
     def test_outputs_match_the_grid_route(self, tmp_path, g):
         # every frame mapped to the grid and read there; mixed-sign g runs on the block map

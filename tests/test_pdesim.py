@@ -25,7 +25,7 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
-from heatsync.pdesim import _agent_basis, _block_step, _eigen_frames, _stepwise
+from heatsync.pdesim import _agent_basis, _block_step, _eigen_frames, _leader_step, _stepwise
 from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 from conftest import demo_graph, random_connected_graph, random_graph
@@ -202,55 +202,41 @@ def grid_matrix(op):
     return np.array([grid_apply(op, u).reshape(-1) for u in units]).T
 
 
-def error_generator(op):
-    """``op`` cut to the leading N x N blocks that generate z_i - z_leader."""
-    n = len(op.coupling) - 1
-    return replace(op, coupling=op.coupling[:n, :n], feedback=op.feedback[:n, :n])
-
-
 class TestOperator:
     def test_leader_alone_constant_in_kernel(self):
         g0 = build_graph(0, [], [])
         net = NetworkConfig(graph=g0, alpha=0.0, beta=1.0)
         op = assemble_operator(net, SimConfig(nx=33, source="off"))
-        assert op.coupling.shape == op.feedback.shape == (1, 1)
+        # no follower, so no error: the leader obeys y' = y * rates alone
+        assert op.coupling.shape == (0, 0) and op.feedback.shape == (0,)
         # the constant field is mode 0, and mode 0 decays at rate alpha
         assert np.array_equal(op.modes[:, 0], np.ones(33))
         assert op.rates[0] == 0.0
-        constant = np.zeros((1, 33))
-        constant[0, 0] = 1.0
-        assert np.abs(modal_apply(op, constant)).max() == 0.0
 
     def test_decoupled_blocks(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.5, k=0.0, g=0.0)
         op = assemble_operator(net, SimConfig(nx=21, source="off"))
         assert op.rates[0] == 0.5
-        assert op.coupling.shape == (6, 6)
+        assert op.coupling.shape == (5, 5)
         assert not op.coupling.any()
         assert not op.feedback.any()
-        y = np.random.default_rng(3).standard_normal((6, 21))
+        y = np.random.default_rng(3).standard_normal((5, 21))
         assert np.array_equal(modal_apply(op, y), y * op.rates)
 
     def test_boundary_feedback_row_structure(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=0.0)
         sim = SimConfig(nx=21, source="off")
         op = assemble_operator(net, sim)
-        err = error_generator(op)
         nx = 21
         dx = 1.0 / 20
         w = trapezoid_weights(nx)
         flux = 2.0 / dx * 3.0
-        # agent 1 is leader-connected: its flux reads its own and the leader's integral
-        expected = np.zeros(6)
-        expected[0], expected[5] = flux, -flux
-        assert np.allclose(op.feedback[0], expected, rtol=1e-15, atol=0.0)
+        # agent 1 is leader-connected: its flux reads its own error's integral
+        assert op.feedback[0] == pytest.approx(flux, rel=1e-15)
         # agent 4 is not: no feedback on its row
-        assert not op.feedback[3].any()
-        # the error operator carries the same feedback on its own block only
-        assert np.allclose(err.feedback[0], expected[:5], rtol=1e-15, atol=0.0)
-        full, err_full = grid_matrix(op), grid_matrix(err)
-        assert np.allclose(full[0, 5 * nx :], flux * w)
-        assert np.abs(full[3 * nx, 5 * nx :]).max() <= 1e-12 * flux
+        assert op.feedback[3] == 0.0
+        err_full = grid_matrix(op)
+        assert np.abs(err_full[3 * nx, :nx]).max() <= 1e-12 * flux
         heat_row = np.zeros(nx)
         heat_row[0], heat_row[1] = -2.0 / dx**2, 2.0 / dx**2
         assert np.allclose(err_full[0, :nx], heat_row - flux * w)
@@ -269,14 +255,17 @@ class TestOperator:
             )
             sim = SimConfig(nx=nx, source="off")
             op = assemble_operator(net, sim)
-            err = error_generator(op)
             # it generates the error dynamics: d/dt (z_i - z_l) from the
-            # closed loop equals err applied to the errors
+            # dense closed loop equals the operator applied to the errors,
+            # and on the grid it is the dense loop's leading N*nx block
+            dense = dense_operator(net, sim)
             z = rng.standard_normal((n + 1, nx))
-            dz = grid_apply(op, z)
+            dz = (dense @ z.reshape(-1)).reshape(n + 1, nx)
             expected = dz[:n] - dz[n]
-            scale = np.abs(dense_operator(net, sim)).max() * np.abs(z).max()
-            assert np.abs(grid_apply(err, z[:n] - z[n]) - expected).max() <= 1e-12 * scale
+            scale = np.abs(dense).max() * np.abs(z).max()
+            assert np.abs(grid_apply(op, z[:n] - z[n]) - expected).max() <= 1e-12 * scale
+            lead = np.abs(grid_matrix(op) - dense[: n * nx, : n * nx]).max()
+            assert lead <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("nx", [16, 33, 101])
     def test_matches_dense_oracle(self, demo_net, nx):
@@ -289,28 +278,33 @@ class TestOperator:
             op = assemble_operator(net, sim)
             # node0 is the trapezoid weights: the inverse's column 0, bit for bit
             assert np.array_equal(op.node0, inverse_modes(op)[:, 0])
-            dense = dense_operator(net, sim)
-            m = net.n + 1
+            # the error generator is the dense loop's leading N*nx block,
+            # and the leader's is its last heat block
+            m, whole = net.n, dense_operator(net, sim)
+            dense, heat = whole[: m * nx, : m * nx], whole[-nx:, -nx:]
             y = rng.standard_normal((m, nx))
             z = y @ op.modes.T
             got = modal_apply(op, y) @ op.modes.T
             want = (dense @ z.reshape(-1)).reshape(m, nx)
             norm = np.abs(dense).sum(axis=1).max()
             assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
-            # one step of each scheme, by the block map and by the eigenbasis
-            # route: (I - h A) z' = (I + (dt - h) A) z
+            # one step of each scheme, of the errors by the block map and by
+            # the eigenbasis route, of the leader by its recurrence:
+            # (I - h A) z' = (I + (dt - h) A) z
             for scheme, h in (("crank_nicolson", sim.dt / 2.0), ("backward_euler", sim.dt)):
                 one = replace(sim, scheme=scheme, t_end=sim.dt)
-                y = rng.standard_normal((m, nx))
-                z = y @ op.modes.T
+                y, lead = rng.standard_normal((m, nx)), rng.standard_normal(nx)
                 pair = np.stack([y, y])  # the step overwrites frame 1
-                _stepwise(op, one, _block_step(op, one), pair, [0, 1])
-                by_block = pair[1]
-                by_eigen = _eigen_frames(op, one, _agent_basis(net, op), y)[0][1]
-                implicit = np.eye(m * nx) - h * dense
-                explicit = np.eye(m * nx) + (sim.dt - h) * dense
-                for y_next in (by_block, by_eigen):
-                    z_next = y_next @ op.modes.T
+                lead_block, lead_eigen = np.stack([lead, lead]), np.stack([lead, 0.0 * lead])
+                step, leader_step = _block_step(op, one), _leader_step(op, one)
+                _stepwise(op, one, step, leader_step, pair, lead_block, [0, 1])
+                basis = _agent_basis(net, op)
+                by_eigen = _eigen_frames(op, one, basis, y, lead_eigen, leader_step)[0][1]
+                for a, y0, y_next in ((dense, y, pair[1]), (dense, y, by_eigen),
+                                      (heat, lead, lead_block[1]), (heat, lead, lead_eigen[1])):
+                    z, z_next = y0 @ op.modes.T, y_next @ op.modes.T
+                    implicit = np.eye(len(a)) - h * a
+                    explicit = np.eye(len(a)) + (sim.dt - h) * a
                     residual = implicit @ z_next.reshape(-1) - explicit @ z.reshape(-1)
                     bound = 1e-12 * np.abs(implicit).sum(axis=1).max() * np.abs(z_next).max()
                     assert np.abs(residual).max() <= bound
@@ -447,6 +441,28 @@ class TestSimulate:
                 assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
                 assert got.value.t == want.value.t
 
+    @pytest.mark.parametrize("alpha, dt", [(60.0, 1e-3), (2000.0, 1e-3)])
+    def test_leader_divergence_matches_dense_stepper(self, alpha, dt):
+        # the leader runs apart from the errors but is checked with them: a
+        # leader that grows past the limit first is named, and only the
+        # leader's mode 0 is exactly singular at alpha = 2000 (the coupled
+        # error blocks invert), which every follower's field inherits
+        x = np.linspace(0.0, 1.0, 17)
+        graph = build_graph(3, [(1, 2), (2, 3)], [1])
+        ics = [(np.ones((3, 17)), 1.0 + x), (np.outer([1.0, 0.0, 2.0], 1.0 + x), 0.5 - x)]
+        for g, (followers, leader) in zip((-1.0, [1.0, -1.0, 1.0]), ics):
+            net = NetworkConfig(graph=graph, alpha=alpha, k=2.0, g=g)
+            sim = SimConfig(nx=17, dt=dt, t_end=5.0, source="paper",
+                            initial_conditions=(followers, leader))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the dense LU warns when singular
+                with pytest.raises(Divergence) as want:
+                    dense_simulate(net, sim)
+            for stride in (1, 7, 10):
+                with pytest.raises(Divergence) as got:
+                    simulate(net, replace(sim, output_stride=stride))
+                assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_stride_invariance(self, demo_net, scheme):
         # a stride advanced at once equals its steps; 101 steps leave a
@@ -499,8 +515,9 @@ class TestSimulate:
             assert np.abs(paper - off).max() <= 1e-12 * np.abs(off).max()
 
     def test_stride_bound_is_rigorous(self, demo_net):
-        # the bound of every stride dominates max_x |z_a| at each of its
-        # steps, stepped here with the dense one-step map; the 1e-12 covers
+        # the bound of every stride, on the errors and the leader together,
+        # dominates max_x |z_a| of every agent at each of its steps, stepped
+        # here with the dense one-step map; the 1e-12 covers
         # the rounding of the bound's sums alone.  A 10-step stride fits one
         # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 5
         # steps, each carried on to the stride's end (128 leaves a first
@@ -519,8 +536,13 @@ class TestSimulate:
             )
             op = assemble_operator(net, sim)
             z = np.vstack([followers, leader])
-            frames, bound = _eigen_frames(op, sim, _agent_basis(net, op), z @ inverse_modes(op).T)
-            assert bound.shape == (-(-500 // stride), net.n + 1)
+            to_modes, strides = inverse_modes(op).T, -(-500 // stride)
+            lead = np.zeros((strides + 1, nx))
+            lead[0] = leader @ to_modes
+            errors = (followers - leader) @ to_modes
+            basis, leader_step = _agent_basis(net, op), _leader_step(op, sim)
+            bound = _eigen_frames(op, sim, basis, errors, lead, leader_step)[1]
+            assert bound.shape == (strides,)
             dense = dense_operator(net, sim)
             h = sim.dt / 2.0
             implicit = np.linalg.inv(np.eye(dense.shape[0]) - h * dense)
@@ -529,7 +551,7 @@ class TestSimulate:
             state, peak = z.reshape(-1), np.zeros(bound.shape)
             for step in range(500):
                 state = one_step @ state + forcing_amplitude(step * sim.dt + h) * unit
-                reach = np.abs(state.reshape(net.n + 1, nx)).max(axis=1)
+                reach = np.abs(state).max()
                 peak[step // stride] = np.maximum(peak[step // stride], reach)
             assert (peak <= bound * (1.0 + 1e-12)).all()
             # nor a vacuous one: it stays within a factor 100 of the peak,
@@ -616,7 +638,7 @@ class TestSimulate:
             assert (basis is not None) == eigen
             if eigen:
                 v, v_inv, lam = basis
-                assert np.abs(v @ v_inv - np.eye(net.n + 1)).max() <= 1e-13
+                assert np.abs(v @ v_inv - np.eye(net.n)).max() <= 1e-13
                 scale = np.abs(op.coupling).max(initial=1.0)
                 assert np.abs(v * lam @ v_inv - op.coupling).max() <= 1e-13 * scale
 
@@ -663,7 +685,8 @@ class TestSyncErrors:
                 frames = frames[:, :1] + 1e-9 * frames
             elif kind == "ties":
                 frames[:, :n] = frames[:, rng.integers(0, int(rng.integers(1, n + 1)), n)]
-            traj = Trajectory(times=np.arange(float(count)), frames=frames, modes=cosine_modes(nx))
+            traj = Trajectory(times=np.arange(float(count)), frames=frames[:, :n] - frames[:, n:],
+                              leader=frames[:, n], modes=cosine_modes(nx))
             got = sync_errors(traj)
             want = modal_pairwise_max(traj)
             assert (np.abs(got.pairwise_max - want) <= 1e-14 * want).all()
