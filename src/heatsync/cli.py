@@ -337,8 +337,13 @@ def cmd_sweep(args) -> int:
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ValueError(f"cannot write {out_path}: it is a directory")
-    _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     run_sim = bool(args.simulate)
+    if run_sim:
+        from .pdesim import _frame_count, fit_decay_rate, simulate, sync_errors
+
+        _frame_count(scn.net, scn.sim)  # a run too large to hold is refused once, for all cells
+        window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
+    _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
     k_cells = np.repeat(k_values, len(g_values))  # row-major: k, then g
     g_cells = np.tile(g_values, len(k_values))
@@ -346,10 +351,6 @@ def cmd_sweep(args) -> int:
         max_eig, feasible = certificate_sweep(scn.net, k_cells, g_cells)
     except HeatSyncError:  # no followers: no cell has a certificate
         max_eig = feasible = np.full(len(k_cells), np.nan)
-    if run_sim:
-        from .pdesim import fit_decay_rate, simulate, sync_errors
-
-        window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     rows, successes = [], 0
     for (k, g, eig), ok in zip(np.column_stack([k_cells, g_cells, max_eig]).tolist(), feasible):
         row = [k, g, eig, "true" if ok else "false"]

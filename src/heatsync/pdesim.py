@@ -19,11 +19,12 @@ lower-triangular over the modes: mode 0 carries the feedback and every
 other mode reads only mode 0.  Its one stepper, the block map, walks every
 output stride that no bound vouches for.  When a diagonal scaling makes
 the coupling G L symmetric (a common g, or per-agent g of one strict sign)
-one ``eigh`` diagonalizes it, the fast diagonalization over the agents,
-and all strides are walked forward at once with a bound on every state
-inside each.  Work over all the frames is done an eighth of them at a
-time.  ``simulate`` returns modal frames, and ``sync_errors`` reads the
-error frames by discrete Parseval.  Only numpy is needed.
+it makes mode 0's block symmetric too, and ``eigh`` diagonalizes both, the
+fast diagonalization over the agents: mode 0 is read at every frame in
+closed form, and all strides are walked forward at once with a bound on
+every state inside each.  Work over all the frames is done an eighth of
+them at a time.  ``simulate`` returns modal frames, and ``sync_errors``
+reads the error frames by discrete Parseval.  Only numpy is needed.
 ``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
 loads no simulator.
 """
@@ -143,27 +144,20 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
 
 
 def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
-    """(V, V^-1, lam) with coupling C = G L = V diag(lam) V^-1, or None.
+    """((V, V^-1, lam), (W, W^-1, nu)) with C = G L = V diag(lam) V^-1 and
+    mode 0's C - node0_0 F = W diag(nu) W^-1, F = diag(feedback), or None.
 
-    A common g makes C symmetric.  Per-agent g of one strict sign makes
-    S^-1 C S symmetric for S = |G|^1/2, so V = S U from its ``eigh`` U,
-    with cond(V) <= (max|g| / min|g|)^1/2.  Any other g gives None.
+    A common g makes C symmetric.  Per-agent g of one strict sign makes S^-1 C
+    S and S^-1 (C - node0_0 F) S symmetric for S = |G|^1/2: V = S U and W = S
+    U0 from their ``eigh``, cond <= (max|g|/min|g|)^1/2.  Other g gives None.
     """
     g = net.g_vector
     if not ((g == g[:1]).all() or (g > 0).all() or (g < 0).all()):
         return None
     scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))  # a common g of 0: C = 0
-    lam, u = np.linalg.eigh(op.coupling / scale[:, np.newaxis] * scale)
-    return scale[:, np.newaxis] * u, u.T / scale, lam
-
-
-def _implicit_inverses(op: DiscreteOperator, h: float, count: int) -> np.ndarray:
-    """Inverses of the first ``count`` mode blocks of I - h A, (1 - h rates_j) I
-    - h coupling (+ h node0_0 diag(feedback) on mode 0); LinAlgError if singular."""
-    blocks = (1.0 - h * op.rates[:count, np.newaxis, np.newaxis]) * np.eye(len(op.coupling))
-    blocks -= h * op.coupling
-    blocks[0] += h * op.node0[0] * np.diag(op.feedback)
-    return np.linalg.inv(blocks)
+    sym = op.coupling / scale[:, np.newaxis] * scale
+    values, vectors = np.linalg.eigh(np.stack([sym, sym - op.node0[0] * np.diag(op.feedback)]))
+    return tuple((scale[:, np.newaxis] * u, u.T / scale, lam) for lam, u in zip(values, vectors))
 
 
 def _leader_step(op: DiscreteOperator, sim: SimConfig):
@@ -179,14 +173,18 @@ def _leader_step(op: DiscreteOperator, sim: SimConfig):
 def _block_step(op: DiscreteOperator, sim: SimConfig):
     """One theta-step of the errors as the block map y_j <- P_j y_j + Q_j y_0, any coupling.
 
-    P_j = (inv_j - (1 - theta) I)/theta and Q_j = s_j inv_j F inv_0 with
-    s_j = -h node0_j/theta, s_0 = 0, kept factored as (a_j P_j + b_j I) G,
-    a = theta s, b = (1 - theta) s, G = F inv_0: one matrix per mode.
-    ``simulate`` builds it at most once per run.
+    With inv_j the inverse of mode j's block of I - h A, (1 - h rates_j) I -
+    h C plus h node0_0 F on mode 0: P_j = (inv_j - (1 - theta) I)/theta and
+    Q_j = s_j inv_j F inv_0 with s_j = -h node0_j/theta, s_0 = 0, kept
+    factored as (a_j P_j + b_j I) G, a = theta s, b = (1 - theta) s, G = F
+    inv_0: one matrix per mode.  ``simulate`` builds it at most once per run.
     """
     theta = THETA[sim.scheme]
     h = theta * sim.dt
-    inverses = _implicit_inverses(op, h, sim.nx)
+    blocks = (1.0 - h * op.rates[:, np.newaxis, np.newaxis]) * np.eye(len(op.coupling))
+    blocks -= h * op.coupling
+    blocks[0] += h * op.node0[0] * np.diag(op.feedback)
+    inverses = np.linalg.inv(blocks)  # LinAlgError if a block is singular
     shed = (-h / theta) * op.node0
     shed[0] = 0.0
     g = op.feedback[:, np.newaxis] * inverses[0]
@@ -229,31 +227,34 @@ def _frame_blocks(count: int) -> list[slice]:
 
 
 def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, lead, recurrence):
-    """The whole run in the basis, from the modal error start y (N, nx) and
+    """The whole run in the bases, from the modal error start y (N, nx) and
     the leader's frames ``lead`` (n_frames, nx), zero past lead[0], in place.
 
-    An error step is P_0 on mode 0 and, on each mode j >= 1, y^_j <- D_j
-    y^_j + feed_j (G y_0), G = V^-1 F inv_0; a leader step is y_j <- rho_j
-    y_j + a(t) c_j, its ``recurrence`` (see ``_leader_step``).  All strides are walked forward
-    at once, in chunks of c steps sized to the frames: mode 0 and the
+    Mode 0 after s steps is W (p^s y^_0), y^_0 = W^-1 y_0, with p = (1/(1 -
+    h (rates_0 + nu)) - (1 - theta))/theta: every frame of it in closed form.
+    An error step on each mode j >= 1 is y^_j <- D_j y^_j + feed_j (G y_0) in
+    the basis of C, G = V^-1 F inv_0, where G y_0 = G W (p^s y^_0); a leader
+    step is y_j <- rho_j y_j + a(t) c_j, its ``recurrence``.  All strides are
+    walked forward at once, in chunks of c steps sized to the frames: the
     leader a step at a time, the other modes' chunk sum as one product over
     the in-stride index k with D^(c-1-k) feed, the earlier chunks' sum
-    carried on by D^c.  Returns the modal error frames (n_frames, N, nx)
-    and per stride of L steps a bound on every max_x |z_a| in it: |y^| <=
-    max(1, |D^L|) (|y^_start| + |feed| sum |G y_0|) mode by mode, likewise
-    the leader's y, and |z_i| <= |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j|
+    carried on by D^c.  Returns the modal error frames (n_frames, N, nx) and
+    per stride of L steps a bound on every max_x |z_a| in it: |y^| <= max(1,
+    |D^L|) (|y^_start| + |feed| sum |G y_0|) mode by mode, likewise the
+    leader's y; |y_0| <= |W| max|y^_0| over the stride's two ends, as |p|^k
+    is monotone in k; and |z_i| <= |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j|
     as |cos| <= 1.  An exactly singular block needs no check here: its zero
     divisor makes every bound non-finite.
     """
-    v, v_inv, lam = basis
+    (v, v_inv, lam), (w, w_inv, nu) = basis
     rho, c = recurrence
     theta = THETA[sim.scheme]
     dt, h = sim.dt, theta * sim.dt
     m, nx = y.shape
-    inv0 = _implicit_inverses(op, h, 1)[0]
+    den0 = 1.0 - h * (op.rates[0] + nu)
     den = 1.0 - h * op.rates[1:] - h * lam[:, np.newaxis]
-    p0 = (inv0 - (1.0 - theta) * np.eye(m)) / theta
-    g = v_inv @ (op.feedback[:, np.newaxis] * inv0)
+    p = (1.0 / den0 - (1.0 - theta)) / theta
+    g = v_inv @ (op.feedback[:, np.newaxis] * w) / den0  # G W
     d = (1.0 / den - (1.0 - theta)) / theta
     feed = (-h / theta) * op.node0[1:] / den
 
@@ -261,17 +262,14 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, le
     full, rest = divmod(sim.n_steps, stride)
     n_frames = full + bool(rest) + 1
     frames = np.zeros((n_frames, m, nx))
-    y0, hat = frames[:, :, 0], frames[:, :, 1:]  # mode 0; the others in the basis until the end
-    y0[0], hat[0] = y[:, 0], v_inv @ y[:, 1:]
+    y0, hat = frames[:, :, 0], frames[:, :, 1:]  # in the bases until the end
+    at = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)  # each frame's step
+    y0[:], hat[0] = p ** at[:, np.newaxis] * (w_inv @ y[:, 0]), v_inv @ y[:, 1:]
     bound = np.empty(n_frames - 1)
     budget = n_frames * nx  # per agent, the size of the returned frames
     for length, first, count in [(stride, 0, full)] + [(rest, full, 1)] * bool(rest):
         last = first + count
-        power = np.linalg.matrix_power(p0, length)
-        for f in range(first, last):
-            y0[f + 1] = power @ y0[f]
         feed_sum, amp_sum = np.zeros((count, m)), np.zeros(count)
-        top = np.abs(y0[first + 1 : last + 1])  # max |y_0| over the stride
         chunk = max(1, min(length, budget // max(m, count, nx - 1)))
         table = np.empty((m, chunk, nx - 1))  # D^(chunk-1-k) feed, from its end
         table[:, -1] = feed
@@ -282,18 +280,16 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, le
         carry = np.prod(np.broadcast_to(d, (chunk, *d.shape)), axis=0) if chunk < length else 1.0
         for start in range(length % -chunk, length, chunk):  # only the first chunk is short
             i = np.arange(max(start, 0), start + chunk)  # the chunk's in-stride steps
-            amp = forcing_amplitude((stride * np.arange(first, last)[:, np.newaxis] + i) * dt + h)
-            walk = np.empty((i.size, m, count))  # mode 0 at those steps, every stride
+            amp = forcing_amplitude((at[first:last, np.newaxis] + i) * dt + h)
             for k in range(i.size):  # ends holds the leader's walk from zero / c
-                walk[k], mode0 = mode0, p0 @ mode0
                 ends *= rho
                 ends += amp[:, k, np.newaxis]
+            walk = (p ** i[:, np.newaxis])[..., np.newaxis] * mode0  # mode 0 at those steps
             w_t = (g @ walk).transpose(1, 2, 0)  # G y_0 as (basis, stride, step)
             for b in _frame_blocks(count):
                 if start > 0:
                     ahead[b] *= carry
                 ahead[b] += (w_t[:, b] @ table[:, chunk - i.size :]).transpose(1, 0, 2)
-            top = np.maximum(top, np.abs(walk).max(axis=0).T)
             feed_sum += np.abs(w_t).sum(axis=2).T
             amp_sum += np.abs(amp).sum(axis=1)
         ends *= c
@@ -305,11 +301,24 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, le
         reach = feed_sum * (grow * np.abs(feed)).sum(axis=1)
         for b in _frame_blocks(count):
             reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
+        top = np.maximum(np.abs(y0[first:last]), np.abs(y0[first + 1 : last + 1])) @ np.abs(w).T
         reach_lead = np.abs(lead[first:last]) @ grow_lead + amp_sum * (grow_lead @ np.abs(c))
         bound[first:last] = (top + reach @ np.abs(v).T).max(axis=1, initial=0.0) + reach_lead
+    y0[:] = y0 @ w.T
     for b in _frame_blocks(n_frames):
         hat[b] = v @ hat[b]
     return frames, bound
+
+
+def _frame_count(net: NetworkConfig, sim: SimConfig) -> int:
+    """How many frames the run returns; ValueError when they exceed physical memory."""
+    count = -(-sim.n_steps // sim.output_stride) + 1
+    size = 8 * count * (net.n + 1) * sim.nx
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValueError(f"the run returns {count} frames of {size} bytes, "
+                         f"more than the {memory} bytes of physical memory")
+    return count
 
 
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
@@ -327,12 +336,7 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     block diverges at step 1.  Raises ValueError, before any array of the
     run is made, when its frames alone exceed physical memory.
     """
-    count = -(-sim.n_steps // sim.output_stride) + 1
-    size = 8 * count * (net.n + 1) * sim.nx
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > memory:
-        raise ValueError(f"the run returns {count} frames of {size} bytes, "
-                         f"more than the {memory} bytes of physical memory")
+    count = _frame_count(net, sim)
     op = assemble_operator(net, sim)
     followers, leader = _resolve_initial_conditions(net, sim)
     errors = _to_modes(op, followers - leader)  # taken on the grid

@@ -987,6 +987,28 @@ class TestSweep:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_too_large_to_hold_exits_2(self, explicit_config, tmp_path, capsys):
+        # the size refusal belongs to the run, not to a cell: made once, with
+        # simulate's message, before any cell runs or any path is made.  Each
+        # frame of 10^12 + 1 is 6 agents x 101 nodes, so nothing is allocated
+        payload = json.loads(Path(explicit_config).read_text())
+        payload["sim"].update(nx=101, dt=1e-9, t_end=1000.0, output_stride=1)
+        cfg = write_config(tmp_path / "huge.json", payload)
+        count, size = 10**12 + 1, (10**12 + 1) * 6 * 101 * 8
+        assert size > 2**50
+        out = tmp_path / "new" / "sweep.csv"
+        code = main(
+            ["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", str(out), "--simulate"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert f"{count} frames of {size} bytes" in err
+        assert not out.parent.exists()
+        # without --simulate nothing is simulated, so nothing is refused
+        assert main(["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 7
+
 
 class TestOutputPaths:
     @pytest.mark.parametrize(

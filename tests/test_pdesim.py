@@ -481,6 +481,12 @@ class TestSimulate:
         (net,) = heterogeneous_nets(rng, 1, n_min=20, n_max=20)
         cases.append((net, random_profiles(rng, net.n, 33), "paper"))
         cases += [(net, random_profiles(rng, net.n, 33), "paper") for net in route_nets(rng)]
+        # per-agent g of one sign over four decades: cond(V) = cond(W) = 100
+        wide = NetworkConfig(
+            graph=build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)], [1, 4]),
+            alpha=0.5, k=2.0, g=[-0.01, -1.0, -10.0, -100.0, -3.0, -0.5],
+        )
+        cases.append((wide, random_profiles(rng, wide.n, 33), "paper"))
         cases.append((demo_net, (2e11 * followers, 2e11 * leader), "paper"))
         for net, ic, source in cases:
             sim = SimConfig(
@@ -637,10 +643,12 @@ class TestSimulate:
             basis = _agent_basis(net, op)
             assert (basis is not None) == eigen
             if eigen:
-                v, v_inv, lam = basis
-                assert np.abs(v @ v_inv - np.eye(net.n)).max() <= 1e-13
-                scale = np.abs(op.coupling).max(initial=1.0)
-                assert np.abs(v * lam @ v_inv - op.coupling).max() <= 1e-13 * scale
+                # the same scaling diagonalizes the coupling and mode 0's block
+                mode0 = op.coupling - op.node0[0] * np.diag(op.feedback)
+                for (v, v_inv, lam), block in zip(basis, (op.coupling, mode0)):
+                    assert np.abs(v @ v_inv - np.eye(net.n)).max() <= 1e-13
+                    scale = np.abs(block).max(initial=1.0)
+                    assert np.abs(v * lam @ v_inv - block).max() <= 1e-13 * scale
 
     def test_ic_preset_needs_five_agents(self):
         net = NetworkConfig(graph=single_agent(), alpha=0.0)
