@@ -339,9 +339,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot write {out_path}: it is a directory")
     run_sim = bool(args.simulate)
     if run_sim:
-        from .pdesim import _frame_count, fit_decay_rate, simulate, sync_errors
+        from .pdesim import _frame_steps, fit_decay_rate, simulate, sync_errors
 
-        _frame_count(scn.net, scn.sim)  # a run too large to hold is refused once, for all cells
+        _frame_steps(scn.net, scn.sim)  # a run too large to hold is refused once, for all cells
         window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])

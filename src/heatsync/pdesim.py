@@ -20,11 +20,14 @@ other mode reads only mode 0.  Its one stepper, the block map, walks every
 output stride that no bound vouches for.  When a diagonal scaling makes
 the coupling G L symmetric (a common g, or per-agent g of one strict sign)
 it makes mode 0's block symmetric too, and ``eigh`` diagonalizes both, the
-fast diagonalization over the agents: mode 0 is read at every frame in
-closed form, and all strides are walked forward at once with a bound on
-every state inside each.  Work over all the frames is done an eighth of
-them at a time.  ``simulate`` returns modal frames, and ``sync_errors``
-reads the error frames by discrete Parseval.  Only numpy is needed.
+fast diagonalization over the agents.  Then mode 0 is read at every frame
+in closed form, and so is the leader's response to a stride, rank two in
+the phase of the forcing at the stride's start; only the other error
+modes are walked, all strides forward at once, and a bound on every state
+inside each stride is read in closed form.  Work over all the frames is
+done an eighth of them at a time.  ``simulate`` returns modal frames, and
+``sync_errors`` reads the error frames by discrete Parseval.  Only numpy
+is needed.
 ``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
 loads no simulator.
 """
@@ -38,11 +41,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, Divergence, NonPositiveSeries
 from .graph import laplacian
-from .scenarios import (THETA, NetworkConfig, SimConfig, _resolve_initial_conditions,
-                        forcing_amplitude, forcing_shape)
+from .scenarios import (FORCING_RATE, THETA, NetworkConfig, SimConfig,
+                        _resolve_initial_conditions, forcing_amplitude, forcing_shape)
 
 _DIVERGENCE_LIMIT = 1e12
 _FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
+# Every chunk of a stride costs the same Python overhead, so a run with few frames would
+# walk a long stride a step or two at a time: a chunk's D table may hold this many entries
+# per agent however few the frames.  Twice as many lift a few-frame run's peak by 70 %.
+_CHUNK_FLOOR = 1024
 
 
 def trapezoid_weights(nx: int) -> np.ndarray:
@@ -156,8 +163,15 @@ def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
         return None
     scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))  # a common g of 0: C = 0
     sym = op.coupling / scale[:, np.newaxis] * scale
-    values, vectors = np.linalg.eigh(np.stack([sym, sym - op.node0[0] * np.diag(op.feedback)]))
-    return tuple((scale[:, np.newaxis] * u, u.T / scale, lam) for lam, u in zip(values, vectors))
+    vectors = np.linalg.eigh(np.stack([sym, sym - op.node0[0] * np.diag(op.feedback)]))[1]
+    # eigh's values are off by about eps |C|, their Rayleigh quotients are not: u^T S^-1 C S u
+    # = sign(g) sum over the edges of ((S u)_i - (S u)_j)^2 has no cancellation
+    i, j = np.array(net.graph.edges, dtype=int).reshape(-1, 2).T - 1
+    bases = scale[:, np.newaxis] * vectors  # V and W
+    values = np.sign(g.sum()) * ((bases.take(i, axis=1) - bases.take(j, axis=1)) ** 2).sum(axis=1)
+    values[1] -= op.node0[0] * (op.feedback[:, np.newaxis] * vectors[1] ** 2).sum(axis=0)
+    values /= (vectors**2).sum(axis=1)
+    return tuple((v, u.T / scale, lam) for v, u, lam in zip(bases, vectors, values))
 
 
 def _leader_step(op: DiscreteOperator, sim: SimConfig):
@@ -226,25 +240,30 @@ def _frame_blocks(count: int) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
-def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, lead, recurrence):
+def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurrence, steps):
     """The whole run in the bases, from the modal error start y (N, nx) and
-    the leader's frames ``lead`` (n_frames, nx), zero past lead[0], in place.
+    the leader's frames ``lead`` (n_frames, nx), zero past lead[0], in place,
+    with frame f at step ``steps[f]``.
 
     Mode 0 after s steps is W (p^s y^_0), y^_0 = W^-1 y_0, with p = (1/(1 -
     h (rates_0 + nu)) - (1 - theta))/theta: every frame of it in closed form.
     An error step on each mode j >= 1 is y^_j <- D_j y^_j + feed_j (G y_0) in
-    the basis of C, G = V^-1 F inv_0, where G y_0 = G W (p^s y^_0); a leader
-    step is y_j <- rho_j y_j + a(t) c_j, its ``recurrence``.  All strides are
-    walked forward at once, in chunks of c steps sized to the frames: the
-    leader a step at a time, the other modes' chunk sum as one product over
-    the in-stride index k with D^(c-1-k) feed, the earlier chunks' sum
-    carried on by D^c.  Returns the modal error frames (n_frames, N, nx) and
-    per stride of L steps a bound on every max_x |z_a| in it: |y^| <= max(1,
-    |D^L|) (|y^_start| + |feed| sum |G y_0|) mode by mode, likewise the
-    leader's y; |y_0| <= |W| max|y^_0| over the stride's two ends, as |p|^k
-    is monotone in k; and |z_i| <= |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j|
-    as |cos| <= 1.  An exactly singular block needs no check here: its zero
-    divisor makes every bound non-finite.
+    the basis of C, G = V^-1 F inv_0, where G y_0 = G W (p^s y^_0).  All
+    strides are walked forward at once, in chunks of c steps sized to the
+    frames: a chunk's sum is one product over the in-stride index k with
+    D^(c-1-k) feed, the earlier chunks' sum carried on by D^c.  A leader step
+    is y_j <- rho_j y_j + a(t) c_j, its ``recurrence``, a(t) = sin(w t): L
+    steps from zero at step s end at c Im(e^(i w (s dt + h)) x) with x =
+    sum_k<L rho^(L-1-k) e^(i w k dt), one x per stride length, summed by
+    doubling.  Returns the modal error frames (n_frames, N, nx) and per
+    stride of L steps a bound on every max_x |z_a| in it: |y^| <= max(1,
+    |D^L|) (|y^_start| + |feed| L |G W| (max(1, |p|^L) |y^_0,start|)) mode
+    by mode, as |p|^k <= max(1, |p|^L) for k < L, and |y| <= max(1, |rho^L|)
+    (|y_start| + L |c|) for the leader's, as |a| <= 1; |y_0| <= |W| max|y^_0|
+    over the stride's two ends, as |p|^k is monotone in k; and |z_i| <=
+    |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j| as |cos| <= 1.  An exactly
+    singular block needs no check here: its zero divisor makes every bound
+    non-finite.
     """
     (v, v_inv, lam), (w, w_inv, nu) = basis
     rho, c = recurrence
@@ -258,51 +277,50 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, le
     d = (1.0 / den - (1.0 - theta)) / theta
     feed = (-h / theta) * op.node0[1:] / den
 
-    stride = min(sim.output_stride, sim.n_steps)
-    full, rest = divmod(sim.n_steps, stride)
-    n_frames = full + bool(rest) + 1
+    n_frames = len(steps)
+    full, rest = divmod(steps[-1], steps[1])  # strides of steps[1] steps, then a shorter one
     frames = np.zeros((n_frames, m, nx))
     y0, hat = frames[:, :, 0], frames[:, :, 1:]  # in the bases until the end
-    at = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)  # each frame's step
-    y0[:], hat[0] = p ** at[:, np.newaxis] * (w_inv @ y[:, 0]), v_inv @ y[:, 1:]
+    y0[:], hat[0] = p ** steps[:, np.newaxis] * (w_inv @ y[:, 0]), v_inv @ y[:, 1:]
     bound = np.empty(n_frames - 1)
-    budget = n_frames * nx  # per agent, the size of the returned frames
-    for length, first, count in [(stride, 0, full)] + [(rest, full, 1)] * bool(rest):
+    budget = max(n_frames * nx, _CHUNK_FLOOR)  # per agent, the size of the returned frames
+    for length, first, count in [(steps[1], 0, full)] + [(rest, full, 1)] * bool(rest):
         last = first + count
-        feed_sum, amp_sum = np.zeros((count, m)), np.zeros(count)
         chunk = max(1, min(length, budget // max(m, count, nx - 1)))
         table = np.empty((m, chunk, nx - 1))  # D^(chunk-1-k) feed, from its end
         table[:, -1] = feed
         for k in range(chunk - 1, 0, -1):
             np.multiply(d, table[:, k], out=table[:, k - 1])
-        mode0, ahead, ends = y0[first:last].T, hat[first + 1 : last + 1], lead[first + 1 : last + 1]
+        mode0, ahead = y0[first:last].T, hat[first + 1 : last + 1]
         # D^chunk carries the earlier chunks' sum on to the end of a later chunk
         carry = np.prod(np.broadcast_to(d, (chunk, *d.shape)), axis=0) if chunk < length else 1.0
         for start in range(length % -chunk, length, chunk):  # only the first chunk is short
             i = np.arange(max(start, 0), start + chunk)  # the chunk's in-stride steps
-            amp = forcing_amplitude((at[first:last, np.newaxis] + i) * dt + h)
-            for k in range(i.size):  # ends holds the leader's walk from zero / c
-                ends *= rho
-                ends += amp[:, k, np.newaxis]
             walk = (p ** i[:, np.newaxis])[..., np.newaxis] * mode0  # mode 0 at those steps
             w_t = (g @ walk).transpose(1, 2, 0)  # G y_0 as (basis, stride, step)
             for b in _frame_blocks(count):
                 if start > 0:
                     ahead[b] *= carry
                 ahead[b] += (w_t[:, b] @ table[:, chunk - i.size :]).transpose(1, 0, 2)
-            feed_sum += np.abs(w_t).sum(axis=2).T
-            amp_sum += np.abs(amp).sum(axis=1)
-        ends *= c
+        # x_n = sum_k<n rho^(n-1-k) q^k, q = e^(i w dt), over the leading bits n of L:
+        # x_2n = (rho^n + q^n) x_n, and x_n+1 = rho x_n + q^n where the next bit is set
+        forced, n = np.zeros(nx, complex), 0
+        for bit in map(int, f"{length:b}"):
+            turn = np.exp(1j * FORCING_RATE * n * dt)  # q^n
+            forced, n = (rho**n + turn) * forced * rho**bit + bit * turn**2, 2 * n + bit
+        phase = np.exp(1j * FORCING_RATE * (steps[first:last, np.newaxis] * dt + h))
+        lead[first + 1 : last + 1] = (phase * forced).imag * c
         d_len, rho_len = d**length, rho**length
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]
             lead[f + 1] += rho_len * lead[f]
         grow, grow_lead = np.maximum(1.0, np.abs(d_len)), np.maximum(1.0, np.abs(rho_len))
-        reach = feed_sum * (grow * np.abs(feed)).sum(axis=1)
+        feed_sum = length * np.abs(y0[first:last]) * np.maximum(1.0, np.abs(p) ** length)
+        reach = feed_sum @ np.abs(g).T * (grow * np.abs(feed)).sum(axis=1)
         for b in _frame_blocks(count):
             reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
         top = np.maximum(np.abs(y0[first:last]), np.abs(y0[first + 1 : last + 1])) @ np.abs(w).T
-        reach_lead = np.abs(lead[first:last]) @ grow_lead + amp_sum * (grow_lead @ np.abs(c))
+        reach_lead = np.abs(lead[first:last]) @ grow_lead + length * (grow_lead @ np.abs(c))
         bound[first:last] = (top + reach @ np.abs(v).T).max(axis=1, initial=0.0) + reach_lead
     y0[:] = y0 @ w.T
     for b in _frame_blocks(n_frames):
@@ -310,15 +328,16 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y: np.ndarray, le
     return frames, bound
 
 
-def _frame_count(net: NetworkConfig, sim: SimConfig) -> int:
-    """How many frames the run returns; ValueError when they exceed physical memory."""
+def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
+    """The step of each frame the run returns, every ``output_stride`` steps and the last;
+    ValueError, before they are listed, when the frames exceed physical memory."""
     count = -(-sim.n_steps // sim.output_stride) + 1
     size = 8 * count * (net.n + 1) * sim.nx
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
         raise ValueError(f"the run returns {count} frames of {size} bytes, "
                          f"more than the {memory} bytes of physical memory")
-    return count
+    return np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
 
 
 def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
@@ -336,11 +355,11 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     block diverges at step 1.  Raises ValueError, before any array of the
     run is made, when its frames alone exceed physical memory.
     """
-    count = _frame_count(net, sim)
+    steps = _frame_steps(net, sim)
+    count = len(steps)
     op = assemble_operator(net, sim)
     followers, leader = _resolve_initial_conditions(net, sim)
     errors = _to_modes(op, followers - leader)  # taken on the grid
-    steps = np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
     basis = _agent_basis(net, op)
     try:
         # no basis, no bound: inverses first, as they can outweigh the frames
@@ -353,7 +372,7 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
                 frames, bound = np.empty((count, net.n, sim.nx)), np.full(count - 1, np.inf)
                 frames[0] = errors
             else:
-                frames, bound = _eigen_frames(op, sim, basis, errors, lead, recurrence)
+                frames, bound = _eigen_frames(op, sim, basis, errors, lead, recurrence, steps)
         unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT))
         if step is None and len(unsafe):
             step = _block_step(op, sim)

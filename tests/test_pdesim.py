@@ -25,7 +25,8 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
-from heatsync.pdesim import _agent_basis, _block_step, _eigen_frames, _leader_step, _stepwise
+from heatsync.pdesim import (_agent_basis, _block_step, _eigen_frames, _frame_steps, _leader_step,
+                             _stepwise)
 from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 from conftest import demo_graph, random_connected_graph, random_graph
@@ -93,6 +94,18 @@ def random_profiles(rng, n, nx):
     x = np.linspace(0.0, 1.0, nx)
     modes = np.cos(np.outer(np.arange(4), np.pi * x))
     return rng.normal(size=(n, 4)) @ modes, rng.normal(size=4) @ modes
+
+
+def longdouble_solve(a, b):
+    """a^-1 b in long double, by Gauss-Jordan elimination with partial pivoting."""
+    n = len(a)
+    aug = np.hstack([a, b]).astype(np.longdouble)
+    for k in range(n):
+        pivot = k + np.argmax(np.abs(aug[k:, k]))
+        aug[[k, pivot]] = aug[[pivot, k]]
+        aug[k] /= aug[k, k]
+        aug -= np.outer(aug[:, k] * (np.arange(n) != k), aug[k])
+    return aug[:, n:]
 
 
 def relative_gap(traj, ref):
@@ -299,7 +312,8 @@ class TestOperator:
                 step, leader_step = _block_step(op, one), _leader_step(op, one)
                 _stepwise(op, one, step, leader_step, pair, lead_block, [0, 1])
                 basis = _agent_basis(net, op)
-                by_eigen = _eigen_frames(op, one, basis, y, lead_eigen, leader_step)[0][1]
+                by_eigen = _eigen_frames(op, one, basis, y, lead_eigen, leader_step,
+                                         _frame_steps(net, one))[0][1]
                 for a, y0, y_next in ((dense, y, pair[1]), (dense, y, by_eigen),
                                       (heat, lead, lead_block[1]), (heat, lead, lead_eigen[1])):
                     z, z_next = y0 @ op.modes.T, y_next @ op.modes.T
@@ -525,15 +539,17 @@ class TestSimulate:
         # dominates max_x |z_a| of every agent at each of its steps, stepped
         # here with the dense one-step map; the 1e-12 covers
         # the rounding of the bound's sums alone.  A 10-step stride fits one
-        # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 5
-        # steps, each carried on to the stride's end (128 leaves a first
-        # chunk of 3 steps, and a last stride of 116 steps whose first
-        # chunk has 1 step)
+        # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 32
+        # steps, each carried on to the stride's end (125 leaves a first
+        # chunk of 29 steps, and 128 a last stride of 116 steps whose first
+        # chunk has 20).  The demo at g = -1e4 over 125 steps is where the
+        # feed sum's closed form, L max(1, |p|^L) |y^_0|, is loosest
         rng = np.random.default_rng(75)
         cases = [(demo_net, 101, 10), (demo_net.with_gains(g=-1e4), 101, 10)]
         cases += [(net, 33, 10) for net in heterogeneous_nets(rng, 3)]
         long_nets = [demo_net] + heterogeneous_nets(np.random.default_rng(76), 2)
         cases += [(net, 33, stride) for net in long_nets for stride in (125, 128)]
+        cases += [(demo_net.with_gains(g=-1e4), 33, 125)]
         for net, nx, stride in cases:
             followers, leader = random_profiles(rng, net.n, nx)
             sim = SimConfig(
@@ -547,7 +563,8 @@ class TestSimulate:
             lead[0] = leader @ to_modes
             errors = (followers - leader) @ to_modes
             basis, leader_step = _agent_basis(net, op), _leader_step(op, sim)
-            bound = _eigen_frames(op, sim, basis, errors, lead, leader_step)[1]
+            steps = _frame_steps(net, sim)
+            bound = _eigen_frames(op, sim, basis, errors, lead, leader_step, steps)[1]
             assert bound.shape == (strides,)
             dense = dense_operator(net, sim)
             h = sim.dt / 2.0
@@ -583,6 +600,33 @@ class TestSimulate:
             steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
             want = ref.z[:, steps]
             assert np.abs(on_grid(traj).z - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_mode0_keeps_full_accuracy_at_a_large_gain(self, demo_net):
+        # at g = -1e4 the coupling's norm is about 4e4, and eigh's values
+        # carry an absolute error of about eps times that, three digits of
+        # mode 0's slowest rate, -1.8.  With the basis's Rayleigh quotients,
+        # summed in edge differences, mode 0's frames stay within 5e-14 of
+        # their largest value off a long-double walk of the mode-0 block
+        # (eigh's own values leave them 2.5e-13 off)
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        net = demo_net.with_gains(g=-1e4)
+        sim = SimConfig(nx=101, source="paper", initial_conditions="sectionV")
+        traj = simulate(net, sim)
+        op = assemble_operator(net, sim)
+        ld, eye = np.longdouble, np.eye(net.n)
+        block = ld(op.rates[0]) * eye + op.coupling.astype(ld)
+        block -= np.diag(ld(op.node0[0]) * op.feedback.astype(ld))
+        h = ld(sim.dt) / 2
+        one_step = longdouble_solve(eye - h * block, eye + h * block)
+        y, walk = traj.frames[0, :, 0].astype(ld), []
+        for step in range(sim.n_steps + 1):
+            if step % sim.output_stride == 0 or step == sim.n_steps:
+                walk.append(y)
+            y = one_step @ y
+        walk = np.array(walk)
+        assert walk.shape == traj.frames.shape[:2]
+        assert np.abs(traj.frames[:, :, 0] - walk).max() <= 5e-14 * np.abs(walk).max()
 
     def test_peak_memory_stays_near_the_frames(self):
         # work over all frames goes a block of them at a time, and the run
