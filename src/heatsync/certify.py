@@ -37,22 +37,15 @@ _STACK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense symmetric matrix; the constructor symmetrizes its input.
-
-    ``asym_residual`` records how far the raw input was from symmetric,
-    so accidental asymmetry upstream stays observable.
-    """
+    """Dense symmetric matrix; the constructor symmetrizes its input."""
 
     mat: np.ndarray
-    asym_residual: float
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        sym = (a + a.T) / 2.0
-        object.__setattr__(self, "mat", sym)
-        object.__setattr__(self, "asym_residual", float(np.abs(a - a.T).max(initial=0.0)))
+        object.__setattr__(self, "mat", (a + a.T) / 2.0)
 
     @property
     def dim(self) -> int:

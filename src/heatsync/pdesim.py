@@ -234,9 +234,10 @@ def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
     frames[1], lead[1] = y.T, x
 
 
-def _frame_blocks(count: int) -> list[slice]:
-    """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks."""
-    size = -(-count // _FRAME_BLOCKS)
+def _frame_blocks(count: int, share: float = 1.0) -> list[slice]:
+    """Slices that cut ``count`` frames into at most ``_FRAME_BLOCKS`` blocks,
+    or into blocks ``share`` < 1 times as long (at least one frame)."""
+    size = max(1, int(share * -(-count // _FRAME_BLOCKS)))
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
@@ -390,20 +391,24 @@ def sync_errors(traj: Trajectory) -> ErrorSeries:
 
     Discrete Parseval for the DCT-I: modes^T diag(w) modes = diag(c) for the
     trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so ||modes y||_w^2 =
-    sum_j c_j y_j^2.  Each pair distance is that sum over the modal
-    difference of two errors itself, so nothing cancels between the fields;
-    pairs go one follower against all later ones, a block of frames at a time.
+    sum_j c_j y_j^2.  Every pair is read off one Gram product per block of
+    frames, G = (z * c) z^T, of the errors measured from follower 0, z_i =
+    y_i - y_0: ||z_i - z_j||^2 = G_ii + G_jj - 2 G_ij.  As z_0 = 0, each
+    ||z_i|| is itself a pair distance, so no term outgrows the largest one
+    and nothing cancels against a leader far from the followers.
     """
     frames = traj.frames
     count, n, nx = frames.shape
     c = np.where(np.arange(nx) % (nx - 1), 0.5, 1.0)  # 1 at j = 0 and j = nx - 1
     per_sq, pair_sq = np.empty((n, count)), np.zeros(count)
-    for b in _frame_blocks(count):
-        y = frames[b]
-        per_sq[:, b] = (y**2 @ c).T
-        for a in range(n - 1):
-            d2 = (y[:, a : a + 1] - y[:, a + 1 :]) ** 2 @ c
-            pair_sq[b] = np.maximum(pair_sq[b], d2.max(axis=1))
+    for b in _frame_blocks(count, nx / max(n, nx)):  # a block's G no larger than its frames
+        per_sq[:, b] = (frames[b] ** 2 @ c).T
+        z = frames[b] - frames[b, :1]
+        gram = (z * c) @ z.transpose(0, 2, 1)
+        # G_ii / 2 + G_jj / 2 - G_ij is half of each squared distance, bit for bit,
+        # and spares a temporary 2 G
+        half = np.einsum("fii->fi", gram)[..., np.newaxis] / 2.0
+        pair_sq[b] = 2.0 * (half + half.transpose(0, 2, 1) - gram).max(axis=(1, 2), initial=0.0)
     return ErrorSeries(times=traj.times.copy(), per_agent_l2=np.sqrt(per_sq),
                        total_l2=np.sqrt(per_sq.sum(axis=0)), pairwise_max=np.sqrt(pair_sq))
 

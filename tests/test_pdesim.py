@@ -723,18 +723,23 @@ class TestSyncErrors:
             assert np.abs(got - modal_pairwise_max(traj)).max() <= 1e-14 * got.max(initial=0.0)
             assert np.abs(got - pairwise_max(on_grid(traj))).max() <= 1e-12 * got.max(initial=0.0)
 
-    @pytest.mark.parametrize("kind", ["generic", "near", "ties"])
+    @pytest.mark.parametrize("kind", ["generic", "near", "ties", "flock"])
     def test_random_modal_trajectories(self, kind):
         # "near": every agent within 1e-9 of one field, where the grid loses
         # ~1e-7 of each difference to cancellation, so pairs are judged on
         # the modal differences; "ties": followers copied, so distances tie
-        # exactly, or every follower is the same
-        rng = np.random.default_rng({"generic": 91, "near": 92, "ties": 93}[kind])
+        # exactly, or every follower is the same; "flock": the followers
+        # within 1e-9 of one field and the leader O(1) away, where a Gram
+        # product of the errors to the leader, not to one follower, loses
+        # every digit of a pair distance to cancellation
+        rng = np.random.default_rng({"generic": 91, "near": 92, "ties": 93, "flock": 94}[kind])
         for _ in range(100):
             n, nx, count = (int(v) for v in rng.integers((1, 9, 1), (9, 66, 12)))
             frames = rng.standard_normal((count, n + 1, nx)) / (1.0 + np.arange(nx))
             if kind == "near":
                 frames = frames[:, :1] + 1e-9 * frames
+            elif kind == "flock":
+                frames[:, :n] = frames[:, :1] + 1e-9 * frames[:, :n]
             elif kind == "ties":
                 frames[:, :n] = frames[:, rng.integers(0, int(rng.integers(1, n + 1)), n)]
             traj = Trajectory(times=np.arange(float(count)), frames=frames[:, :n] - frames[:, n:],
@@ -768,6 +773,22 @@ class TestSyncErrors:
             finally:
                 tracemalloc.stop()
             assert peak <= 0.6 * traj.frames.nbytes
+
+    def test_peak_memory_with_more_followers_than_modes(self):
+        # a block's N x N Gram matrices outgrow its frames when N > nx, so
+        # the blocks shrink by nx / N
+        rng = np.random.default_rng(88)
+        count, n, nx = 251, 200, 17
+        frames = rng.standard_normal((count, n, nx))
+        traj = Trajectory(times=np.arange(float(count)), frames=frames,
+                          leader=np.zeros((count, nx)), modes=cosine_modes(nx))
+        tracemalloc.start()
+        try:
+            sync_errors(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * frames.nbytes
 
     def test_zero_on_synchronized_state(self):
         net = NetworkConfig(graph=demo_graph(), alpha=0.0, k=3.0, g=-2.0)
@@ -902,9 +923,22 @@ class TestSpectral:
 
     def test_abscissa_within_half_the_certified_margin(self):
         # read as d/dt ||e||^2 <= -m ||e||^2, a feasible certificate of margin
-        # m makes ||e|| decay at m/2: the abscissa lies at or below -m/2.
-        # Measured, the bound is attained, so the slack covers rounding alone
+        # m makes ||e|| decay at m/2: the abscissa lies at or below -m/2, and
+        # a Crank-Nicolson run's total error stays in the envelope
+        # e^(-m t/2) ||e(0)|| at every frame, from smooth, constant, x=0 spike
+        # and white-noise errors.  Measured, both bounds are attained (the
+        # envelope by constant errors of followers without a leader link at
+        # alpha < 0), so the slack covers rounding alone
         rng = np.random.default_rng(57)
+        starts = np.random.default_rng(58)  # the errors, apart from the nets
+        nx = 33
+        x = np.linspace(0.0, 1.0, nx)
+        kinds = [
+            lambda n: starts.standard_normal((n, 4)) @ np.cos(np.outer(np.arange(4), np.pi * x)),
+            lambda n: starts.standard_normal((n, 1)) * np.ones(nx),
+            lambda n: starts.standard_normal((n, 1)) * (x == 0.0),
+            lambda n: starts.standard_normal((n, nx)),
+        ]
         checked = 0
         while checked < 150:
             graph = random_graph(rng, n_max=8, n_min=1, edge_prob=float(rng.uniform()))
@@ -919,9 +953,15 @@ class TestSpectral:
             cert = evaluate_certificate(certificate_matrix(net))
             if not cert.feasible:
                 continue
-            for nx in (17, 101):
-                abscissa = spectral_abscissa(net, SimConfig(nx=nx))
+            for size in (17, 101):
+                abscissa = spectral_abscissa(net, SimConfig(nx=size))
                 assert abscissa <= -cert.margin / 2.0 + 1e-12 * max(1.0, cert.margin)
+            errors = kinds[checked % len(kinds)](n)
+            sim = SimConfig(nx=nx, dt=1e-4, t_end=0.05, output_stride=1,
+                            initial_conditions=(errors, np.zeros(nx)))
+            series = sync_errors(simulate(net, sim))
+            envelope = np.exp(-cert.margin * series.times / 2.0) * series.total_l2[0]
+            assert (series.total_l2[1:] <= (1.0 + 1e-12) * envelope[1:]).all()
             checked += 1
 
     def test_grid_convergence_second_order(self, demo_net):

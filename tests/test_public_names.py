@@ -8,10 +8,12 @@ definition does not count.  Likewise every exception in
 ``heatsync.errors`` has a ``raise`` site in the package, and every
 defaulted parameter of a public function is passed by some call in the
 package: a value that only the tests choose is a constant.  A public
-method or property of a public class is read somewhere in the package
-too, and the command line defines no exception type of its own.
+method, property or dataclass field of a public class is read somewhere
+in the package too, and the command line defines no exception type of
+its own.
 """
 import ast
+import dataclasses
 import inspect
 from functools import cached_property
 from pathlib import Path
@@ -95,19 +97,27 @@ def test_every_public_name_is_used_in_the_package():
     assert unused == [], f"public names that only the tests use: {unused}"
 
 
+def public_members(cls) -> set[str]:
+    """A class's public methods and properties, and its fields if it is a dataclass."""
+    fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+    members = {field.name for field in fields} | {
+        member
+        for member, value in vars(cls).items()
+        if inspect.isfunction(value) or isinstance(value, (property, cached_property))
+    }
+    return {member for member in members if not member.startswith("_")}
+
+
 def test_every_public_member_is_read_in_the_package():
     used = package_references()
     unread = sorted(
         f"{name}.{member}"
         for name in heatsync.__all__
         if inspect.isclass(cls := getattr(heatsync, name))
-        for member, value in vars(cls).items()
-        if not member.startswith("_")
-        and (inspect.isfunction(value) or isinstance(value, (property, cached_property)))
-        and member not in used
-        and f"{name}.{member}" not in ALLOWED_MEMBERS
+        for member in public_members(cls)
+        if member not in used and f"{name}.{member}" not in ALLOWED_MEMBERS
     )
-    assert unread == [], f"public methods and properties that only the tests read: {unread}"
+    assert unread == [], f"public members that only the tests read: {unread}"
 
 
 def test_own_definition_is_not_a_use():
