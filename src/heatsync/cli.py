@@ -296,6 +296,7 @@ def cmd_simulate(args) -> int:
     manifest["snapshot_times_resolved"] = ";".join(
         _fmt(series.times[i]) for i in snap_idx
     )
+    manifest["t_final"] = float(series.times[-1])  # the last time written, n_steps dt
     manifest["outputs"] = "errors.csv;boundary.csv;avg_error.csv"
     _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {err_path}, {bdy_path}, {avg_path}")

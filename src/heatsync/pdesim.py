@@ -17,14 +17,14 @@ errors z_i - z_leader as a source-free N x N system and the leader alone,
 one scalar recurrence per mode.  The error generator is block
 lower-triangular over the modes: mode 0 carries the feedback and every
 other mode reads only mode 0.  Its one stepper, the block map, walks every
-output stride that no bound vouches for.  When a diagonal scaling makes
+output stride whose end frames may reach the divergence limit on the grid,
+and names the step and agent that do.  When a diagonal scaling makes
 the coupling G L symmetric (a common g, or per-agent g of one strict sign)
 it makes mode 0's block symmetric too, and ``eigh`` diagonalizes both, the
 fast diagonalization over the agents.  Then mode 0 is read at every frame
 in closed form, and so is the leader's response to a stride, rank two in
 the phase of the forcing at the stride's start; only the other error
-modes are walked, all strides forward at once, and a bound on every state
-inside each stride is read in closed form.  Work over all the frames is
+modes are walked, all strides forward at once.  Work over all the frames is
 done an eighth of them at a time.  ``simulate`` returns modal frames, and
 ``sync_errors`` reads the error frames by discrete Parseval.  Only numpy
 is needed.
@@ -208,13 +208,19 @@ def _block_step(op: DiscreteOperator, sim: SimConfig):
     return inverses, theta * shed, (1.0 - theta) * shed, g
 
 
+def _grid_reach(errors: np.ndarray, leader: np.ndarray) -> np.ndarray:
+    """max_i sum_j |e_ij| + sum_j |y_j| of modal error frames (..., N, nx) and
+    the leader's (..., nx): no field on the grid is larger, as |cos| <= 1."""
+    return np.abs(errors).sum(axis=-1).max(axis=-1, initial=0.0) + np.abs(leader).sum(axis=-1)
+
+
 def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
     """One stride of the block map ``step`` on modal error frames (2, N, nx)
     and of the leader's ``recurrence`` on its modal frames ``lead`` (2, nx),
     in place: from frame 0 at step ``steps[0]``, frame 1 at ``steps[1]``.
 
-    |z_i| <= sum_j |e_ij| + sum_j |y_j| for the leader's y since |cos| <= 1,
-    so a step is checked on the grid, followers first, only past the limit.
+    A step is checked on the grid, followers first, only when its
+    ``_grid_reach`` is past the limit.
     """
     p, a, b, g = step
     rho, c = recurrence
@@ -225,7 +231,7 @@ def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
             fed = y[:1] @ g.T  # G y_0 as a row
             y = (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
             x = rho * x + forcing_amplitude((s - 1) * dt + h) * c
-            if not np.abs(y).sum(axis=0).max(initial=0.0) + np.abs(x).sum() <= _DIVERGENCE_LIMIT:
+            if not _grid_reach(y.T, x) <= _DIVERGENCE_LIMIT:
                 fields = op.modes @ np.column_stack([y + x[:, np.newaxis], x])
                 bad = (~np.isfinite(fields) | (np.abs(fields) > _DIVERGENCE_LIMIT)).any(axis=0)
                 if bad.any():
@@ -256,15 +262,10 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
     is y_j <- rho_j y_j + a(t) c_j, its ``recurrence``, a(t) = sin(w t): L
     steps from zero at step s end at c Im(e^(i w (s dt + h)) x) with x =
     sum_k<L rho^(L-1-k) e^(i w k dt), one x per stride length, summed by
-    doubling.  Returns the modal error frames (n_frames, N, nx) and per
-    stride of L steps a bound on every max_x |z_a| in it: |y^| <= max(1,
-    |D^L|) (|y^_start| + |feed| L |G W| (max(1, |p|^L) |y^_0,start|)) mode
-    by mode, as |p|^k <= max(1, |p|^L) for k < L, and |y| <= max(1, |rho^L|)
-    (|y_start| + L |c|) for the leader's, as |a| <= 1; |y_0| <= |W| max|y^_0|
-    over the stride's two ends, as |p|^k is monotone in k; and |z_i| <=
-    |y_0i| + (|V| sum_j |y^_j|)_i + sum_j |y_j| as |cos| <= 1.  An exactly
-    singular block needs no check here: its zero divisor makes every bound
-    non-finite.
+    doubling.  Returns the modal error frames (n_frames, N, nx) and the
+    ``_grid_reach`` of each frame, taken a block of frames at a time as they
+    leave the bases.  An exactly singular block needs no check here: its zero
+    divisor makes the frames past it non-finite.
     """
     (v, v_inv, lam), (w, w_inv, nu) = basis
     rho, c = recurrence
@@ -283,7 +284,6 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
     frames = np.zeros((n_frames, m, nx))
     y0, hat = frames[:, :, 0], frames[:, :, 1:]  # in the bases until the end
     y0[:], hat[0] = p ** steps[:, np.newaxis] * (w_inv @ y[:, 0]), v_inv @ y[:, 1:]
-    bound = np.empty(n_frames - 1)
     budget = max(n_frames * nx, _CHUNK_FLOOR)  # per agent, the size of the returned frames
     for length, first, count in [(steps[1], 0, full)] + [(rest, full, 1)] * bool(rest):
         last = first + count
@@ -315,18 +315,12 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]
             lead[f + 1] += rho_len * lead[f]
-        grow, grow_lead = np.maximum(1.0, np.abs(d_len)), np.maximum(1.0, np.abs(rho_len))
-        feed_sum = length * np.abs(y0[first:last]) * np.maximum(1.0, np.abs(p) ** length)
-        reach = feed_sum @ np.abs(g).T * (grow * np.abs(feed)).sum(axis=1)
-        for b in _frame_blocks(count):
-            reach[b] += np.einsum("fak,ak->fa", np.abs(hat[first:last][b]), grow)
-        top = np.maximum(np.abs(y0[first:last]), np.abs(y0[first + 1 : last + 1])) @ np.abs(w).T
-        reach_lead = np.abs(lead[first:last]) @ grow_lead + length * (grow_lead @ np.abs(c))
-        bound[first:last] = (top + reach @ np.abs(v).T).max(axis=1, initial=0.0) + reach_lead
     y0[:] = y0 @ w.T
+    reach = np.empty(n_frames)
     for b in _frame_blocks(n_frames):
         hat[b] = v @ hat[b]
-    return frames, bound
+        reach[b] = _grid_reach(frames[b], lead[b])
+    return frames, reach
 
 
 def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
@@ -348,13 +342,14 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     + dt f(t_n + theta dt), with theta = 1/2 for Crank-Nicolson (source at
     the half step) and theta = 1 for backward Euler (source at the step
     end), on the errors without f and on the leader with it.  With an
-    ``_agent_basis`` the run is ``_eigen_frames``; the block map then walks
-    each stride that its bound does not vouch for, from the frame before,
-    and rewrites its end frames, or every stride when there is no basis:
-    divergence is decided step by step.  Raises Divergence (with step and
-    agent) if a field leaves the finite range; an exactly singular implicit
-    block diverges at step 1.  Raises ValueError, before any array of the
-    run is made, when its frames alone exceed physical memory.
+    ``_agent_basis`` the run is ``_eigen_frames``, and the block map walks
+    each stride with an end frame whose ``_grid_reach`` is past the limit or
+    not finite, from the frame before, and rewrites its end frames; without
+    a basis it walks every stride.  Raises Divergence (with step and agent)
+    if a field on the grid passes the limit at a step the block map walks; an
+    exactly singular implicit block diverges at step 1.  Raises ValueError,
+    before any array of the run is made, when its frames alone exceed
+    physical memory.
     """
     steps = _frame_steps(net, sim)
     count = len(steps)
@@ -363,18 +358,19 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     errors = _to_modes(op, followers - leader)  # taken on the grid
     basis = _agent_basis(net, op)
     try:
-        # no basis, no bound: inverses first, as they can outweigh the frames
+        # no basis: inverses first, as they can outweigh the frames
         step = _block_step(op, sim) if basis is None else None
         lead = np.zeros((count, sim.nx))
         lead[0] = _to_modes(op, leader)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only fails a bound
+        # a frame out of range makes its strides walked, so no warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             recurrence = _leader_step(op, sim)
             if basis is None:
-                frames, bound = np.empty((count, net.n, sim.nx)), np.full(count - 1, np.inf)
+                frames, reach = np.empty((count, net.n, sim.nx)), np.full(count, np.inf)
                 frames[0] = errors
             else:
-                frames, bound = _eigen_frames(op, sim, basis, errors, lead, recurrence, steps)
-        unsafe = np.flatnonzero(~(bound <= _DIVERGENCE_LIMIT))
+                frames, reach = _eigen_frames(op, sim, basis, errors, lead, recurrence, steps)
+        unsafe = np.flatnonzero(~(np.maximum(reach[:-1], reach[1:]) <= _DIVERGENCE_LIMIT))
         if step is None and len(unsafe):
             step = _block_step(op, sim)
         for f in unsafe:

@@ -16,6 +16,17 @@ def demo_net():
     return NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """The start step of each stride the block map walks, in order, as ``simulate`` runs."""
+    from heatsync import pdesim
+
+    starts, stepwise = [], pdesim._stepwise
+    monkeypatch.setattr(pdesim, "_stepwise",
+                        lambda *args: starts.append(args[-1][0]) or stepwise(*args))
+    return starts
+
+
 def random_connected_graph(rng, n_max=8, n_min=2):
     """Random connected follower graph with a nonempty leader set."""
     n = int(rng.integers(n_min, n_max + 1))

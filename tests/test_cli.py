@@ -617,6 +617,18 @@ class TestSimulate:
         assert manifest["preset"] == "sectionV"
         assert manifest["outputs"] == "errors.csv;boundary.csv;avg_error.csv"
 
+    def test_manifest_records_the_last_written_time(self, explicit_config, tmp_path):
+        # dt = 0.3 takes 3 steps to t_end = 1.0, so the last row is at 3 dt
+        payload = json.loads(Path(explicit_config).read_text())
+        payload["sim"].update(dt=0.3, t_end=1.0)
+        cfg = write_config(tmp_path / "coarse.json", payload)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        last = float((out_dir / "errors.csv").read_text().splitlines()[-1].split(",")[0])
+        assert manifest["t_end"] == 1.0
+        assert manifest["t_final"] == last == 3 * 0.3 != 1.0
+
     def test_custom_snapshots(self, explicit_config, tmp_path):
         out_dir = tmp_path / "snap"
         assert (
@@ -1031,13 +1043,14 @@ class TestOutputPaths:
 
 
 class TestDeterminism:
-    def test_simulate_byte_identical(self, preset_config, tmp_path):
-        # mixed-sign g runs on the block map, and a start of 2e11 fails the
-        # first stride's bound, so the block map walks that stride
+    def test_simulate_byte_identical(self, preset_config, tmp_path, walked):
+        # mixed-sign g runs on the block map, and a start of 3e11 (a largest
+        # field of 1.05e12) puts the first frame's sum past the limit without
+        # diverging, so the block map walks the first stride
         preset = heatsync.PRESETS["sectionV"]
         sim = {**preset["sim"], "nx": 41, "dt": 0.002}
         followers, leader = demo_initial_profiles(np.linspace(0.0, 1.0, 41))
-        big = {"followers": (2e11 * followers).tolist(), "leader": leader.tolist()}
+        big = {"followers": (3e11 * followers).tolist(), "leader": leader.tolist()}
         configs = [
             preset_config,
             write_config(
@@ -1050,7 +1063,10 @@ class TestDeterminism:
         for i, cfg in enumerate(configs):
             dirs = [tmp_path / f"{i}a", tmp_path / f"{i}b"]
             for d in dirs:
+                walked.clear()
                 assert main(["simulate", cfg, "--out", str(d)]) == 0
+                if i == 2:
+                    assert walked == [0]
             for name in ("errors.csv", "boundary.csv", "avg_error.csv", "manifest.json"):
                 assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 

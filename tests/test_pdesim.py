@@ -27,7 +27,6 @@ from heatsync import (
 from heatsync.errors import Divergence, NonPositiveSeries
 from heatsync.pdesim import (_agent_basis, _block_step, _eigen_frames, _frame_steps, _leader_step,
                              _stepwise)
-from heatsync.scenarios import forcing_amplitude, forcing_shape
 
 from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
@@ -478,16 +477,19 @@ class TestSimulate:
                 assert (got.value.step, got.value.agent) == (want.value.step, want.value.agent)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_stride_invariance(self, demo_net, scheme):
+    def test_stride_invariance(self, demo_net, scheme, walked):
         # a stride advanced at once equals its steps; 101 steps leave a
         # partial last stride for every stride below, and a 50-step stride
         # spans many chunks, so its chunk sums are carried on
         rng = np.random.default_rng(73)
         cases = [(demo_net, "sectionV", "paper"), (demo_net, "sectionV", "off")]
-        # a start of 5e10 clears the stride bound, and one of 2e11 fails it
-        # without diverging: the block map walks the first strides
+        # a start of 5e10 keeps every frame's sum below the limit, and one of
+        # 2e11 puts the first frames' sums past it without diverging: the
+        # block map walks no stride of the one, and the first strides, not
+        # all, of the other
         followers, leader = random_profiles(rng, demo_net.n, 33)
-        cases.append((demo_net, (5e10 * followers, 5e10 * leader), "paper"))
+        quiet, loud = (5e10 * followers, 5e10 * leader), (2e11 * followers, 2e11 * leader)
+        cases.append((demo_net, quiet, "paper"))
         for net in heterogeneous_nets(rng, 2):
             cases.append((net, random_profiles(rng, net.n, 33), "paper"))
             cases.append((net, random_profiles(rng, net.n, 33), "off"))
@@ -501,7 +503,7 @@ class TestSimulate:
             alpha=0.5, k=2.0, g=[-0.01, -1.0, -10.0, -100.0, -3.0, -0.5],
         )
         cases.append((wide, random_profiles(rng, wide.n, 33), "paper"))
-        cases.append((demo_net, (2e11 * followers, 2e11 * leader), "paper"))
+        cases.append((demo_net, loud, "paper"))
         for net, ic, source in cases:
             sim = SimConfig(
                 nx=33, dt=2e-3, t_end=0.202, source=source, scheme=scheme,
@@ -509,8 +511,13 @@ class TestSimulate:
             )
             ref = on_grid(simulate(net, sim))
             for stride in (3, 7, 10, 50):
+                walked.clear()
                 traj = on_grid(simulate(net, replace(sim, output_stride=stride)))
                 steps = np.append(np.arange(0, sim.n_steps, stride), sim.n_steps)
+                if ic is quiet:
+                    assert walked == []
+                if ic is loud:
+                    assert walked[:1] == [0] and len(walked) < len(steps) - 1
                 assert np.array_equal(traj.times, steps * sim.dt)
                 got = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
                 want = np.concatenate(
@@ -534,16 +541,17 @@ class TestSimulate:
             paper = on_grid(simulate(net, replace(sim, source="paper"))).errors()
             assert np.abs(paper - off).max() <= 1e-12 * np.abs(off).max()
 
-    def test_stride_bound_is_rigorous(self, demo_net):
-        # the bound of every stride, on the errors and the leader together,
-        # dominates max_x |z_a| of every agent at each of its steps, stepped
-        # here with the dense one-step map; the 1e-12 covers
-        # the rounding of the bound's sums alone.  A 10-step stride fits one
+    def test_block_map_walks_the_frames_past_the_limit(self, demo_net, walked):
+        # divergence is decided at the frames: the block map walks exactly the
+        # strides with an end frame whose sum max_i sum_j |e_ij| + sum_j |y_j|
+        # is past the limit, and every frame returned is finite and within the
+        # limit on the grid.  Each start is scaled so that the largest field of
+        # the dense one-step map's unforced run, the start included, is
+        # 0.99e12: no step diverges, while the sums, which dominate the fields,
+        # cross the limit on the first strides.  A 10-step stride fits one
         # chunk; at nx = 33 a stride of 125 or 128 steps spans chunks of 32
-        # steps, each carried on to the stride's end (125 leaves a first
-        # chunk of 29 steps, and 128 a last stride of 116 steps whose first
-        # chunk has 20).  The demo at g = -1e4 over 125 steps is where the
-        # feed sum's closed form, L max(1, |p|^L) |y^_0|, is loosest
+        # steps (125 leaves a first chunk of 29 steps, and 128 a last stride
+        # of 116 steps whose first chunk has 20)
         rng = np.random.default_rng(75)
         cases = [(demo_net, 101, 10), (demo_net.with_gains(g=-1e4), 101, 10)]
         cases += [(net, 33, 10) for net in heterogeneous_nets(rng, 3)]
@@ -552,34 +560,34 @@ class TestSimulate:
         cases += [(demo_net.with_gains(g=-1e4), 33, 125)]
         for net, nx, stride in cases:
             followers, leader = random_profiles(rng, net.n, nx)
-            sim = SimConfig(
-                nx=nx, t_end=0.5, source="paper", output_stride=stride,
-                initial_conditions=(followers, leader),
-            )
-            op = assemble_operator(net, sim)
-            z = np.vstack([followers, leader])
-            to_modes, strides = inverse_modes(op).T, -(-500 // stride)
-            lead = np.zeros((strides + 1, nx))
-            lead[0] = leader @ to_modes
-            errors = (followers - leader) @ to_modes
-            basis, leader_step = _agent_basis(net, op), _leader_step(op, sim)
-            steps = _frame_steps(net, sim)
-            bound = _eigen_frames(op, sim, basis, errors, lead, leader_step, steps)[1]
-            assert bound.shape == (strides,)
+            sim = SimConfig(nx=nx, t_end=0.5, source="off", output_stride=stride)
             dense = dense_operator(net, sim)
             h = sim.dt / 2.0
-            implicit = np.linalg.inv(np.eye(dense.shape[0]) - h * dense)
-            one_step = implicit @ (np.eye(dense.shape[0]) + h * dense)
-            unit = sim.dt * implicit @ np.tile(forcing_shape(sim.grid), net.n + 1)
-            state, peak = z.reshape(-1), np.zeros(bound.shape)
-            for step in range(500):
-                state = one_step @ state + forcing_amplitude(step * sim.dt + h) * unit
-                reach = np.abs(state).max()
-                peak[step // stride] = np.maximum(peak[step // stride], reach)
-            assert (peak <= bound * (1.0 + 1e-12)).all()
-            # nor a vacuous one: it stays within a factor 100 of the peak,
-            # on the long strides too (at most 25x here)
-            assert (bound <= 100.0 * peak).all()
+            eye = np.eye(len(dense))
+            one_step = np.linalg.solve(eye - h * dense, eye + h * dense)
+            state = np.vstack([followers, leader]).reshape(-1)
+            peak = np.abs(state).max()
+            for _ in range(500):
+                state = one_step @ state
+                peak = max(peak, np.abs(state).max())
+            scale = 0.99e12 / peak
+            sim = replace(sim, source="paper",
+                          initial_conditions=(scale * followers, scale * leader))
+            op = assemble_operator(net, sim)
+            to_modes, steps = inverse_modes(op).T, _frame_steps(net, sim)
+            lead = np.zeros((len(steps), nx))
+            lead[0] = scale * leader @ to_modes
+            errors = scale * (followers - leader) @ to_modes
+            basis, leader_step = _agent_basis(net, op), _leader_step(op, sim)
+            frames = _eigen_frames(op, sim, basis, errors, lead, leader_step, steps)[0]
+            sums = np.abs(frames).sum(axis=2).max(axis=1) + np.abs(lead).sum(axis=1)
+            past = np.maximum(sums[:-1], sums[1:]) > 1e12
+            walked.clear()
+            traj = on_grid(simulate(net, sim))
+            assert walked == list(steps[:-1][past])
+            fields = np.concatenate([traj.z.reshape(-1), traj.z_leader.reshape(-1)])
+            assert np.isfinite(fields).all() and (np.abs(fields) <= 1e12).all()
+            assert past.any() and not past.all()  # the sums cross the limit, and fall back
 
     def test_long_strides_are_chunked(self, demo_net):
         # no intermediate outgrows the frames: unchunked, a stride of 600
