@@ -1,10 +1,13 @@
 """Command-line entry point: certify / design / simulate / spectrum / sweep.
 
-Scenario configs are JSON with explicit keys; agent indices in files are
-1-based.  Exit codes: 0 success (certificate feasible where applicable),
-1 a negative answer about a valid scenario (infeasible, uncontrollable,
-divergence: a HeatSyncError, printed as ``error: ...``), 2 usage or config
-error (a ValueError, printed as ``config error: ...``).
+This module holds the command line and the formats of its reports and
+CSVs; configs are read, and a design report's network block written, by
+``scenarios``.  Exit codes: 0 success (certificate feasible where
+applicable), 1 a negative answer about a valid scenario (infeasible,
+uncontrollable, divergence: a HeatSyncError, printed as ``error: ...``), 2
+usage or config error (a ValueError, printed as ``config error: ...``),
+which includes a run or a sweep grid the machine cannot hold, refused
+before anything of it is built.
 A command imports only the layers it runs: ``certify`` and ``sweep`` the
 certificates (``sweep`` solves its whole grid with
 ``certify.certificate_sweep``), ``design`` the gain synthesis, which loads
@@ -19,30 +22,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import HeatSyncError
-from .graph import build_graph
-from .scenarios import (FEASIBILITY_MARGIN, PRESETS, NetworkConfig, SimConfig,
-                        _resolve_initial_conditions)
+from .scenarios import (FEASIBILITY_MARGIN, Scenario, load_scenario, network_block,
+                        refuse_beyond_memory)
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
-GRAPH_KEYS = ("n", "edges", "leader_set")
-# a design report doubles as a config, so its own keys are accepted too
-CONFIG_KEYS = ("scenario_preset", "graph", "alpha", "beta", "k", "g", "sim", "command",
-               "version", "k_window_lo", "k_window_hi", "max_eig", "margin", "components")
-
-
-@dataclass
-class Scenario:
-    net: NetworkConfig
-    sim: SimConfig
-    preset: str | None
-    raw: dict
+# a sweep holds its gain and result arrays and a row of Python floats per cell: its
+# tracemalloc peak is 281-282 bytes a cell on sectionV at 9e4 and 3.6e5 cells
+_CELL_BYTES = 256
 
 
 def _fmt(value: float) -> str:
@@ -55,72 +47,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
-
-
-def _block(value, name: str, known) -> dict:
-    """``value`` as a JSON object holding only ``known`` keys, else a ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"'{name}' must be a JSON object")
-    unknown = sorted(set(value) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
-    return value
-
-
-def load_scenario(path) -> Scenario:
-    """Read and resolve a scenario config file.
-
-    A ``scenario_preset`` stands for its ``PRESETS`` entry: the network,
-    physics, gains, forcing, initial profiles and horizon, and a file that
-    also sets one of them is refused; the ``sim`` block still controls the
-    numerics (nx, dt, scheme, output stride).  Without a preset the file
-    must carry the graph and physics explicitly.  Every refusal is a
-    ValueError that names the file.
-    """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, UnicodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        if not isinstance(raw, dict):
-            raise ValueError("config root must be a JSON object")
-        _block(raw, "top-level", CONFIG_KEYS)
-        sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
-        preset, config = raw.get("scenario_preset"), raw
-        if preset is not None:
-            if preset not in tuple(PRESETS):  # a tuple: a list preset is unhashable
-                raise ValueError(
-                    f"unknown scenario_preset {preset!r}; expected one of {tuple(PRESETS)}"
-                )
-            entry = PRESETS[preset]
-            pinned = [key for key in entry if key != "sim" and key in raw]
-            pinned += [f"sim.{key}" for key in entry["sim"] if key in sim_fields]
-            if pinned:
-                raise ValueError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
-            config = {**raw, **entry}
-            sim_fields.update(entry["sim"])
-        if "graph" not in config:
-            raise ValueError("config needs a 'graph' block or a scenario_preset")
-        block = _block(config["graph"], "graph", GRAPH_KEYS)
-        graph = build_graph(block.get("n"), block.get("edges", []), block.get("leader_set", []))
-        alpha, beta = config.get("alpha", 0.0), config.get("beta", 1.0)
-        k, g = config.get("k", 0.0), config.get("g", 0.0)
-        initial = sim_fields.get("initial_conditions")
-        if isinstance(initial, dict):
-            initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
-            sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
-        elif initial is not None and not isinstance(initial, str):
-            raise ValueError("sim.initial_conditions must be a preset token or an object")
-        net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
-        sim = SimConfig(**sim_fields)
-        # profile shapes are checked here, before any command runs or writes
-        _resolve_initial_conditions(net, sim)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad config {path}: {exc}") from exc
-    return Scenario(net=net, sim=sim, preset=preset, raw=raw)
 
 
 def _resolved_params(scn: Scenario, command: str) -> dict:
@@ -205,15 +131,7 @@ def cmd_design(args) -> int:
     # The report doubles as a scenario config, so it can be fed straight
     # back into `certify`.
     report = {
-        "graph": {
-            "n": scn.net.n,
-            "edges": [list(e) for e in scn.net.graph.edges],
-            "leader_set": sorted(scn.net.graph.leader_set),
-        },
-        "alpha": scn.net.alpha,
-        "beta": scn.net.beta,
-        "k": gd.k,
-        "g": gd.g,
+        **network_block(scn.net.with_gains(k=gd.k, g=gd.g)),
         "command": "design",
         "version": __version__,
         "k_window_lo": gd.k_window.lo,
@@ -335,6 +253,8 @@ def cmd_sweep(args) -> int:
     scn = load_scenario(args.config)
     k_values = _parse_range(args.k, "k")
     g_values = _parse_range(args.g, "g")
+    cells = len(k_values) * len(g_values)
+    refuse_beyond_memory(_CELL_BYTES * cells, f"the sweep's {cells} cells take")
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ValueError(f"cannot write {out_path}: it is a directory")
@@ -365,7 +285,7 @@ def cmd_sweep(args) -> int:
         rows.append([k, g] + [""] * (len(cols) - 2) if np.isnan(eig) else row)
         successes += not np.isnan(eig)
     _write_csv(out_path, cols, rows)
-    print(f"wrote {out_path} ({len(k_values) * len(g_values)} cells)")
+    print(f"wrote {out_path} ({cells} cells)")
     return 0 if successes > 0 else 1
 
 

@@ -29,11 +29,12 @@ done an eighth of them at a time.  ``simulate`` returns modal frames, and
 ``sync_errors`` reads the error frames by discrete Parseval.  Only numpy
 is needed.
 ``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
-loads no simulator.
+loads no simulator and builds no grid.  A run is refused, as a ValueError,
+before its arrays are built when its frames and mode matrix exceed
+physical memory, and a spectrum when its nx-long arrays do.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,8 @@ import numpy as np
 from .errors import DimensionMismatch, Divergence, NonPositiveSeries
 from .graph import laplacian
 from .scenarios import (FORCING_RATE, THETA, NetworkConfig, SimConfig,
-                        _resolve_initial_conditions, forcing_amplitude, forcing_shape)
+                        _resolve_initial_conditions, forcing_amplitude, forcing_shape,
+                        refuse_beyond_memory)
 
 _DIVERGENCE_LIMIT = 1e12
 _FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
@@ -325,13 +327,13 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
 
 def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
     """The step of each frame the run returns, every ``output_stride`` steps and the last;
-    ValueError, before they are listed, when the frames exceed physical memory."""
+    ValueError, before they are listed, when the frames, or the frames and the mode
+    matrix with its int64 phase table, 16 nx^2 bytes, exceed physical memory."""
     count = -(-sim.n_steps // sim.output_stride) + 1
     size = 8 * count * (net.n + 1) * sim.nx
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > memory:
-        raise ValueError(f"the run returns {count} frames of {size} bytes, "
-                         f"more than the {memory} bytes of physical memory")
+    refuse_beyond_memory(size, f"the run returns {count} frames of")
+    refuse_beyond_memory(size + 16 * sim.nx**2,
+                         f"the run's {count} frames and {sim.nx} x {sim.nx} mode matrix take")
     return np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
 
 
@@ -348,8 +350,9 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     a basis it walks every stride.  Raises Divergence (with step and agent)
     if a field on the grid passes the limit at a step the block map walks; an
     exactly singular implicit block diverges at step 1.  Raises ValueError,
-    before any array of the run is made, when its frames alone exceed
-    physical memory.
+    before any array of the run is made, when its frames, or its frames and
+    its mode matrix with the int64 phase table it is made from, exceed
+    physical memory (``_frame_steps``).
     """
     steps = _frame_steps(net, sim)
     count = len(steps)
@@ -437,10 +440,13 @@ def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
     + eig(C) for the others, with C the coupling and F = diag(feedback).
     The value describes the spatial discretization alone; no time step
     enters it.  Raises ValueError when finite parameters overflow into an
-    abscissa that is not finite.
+    abscissa that is not finite, and, before any of them is built, when its
+    nx-long arrays exceed physical memory.
     """
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
+    # at least the grid, the rates and the (nx - 1, N) eigenvalues of the modes j >= 1
+    refuse_beyond_memory(8 * sim.nx * (net.n + 2), "the spectrum's arrays take")
     op = assemble_operator(net, sim)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * np.diag(op.feedback))

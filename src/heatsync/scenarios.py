@@ -1,11 +1,18 @@
-"""The config layer: the network and simulation configs and the built-in scenarios.
+"""The config layer: the network and simulation configs, the built-in scenarios
+and the JSON config format, read and written here alone.
 
 ``NetworkConfig`` holds a scenario's graph, physics and gains, and
 ``SimConfig`` a run's discretization and scenario data;
-``_resolve_initial_conditions`` turns the pair into initial fields, so a
-config is read and checked without loading the certificates or the
-simulator.  ``FEASIBILITY_MARGIN`` is the verdict threshold that
-``certify`` applies and every report records.
+``_resolve_initial_conditions`` turns the pair into initial fields.
+``load_scenario`` reads a JSON config file (its keys are ``CONFIG_KEYS``
+and ``GRAPH_KEYS``; agent indices are 1-based) into a ``Scenario``,
+checking profiles by their shapes, so a config is read and checked without
+building its grid or loading the certificates or the simulator.  ``network_block`` writes a net as the
+config keys it is read from; a design report is built with it, so the
+report reads back as a config.  ``refuse_beyond_memory`` refuses, as a
+ValueError, a run or a sweep grid that physical memory cannot hold.
+``FEASIBILITY_MARGIN`` is the verdict threshold that ``certify`` applies
+and every report records.
 
 ``PRESETS`` maps each ``scenario_preset`` token to the config it stands
 for, written as a config file would write it: five followers on a tree
@@ -19,18 +26,30 @@ profiles and a horizon of 2.5.  The presets differ in their gains:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+import os
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import FollowerGraph, _as_float, _as_int, leader_mask
+from .graph import FollowerGraph, _as_float, _as_int, build_graph, leader_mask
 
 FORCING_RATE = np.pi  # angular rate w of the forcing's sin(w t)
 # A certificate is feasible when its top eigenvalue lies below -FEASIBILITY_MARGIN.
 FEASIBILITY_MARGIN = 1e-9
 
 Gains = Union[float, Sequence[float]]
+
+
+def refuse_beyond_memory(size: int, what: str) -> None:
+    """ValueError "``what`` ``size`` bytes, more than ..." when ``size`` bytes
+    exceed physical memory, ``SC_PAGE_SIZE * SC_PHYS_PAGES``."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValueError(f"{what} {size} bytes, more than the {memory} bytes of physical memory")
+
 
 _SECTION_V = {
     "graph": {"n": 5, "edges": [[1, 3], [2, 4], [3, 4], [4, 5]], "leader_set": [1, 2, 3]},
@@ -223,22 +242,117 @@ class SimConfig:
         return max(1, int(round(self.t_end / self.dt)))
 
 
+def _check_initial_conditions(net: NetworkConfig, sim: SimConfig) -> None:
+    """ValueError when ``sim``'s initial profiles do not fit ``net`` on ``sim``'s grid,
+    read off their shapes: no grid or profile is built."""
+    ic = sim.initial_conditions
+    if isinstance(ic, str) and net.n != 5:  # "sectionV", the one token SimConfig accepts
+        raise ValueError(f"the sectionV profiles define 5 followers, config has {net.n}")
+    if isinstance(ic, tuple):
+        followers, leader = ic
+        shape = followers.shape if followers.size else (0, sim.nx)  # [] has shape (0,)
+        if shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
+            raise ValueError(
+                f"initial conditions must have shapes ({net.n}, {sim.nx}) and "
+                f"({sim.nx},), got {shape} and {leader.shape}"
+            )
+
+
 def _resolve_initial_conditions(
     net: NetworkConfig, sim: SimConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    x = sim.grid
+    _check_initial_conditions(net, sim)
     ic = sim.initial_conditions
     if ic is None:
         return np.zeros((net.n, sim.nx)), np.zeros(sim.nx)
-    if isinstance(ic, str):  # "sectionV", the one token SimConfig accepts
-        if net.n != 5:
-            raise ValueError(f"the sectionV profiles define 5 followers, config has {net.n}")
-        return demo_initial_profiles(x)
+    if isinstance(ic, str):
+        return demo_initial_profiles(sim.grid)
     followers, leader = ic
-    followers = followers if followers.size else followers.reshape(0, sim.nx)  # [] has shape (0,)
-    if followers.shape != (net.n, sim.nx) or leader.shape != (sim.nx,):
-        raise ValueError(
-            f"initial conditions must have shapes ({net.n}, {sim.nx}) and "
-            f"({sim.nx},), got {followers.shape} and {leader.shape}"
-        )
-    return followers, leader
+    return followers.reshape(net.n, sim.nx), leader
+
+
+GRAPH_KEYS = ("n", "edges", "leader_set")
+# a design report doubles as a config, so its own keys are accepted too
+CONFIG_KEYS = ("scenario_preset", "graph", "alpha", "beta", "k", "g", "sim", "command",
+               "version", "k_window_lo", "k_window_hi", "max_eig", "margin", "components")
+
+
+@dataclass
+class Scenario:
+    net: NetworkConfig
+    sim: SimConfig
+    preset: str | None
+    raw: dict
+
+
+def _block(value, name: str, known) -> dict:
+    """``value`` as a JSON object holding only ``known`` keys, else a ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"'{name}' must be a JSON object")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+    return value
+
+
+def load_scenario(path) -> Scenario:
+    """Read and resolve a scenario config file.
+
+    A ``scenario_preset`` stands for its ``PRESETS`` entry: the network,
+    physics, gains, forcing, initial profiles and horizon, and a file that
+    also sets one of them is refused; the ``sim`` block still controls the
+    numerics (nx, dt, scheme, output stride).  Without a preset the file
+    must carry the graph and physics explicitly.  Every refusal is a
+    ValueError that names the file.
+    """
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, UnicodeError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError("config root must be a JSON object")
+        _block(raw, "top-level", CONFIG_KEYS)
+        sim_fields = dict(_block(raw.get("sim", {}), "sim", [f.name for f in fields(SimConfig)]))
+        preset, config = raw.get("scenario_preset"), raw
+        if preset is not None:
+            if preset not in tuple(PRESETS):  # a tuple: a list preset is unhashable
+                raise ValueError(
+                    f"unknown scenario_preset {preset!r}; expected one of {tuple(PRESETS)}"
+                )
+            entry = PRESETS[preset]
+            pinned = [key for key in entry if key != "sim" and key in raw]
+            pinned += [f"sim.{key}" for key in entry["sim"] if key in sim_fields]
+            if pinned:
+                raise ValueError(f"scenario_preset {preset!r} pins {', '.join(pinned)}")
+            config = {**raw, **entry}
+            sim_fields.update(entry["sim"])
+        if "graph" not in config:
+            raise ValueError("config needs a 'graph' block or a scenario_preset")
+        block = _block(config["graph"], "graph", GRAPH_KEYS)
+        graph = build_graph(block.get("n"), block.get("edges", []), block.get("leader_set", []))
+        alpha, beta = config.get("alpha", 0.0), config.get("beta", 1.0)
+        k, g = config.get("k", 0.0), config.get("g", 0.0)
+        initial = sim_fields.get("initial_conditions")
+        if isinstance(initial, dict):
+            initial = _block(initial, "sim.initial_conditions", ("followers", "leader"))
+            sim_fields["initial_conditions"] = (initial["followers"], initial["leader"])
+        elif initial is not None and not isinstance(initial, str):
+            raise ValueError("sim.initial_conditions must be a preset token or an object")
+        net = NetworkConfig(graph=graph, alpha=alpha, beta=beta, k=k, g=g)
+        sim = SimConfig(**sim_fields)
+        # profile shapes are checked here, before any command runs or writes
+        _check_initial_conditions(net, sim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad config {path}: {exc}") from exc
+    return Scenario(net=net, sim=sim, preset=preset, raw=raw)
+
+
+def network_block(net: NetworkConfig) -> dict:
+    """The config keys ``graph``, ``alpha``, ``beta``, ``k`` and ``g`` that read back as ``net``."""
+    return {"graph": {"n": net.n, "edges": [list(e) for e in net.graph.edges],
+                      "leader_set": sorted(net.graph.leader_set)},
+            "alpha": net.alpha, "beta": net.beta, "k": net.k, "g": net.g}

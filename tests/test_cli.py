@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import heatsync
-from heatsync.cli import CONFIG_KEYS, load_scenario, main
+from heatsync.cli import load_scenario, main
 from heatsync.pdesim import simulate
-from heatsync.scenarios import FEASIBILITY_MARGIN, demo_initial_profiles
+from heatsync.scenarios import CONFIG_KEYS, FEASIBILITY_MARGIN, demo_initial_profiles
 
 from conftest import random_connected_graph
 from oracles import dense_abscissa, grid_errors, on_grid, pairwise_max

@@ -1,0 +1,197 @@
+"""The config format's one home, ``heatsync.scenarios``, and what a config may ask of the machine.
+
+``load_scenario`` reads a config and ``network_block`` writes its network
+keys, so a design report, whose network block ``network_block`` writes,
+reads back as a config.  Reading a config builds no grid, so a config the
+machine cannot hold is refused as a config error (exit 2) by the commands
+that would build it, and answered by the ones that never do.
+"""
+import ast
+import json
+import os
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heatsync import cli, scenarios
+from heatsync.cli import main
+from heatsync.pdesim import _frame_steps, simulate
+from heatsync.scenarios import (CONFIG_KEYS, GRAPH_KEYS, PRESETS, NetworkConfig, SimConfig,
+                                load_scenario, network_block)
+
+from conftest import demo_graph, random_graph
+
+HUGE_NX = 10**15  # no address space holds one field of it
+
+
+def write_config(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def assert_refused(code, err, *phrases):
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    for phrase in phrases:
+        assert phrase in err
+
+
+class TestHome:
+    MOVED = ("Scenario", "GRAPH_KEYS", "CONFIG_KEYS", "_block", "load_scenario", "network_block")
+
+    def test_scenarios_defines_the_format(self):
+        assert all(hasattr(scenarios, name) for name in self.MOVED)
+        assert cli.load_scenario is scenarios.load_scenario
+
+    def test_cli_defines_none_of_it(self):
+        path = Path(cli.__file__)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.targets[0].id if isinstance(node, ast.Assign) else node.name
+                   for node in tree.body
+                   if isinstance(node, (ast.Assign, ast.FunctionDef, ast.ClassDef))}
+        assert defined.isdisjoint(self.MOVED)
+        from_scenarios = [alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) and node.module == "scenarios"
+                          for alias in node.names]
+        assert "load_scenario" in from_scenarios
+        assert not [name for name in from_scenarios if name.startswith("_")]
+
+
+def random_payload(rng):
+    """A random network block: partial leader sets, scalar or per-agent k and g."""
+    graph = random_graph(rng, n_max=7)
+    n = graph.n
+
+    def gain():
+        per_agent = rng.normal(0.0, 4.0, n).tolist()
+        return per_agent if rng.random() < 0.5 else per_agent[0] if n else 0.0
+
+    return {
+        "graph": {"n": n, "edges": [list(e) for e in graph.edges],
+                  "leader_set": sorted(graph.leader_set)},
+        "alpha": float(rng.normal()),
+        "beta": float(rng.uniform(0.1, 3.0)),
+        "k": gain(),
+        "g": gain(),
+    }
+
+
+class TestNetworkBlock:
+    @pytest.mark.parametrize("case", [*PRESETS, *range(24)])
+    def test_block_reads_back_as_the_net(self, tmp_path, case):
+        if isinstance(case, str):
+            payload = {"scenario_preset": case}
+        else:
+            payload = random_payload(np.random.default_rng(case))
+        net = load_scenario(write_config(tmp_path / "in.json", payload)).net
+        block = network_block(net)
+        assert set(block) <= set(CONFIG_KEYS) and set(block["graph"]) <= set(GRAPH_KEYS)
+        back = load_scenario(write_config(tmp_path / "out.json", block)).net
+        assert (back.n, back.graph.edges, back.graph.leader_set) == (
+            net.n, net.graph.edges, net.graph.leader_set)
+        assert (back.alpha, back.beta, back.k, back.g) == (net.alpha, net.beta, net.k, net.g)
+        assert json.dumps(network_block(back)) == json.dumps(block)
+        if not isinstance(case, str):
+            assert block == payload
+
+    @pytest.mark.parametrize("payload", [
+        {"scenario_preset": "sectionV"},
+        {"graph": {"n": 4, "edges": [[1, 2], [3, 4]], "leader_set": [1, 3]}, "alpha": 0.5},
+    ], ids=["preset", "two_components"])
+    def test_design_report_is_a_config(self, tmp_path, payload, capsys):
+        cfg = write_config(tmp_path / "plant.json", payload)
+        assert main(["design", cfg]) == 0
+        report_path = tmp_path / "plant.design.json"
+        report = json.loads(report_path.read_text())
+        assert set(report) <= set(CONFIG_KEYS)
+        assert set(report["graph"]) <= set(GRAPH_KEYS)
+        net = load_scenario(report_path).net
+        assert (net.k, net.g) == (report["k"], report["g"])
+        assert main(["certify", str(report_path)]) == 0
+
+
+class TestBeyondMemory:
+    def test_huge_grid_is_answered_where_no_grid_is_built(self, tmp_path, capsys):
+        outputs = {}
+        for nx in (101, HUGE_NX):
+            cfg = write_config(tmp_path / f"nx{nx}.json",
+                               {"scenario_preset": "sectionV", "sim": {"nx": nx}})
+            codes = [main(["certify", cfg]), main(["design", cfg])]
+            sweep = tmp_path / f"sweep{nx}.csv"
+            codes.append(main(["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", str(sweep)]))
+            out, err = capsys.readouterr()
+            outputs[nx] = (codes, out.replace(str(sweep), "sweep.csv"), err, sweep.read_bytes())
+        assert outputs[HUGE_NX] == outputs[101]
+        assert outputs[101][0] == [0, 0, 0]
+
+    @pytest.mark.parametrize("args, phrase", [
+        (["simulate", "--out", "{out}"], "frames of"),
+        (["sweep", "--k", "1:9:3", "--g", "-4:0:2", "--out", "{out}/s.csv", "--simulate"],
+         "frames of"),
+        (["spectrum"], "the spectrum's arrays take"),
+    ], ids=["simulate", "sweep_simulate", "spectrum"])
+    def test_huge_grid_is_a_config_error(self, tmp_path, capsys, args, phrase):
+        cfg = write_config(tmp_path / "huge.json",
+                           {"scenario_preset": "sectionV", "sim": {"nx": HUGE_NX}})
+        out = tmp_path / "out"
+        code = main([args[0], cfg, *(a.format(out=out) for a in args[1:])])
+        assert_refused(code, capsys.readouterr().err, phrase, "bytes of physical memory")
+        assert not out.exists()
+
+    def test_oversized_sweep_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "scenario.json", {"scenario_preset": "sectionV"})
+        out = tmp_path / "new" / "deep" / "sweep.csv"
+        code = main(["sweep", cfg, "--k=1:9:10000000", "--g=-4:0:10000000", "--out", str(out)])
+        cells = 10**14
+        assert_refused(code, capsys.readouterr().err, f"the sweep's {cells} cells take "
+                       f"{cli._CELL_BYTES * cells} bytes")
+        assert not (tmp_path / "new").exists()
+
+
+def small_machine(monkeypatch, memory=64 * 2**20):
+    """Make physical memory read ``memory`` bytes."""
+    sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+
+
+def section_v(nx, t_end):
+    entry = PRESETS["sectionV"]
+    return {key: entry[key] for key in ("graph", "alpha", "beta", "k", "g")} | {
+        "sim": {**entry["sim"], "nx": nx, "t_end": t_end}}
+
+
+class TestModeMatrix:
+    def test_mode_matrix_counts_against_memory(self, tmp_path, capsys, monkeypatch):
+        # 2 frames of 6 x 4001 samples are 0.4 MB; the mode matrix and its int64
+        # phase table are 256 MB, four times the machine
+        nx, cfg = 4001, write_config(tmp_path / "fine.json", section_v(4001, 0.01))
+        size = 8 * 2 * 6 * nx + 16 * nx**2
+        phrase = f"the run's 2 frames and {nx} x {nx} mode matrix take {size} bytes"
+        small_machine(monkeypatch)
+        out = tmp_path / "out"
+        assert_refused(main(["simulate", cfg, "--out", str(out)]), capsys.readouterr().err,
+                       phrase, f"{64 * 2**20} bytes of physical memory")
+        code = main(["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", f"{out}/s.csv",
+                     "--simulate"])
+        assert_refused(code, capsys.readouterr().err, phrase)
+        assert not out.exists()
+        scn = load_scenario(cfg)
+        with pytest.raises(ValueError, match="mode matrix"):
+            simulate(scn.net, scn.sim)
+
+    def test_count_covers_the_run_peak(self):
+        # the refusal counts what the run holds at its peak: the mode matrix
+        # is built with its phase table alive, 16 nx^2 bytes
+        net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
+        sim = SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV")
+        counted = 8 * len(_frame_steps(net, sim)) * 6 * sim.nx + 16 * sim.nx**2
+        tracemalloc.start()
+        try:
+            simulate(net, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * sim.nx**2 <= peak <= 1.05 * counted
