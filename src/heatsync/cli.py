@@ -20,6 +20,7 @@ same config reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -262,7 +263,8 @@ def cmd_sweep(args) -> int:
     if run_sim:
         from .pdesim import _frame_steps, fit_decay_rate, simulate, sync_errors
 
-        _frame_steps(scn.net, scn.sim)  # a run too large to hold is refused once, for all cells
+        # a run too large to hold is refused once, for all cells, each of which has a common g
+        _frame_steps(scn.net.with_gains(g=g_values[0]), scn.sim)
         window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
     cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
@@ -359,7 +361,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # the OS takes the heap back at exit: frozen objects skip the teardown collections
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -152,6 +152,11 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     return DiscreteOperator(grid=sim.grid, rates=rates, coupling=coupling, feedback=feedback)
 
 
+def _has_basis(g: np.ndarray) -> bool:
+    """Whether ``_agent_basis`` finds a basis for the gains g: a common g, or one strict sign."""
+    return bool((g == g[:1]).all() or (g > 0).all() or (g < 0).all())
+
+
 def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
     """((V, V^-1, lam), (W, W^-1, nu)) with C = G L = V diag(lam) V^-1 and
     mode 0's C - node0_0 F = W diag(nu) W^-1, F = diag(feedback), or None.
@@ -161,7 +166,7 @@ def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
     U0 from their ``eigh``, cond <= (max|g|/min|g|)^1/2.  Other g gives None.
     """
     g = net.g_vector
-    if not ((g == g[:1]).all() or (g > 0).all() or (g < 0).all()):
+    if not _has_basis(g):
         return None
     scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))  # a common g of 0: C = 0
     sym = op.coupling / scale[:, np.newaxis] * scale
@@ -328,12 +333,17 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
 def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
     """The step of each frame the run returns, every ``output_stride`` steps and the last;
     ValueError, before they are listed, when the frames, or the frames and the mode
-    matrix with its int64 phase table, 16 nx^2 bytes, exceed physical memory."""
+    matrix with its int64 phase table, 16 nx^2 bytes, exceed physical memory.  Without
+    an agent basis the count adds the block map's blocks and inverses, 16 nx N^2 bytes."""
     count = -(-sim.n_steps // sim.output_stride) + 1
     size = 8 * count * (net.n + 1) * sim.nx
     refuse_beyond_memory(size, f"the run returns {count} frames of")
-    refuse_beyond_memory(size + 16 * sim.nx**2,
-                         f"the run's {count} frames and {sim.nx} x {sim.nx} mode matrix take")
+    held = f"the run's {count} frames and {sim.nx} x {sim.nx} mode matrix"
+    size += 16 * sim.nx**2
+    if not _has_basis(net.g_vector):
+        held = f"the run's {count} frames, {sim.nx} x {sim.nx} mode matrix and block map"
+        size += 16 * sim.nx * net.n**2
+    refuse_beyond_memory(size, f"{held} take")
     return np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
 
 
@@ -351,8 +361,8 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     if a field on the grid passes the limit at a step the block map walks; an
     exactly singular implicit block diverges at step 1.  Raises ValueError,
     before any array of the run is made, when its frames, or its frames and
-    its mode matrix with the int64 phase table it is made from, exceed
-    physical memory (``_frame_steps``).
+    its mode matrix with the int64 phase table it is made from, and without
+    a basis the block map, exceed physical memory (``_frame_steps``).
     """
     steps = _frame_steps(net, sim)
     count = len(steps)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import heatsync
-from heatsync.cli import load_scenario, main
+from heatsync.cli import entrypoint, load_scenario, main
 from heatsync.pdesim import simulate
 from heatsync.scenarios import CONFIG_KEYS, FEASIBILITY_MARGIN, demo_initial_profiles
 
@@ -1104,6 +1105,30 @@ class TestPackaging:
         proc = fresh_python(["-c", code], text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+
+    def test_entrypoint_freezes_the_heap_once_main_returns(self, tmp_path, preset_config,
+                                                          monkeypatch):
+        # the interpreter's teardown collections skip a frozen heap; importing the
+        # CLI or calling main freezes nothing, so library callers are unaffected
+        proc = fresh_python(["-c", "import gc, heatsync.cli; print(gc.get_freeze_count())"],
+                            text=True)
+        assert proc.stdout == "0\n", proc.stderr
+        infeasible = write_config(tmp_path / "k12.json", {
+            "graph": {"n": 5, "edges": [[1, 3], [2, 4], [3, 4], [4, 5]], "leader_set": [1, 2, 3]},
+            "k": 12.0, "g": -2.0})
+        missing = str(tmp_path / "missing.json")
+        for args, code in ((["certify", preset_config], 0), (["certify", infeasible], 1),
+                           (["certify", missing], 2)):
+            assert main(args) == code
+            assert gc.get_freeze_count() == 0
+            monkeypatch.setattr(sys, "argv", ["heatsync", *args])
+            try:
+                with pytest.raises(SystemExit) as exit_:
+                    entrypoint()
+                assert exit_.value.code == code
+                assert gc.get_freeze_count() > 0
+            finally:
+                gc.unfreeze()
 
 
 class TestLoading:

@@ -24,6 +24,12 @@ from heatsync.scenarios import (CONFIG_KEYS, GRAPH_KEYS, PRESETS, NetworkConfig,
 from conftest import demo_graph, random_graph
 
 HUGE_NX = 10**15  # no address space holds one field of it
+# 60 followers on a path with g alternating +-1: no agent basis, so the block map runs
+SIGN_PATH = {
+    "graph": {"n": 60, "edges": [[i, i + 1] for i in range(1, 60)], "leader_set": [1, 20, 40]},
+    "alpha": 0.0, "beta": 1.0, "k": 3.0, "g": [(-1.0) ** i for i in range(60)],
+    "sim": {"nx": 201, "t_end": 0.25, "source": "paper"},
+}
 
 
 def write_config(path, payload):
@@ -182,16 +188,38 @@ class TestModeMatrix:
         with pytest.raises(ValueError, match="mode matrix"):
             simulate(scn.net, scn.sim)
 
-    def test_count_covers_the_run_peak(self):
+    def test_block_map_counts_against_memory(self, tmp_path, capsys, monkeypatch):
+        # without an agent basis the run also holds the block map: 26 frames of
+        # 61 x 201 samples and the mode matrix are 3.20 MB, the map 11.58 MB more
+        cfg = write_config(tmp_path / "path.json", SIGN_PATH)
+        size = 8 * 26 * 61 * 201 + 16 * 201**2 + 16 * 201 * 60**2
+        small_machine(monkeypatch, 8 * 2**20)
+        out = tmp_path / "out"
+        assert_refused(main(["simulate", cfg, "--out", str(out)]), capsys.readouterr().err,
+                       f"the run's 26 frames, 201 x 201 mode matrix and block map take {size} bytes")
+        assert not out.exists()
+        # every sweep cell has a common g, so it has a basis and no block map to count
+        code = main(["sweep", cfg, "--k", "1:9:2", "--g", "-4:-2:2", "--out", f"{out}/s.csv",
+                     "--simulate"])
+        assert code in (0, 1) and (out / "s.csv").exists(), capsys.readouterr().err
+
+    def test_count_covers_the_run_peak(self, tmp_path):
         # the refusal counts what the run holds at its peak: the mode matrix
-        # is built with its phase table alive, 16 nx^2 bytes
-        net = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
-        sim = SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV")
-        counted = 8 * len(_frame_steps(net, sim)) * 6 * sim.nx + 16 * sim.nx**2
-        tracemalloc.start()
-        try:
-            simulate(net, sim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 16 * sim.nx**2 <= peak <= 1.05 * counted
+        # is built with its phase table alive, 16 nx^2 bytes, and without an
+        # agent basis the block map's blocks and inverses, 16 nx N^2 bytes
+        demo = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
+        path = load_scenario(write_config(tmp_path / "path.json", SIGN_PATH))
+        cases = [
+            (demo, SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV"), 0),
+            (path.net, path.sim, 16 * 201 * 60**2),
+        ]
+        for net, sim, block_map in cases:
+            counted = (8 * len(_frame_steps(net, sim)) * (net.n + 1) * sim.nx
+                       + 16 * sim.nx**2 + block_map)
+            tracemalloc.start()
+            try:
+                simulate(net, sim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 16 * sim.nx**2 <= peak <= 1.05 * counted
