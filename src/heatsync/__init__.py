@@ -16,7 +16,7 @@ _EXPORTS = {
     "graph": ("FollowerGraph", "build_graph", "connected_components", "laplacian", "leader_mask"),
     "pdesim": ("DiscreteOperator", "ErrorSeries", "Trajectory", "analytic_open_loop_spectrum",
                "assemble_operator", "fit_decay_rate", "simulate", "spectral_abscissa",
-               "sync_errors", "trapezoid_weights"),
+               "sync_errors", "to_grid", "trapezoid_weights"),
     "scenarios": ("NetworkConfig", "PRESETS", "SimConfig", "demo_initial_profiles"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

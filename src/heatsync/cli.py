@@ -171,7 +171,7 @@ def _parse_snapshots(text: str, t_end: float) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    from .pdesim import simulate, sync_errors
+    from .pdesim import simulate, sync_errors, to_grid
 
     scn = load_scenario(args.config)
     snapshots = (
@@ -194,15 +194,16 @@ def cmd_simulate(args) -> int:
                          series.pairwise_max]).tolist(),
     )
     bdy_path = out_dir / "boundary.csv"
-    leader = traj.leader @ traj.modes[-1]  # x = 1
+    at_one = (-1.0) ** np.arange(scn.sim.nx)  # cos(j pi) at x = 1
+    leader = traj.leader @ at_one
     _write_csv(
         bdy_path,
         ["t"] + [f"z_{i + 1}" for i in range(n)] + ["z_leader"],
-        np.column_stack([traj.times, traj.frames @ traj.modes[-1] + leader[:, np.newaxis],
+        np.column_stack([traj.times, traj.frames @ at_one + leader[:, np.newaxis],
                          leader]).tolist(),
     )
     snap_idx = [int(np.argmin(np.abs(series.times - t))) for t in snapshots]
-    ebar = traj.frames[snap_idx].sum(axis=1) @ traj.modes.T  # only these reach the grid
+    ebar = to_grid(traj.frames[snap_idx].sum(axis=1))  # only these reach the grid
     avg_path = out_dir / "avg_error.csv"
     _write_csv(
         avg_path,
@@ -233,7 +234,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _parse_range(text: str, name: str) -> np.ndarray:
+def _parse_range(text: str, name: str) -> tuple[float, float, int]:
+    """(lo, hi, n) of a range ``lo:hi:n``, for ``np.linspace`` once its size is allowed."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--{name} must look like lo:hi:n, got {text!r}")
@@ -245,17 +247,17 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ValueError(f"--{name} bounds must be finite, got {text!r}")
     if count < 2:
         raise ValueError(f"--{name} needs at least 2 points, got {count}")
-    return np.linspace(lo, hi, count)
+    return lo, hi, count
 
 
 def cmd_sweep(args) -> int:
     from .certify import certificate_sweep
 
     scn = load_scenario(args.config)
-    k_values = _parse_range(args.k, "k")
-    g_values = _parse_range(args.g, "g")
-    cells = len(k_values) * len(g_values)
+    k_range, g_range = _parse_range(args.k, "k"), _parse_range(args.g, "g")
+    cells = k_range[2] * g_range[2]
     refuse_beyond_memory(_CELL_BYTES * cells, f"the sweep's {cells} cells take")
+    k_values, g_values = np.linspace(*k_range), np.linspace(*g_range)
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ValueError(f"cannot write {out_path}: it is a directory")
@@ -274,21 +276,22 @@ def cmd_sweep(args) -> int:
         max_eig, feasible = certificate_sweep(scn.net, k_cells, g_cells)
     except HeatSyncError:  # no followers: no cell has a certificate
         max_eig = feasible = np.full(len(k_cells), np.nan)
-    rows, successes = [], 0
+    rows = []
     for (k, g, eig), ok in zip(np.column_stack([k_cells, g_cells, max_eig]).tolist(), feasible):
-        row = [k, g, eig, "true" if ok else "false"]
-        if run_sim and not np.isnan(eig):
-            try:
-                series = sync_errors(simulate(scn.net.with_gains(k=k, g=g), scn.sim))
-                row.append(fit_decay_rate(series, window))
-            except (HeatSyncError, ValueError):
-                eig = np.nan
-        # a failed cell keeps its gains and blanks the metric columns
-        rows.append([k, g] + [""] * (len(cols) - 2) if np.isnan(eig) else row)
-        successes += not np.isnan(eig)
+        # a failed cell keeps its gains and blanks the columns it failed to fill
+        row = [k, g] + (["", ""] if np.isnan(eig) else [eig, "true" if ok else "false"])
+        if run_sim:
+            row.append("")
+            if not np.isnan(eig):
+                try:
+                    series = sync_errors(simulate(scn.net.with_gains(k=k, g=g), scn.sim))
+                    row[-1] = fit_decay_rate(series, window)
+                except (HeatSyncError, ValueError):
+                    pass  # the run or its fit failed, the certificate stands
+        rows.append(row)
     _write_csv(out_path, cols, rows)
     print(f"wrote {out_path} ({cells} cells)")
-    return 0 if successes > 0 else 1
+    return 0 if any("" not in row for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,17 +26,17 @@ in closed form, and so is the leader's response to a stride, rank two in
 the phase of the forcing at the stride's start; only the other error
 modes are walked, all strides forward at once.  Work over all the frames is
 done an eighth of them at a time.  ``simulate`` returns modal frames, and
-``sync_errors`` reads the error frames by discrete Parseval.  Only numpy
-is needed.
+``sync_errors`` reads the error frames by discrete Parseval.  Modes reach
+the grid only through ``to_grid``, a DCT-I by FFT, so no nx x nx matrix is
+built.  Only numpy is needed.
 ``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
 loads no simulator and builds no grid.  A run is refused, as a ValueError,
-before its arrays are built when its frames and mode matrix exceed
+before its arrays are built when its frames and working fields exceed
 physical memory, and a spectrum when its nx-long arrays do.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +48,10 @@ from .scenarios import (FORCING_RATE, THETA, NetworkConfig, SimConfig,
 
 _DIVERGENCE_LIMIT = 1e12
 _FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
+# Besides its frames and the block of them it works on, a run holds nx-long arrays of every
+# agent and the leader: the start fields and their transforms, the D table and rates.  On
+# sectionV at nx = 1001 .. 4001 they peak at 9 to 16 fields of N + 1 agents.
+_WORK_FIELDS = 16
 # Every chunk of a stride costs the same Python overhead, so a run with few frames would
 # walk a long stride a step or two at a time: a chunk's D table may hold this many entries
 # per agent however few the frames.  Twice as many lift a few-frame run's peak by 70 %.
@@ -68,7 +72,7 @@ class DiscreteOperator:
 
     A state is a matrix E of modal coefficients of the follower errors e_i
     = z_i - z_leader, one row per follower and one column per mode j = 0 ..
-    nx-1; error i's field on the grid is ``modes @ E[i]``.  The generator
+    nx-1; error i's field on the grid is ``to_grid(E[i])``.  The generator
     maps E to ``E * rates + coupling @ E - outer(feedback * E[:, 0], node0)``:
     ``rates`` are the heat stencil's eigenvalues, ``coupling`` is G L, and
     ``feedback[i]`` = (2 beta/dx) k_i m_i is the flux per unit of trapezoid
@@ -82,31 +86,32 @@ class DiscreteOperator:
     coupling: np.ndarray  # (N, N)
     feedback: np.ndarray  # (N,)
 
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """The (nx, nx) mode matrix cos(j pi x_i), built on first read."""
-        nx = self.grid.size
-        j = np.arange(nx)
-        # the phase i*j reduced mod 2(nx-1) keeps the argument below 2 pi,
-        # so the modes are exact to rounding
-        return np.cos(np.pi * (np.outer(j, j) % (2 * (nx - 1))) / (nx - 1))
-
     @property
     def node0(self) -> np.ndarray:
-        """The x=0 grid node in modal coordinates, modes^-1 e_0.
+        """The x=0 grid node in modal coordinates, M^-1 e_0 for the mode matrix M.
 
-        Column 0 of modes^-1 (see ``_to_modes``): row 0 of ``modes`` is all
-        ones, so it is diag(1, 2, .., 2, 1) w_0 = w, the trapezoid weights.
+        Column 0 of M^-1 (see ``_to_modes``): row 0 of M is all ones, so it
+        is diag(1, 2, .., 2, 1) w_0 = w, the trapezoid weights.
         """
         return trapezoid_weights(self.grid.size)
 
 
+def to_grid(y: np.ndarray) -> np.ndarray:
+    """The fields sum_j y_j cos(j pi x_i) on the nx-point grid of the modal
+    coefficients y, over the last axis: the DCT-I, from the FFT of y's even
+    extension (y_0 .. y_m, y_m-1 .. y_1), m = nx - 1, whose real part f
+    gives (f + y_0 + (-1)^i y_m) / 2."""
+    m = y.shape[-1] - 1
+    f = np.fft.rfft(np.concatenate([y, y[..., m - 1 : 0 : -1]], axis=-1)).real
+    return (f + y[..., :1] + (-1.0) ** np.arange(m + 1) * y[..., -1:]) / 2.0
+
+
 def _to_modes(op: DiscreteOperator, z: np.ndarray) -> np.ndarray:
-    """Modal coefficients of the grid fields z (rows): the modes are orthogonal
-    under the trapezoid weights w, so modes^-1 = diag(1, 2, .., 2, 1) modes^T
-    diag(w), and ``modes`` is symmetric.  Row 0 of modes^-1 is w."""
+    """Modal coefficients of the grid fields z (rows): the mode matrix M is
+    symmetric and orthogonal under the trapezoid weights w, so M^-1 =
+    diag(1, 2, .., 2, 1) M diag(w).  Row 0 of M^-1 is w."""
     w = op.node0
-    return (z * w) @ op.modes * (2 * (op.grid.size - 1) * w)
+    return to_grid(z * w) * (2 * (op.grid.size - 1) * w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +119,11 @@ class Trajectory:
     """Sampled modal frames of one run: ``frames[f, i]`` holds the cosine
     coefficients of follower i's error z_i - z_leader at ``times[f]``, and
     ``leader[f]`` the leader's.  A caller maps only the frames it needs to
-    the grid: follower i's field is ``modes @ (frames[f, i] + leader[f])``."""
+    the grid: follower i's field is ``to_grid(frames[f, i] + leader[f])``."""
 
     times: np.ndarray  # (n_frames,)
     frames: np.ndarray  # (n_frames, N, nx)
     leader: np.ndarray  # (n_frames, nx)
-    modes: np.ndarray  # (nx, nx), the operator's mode matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +225,7 @@ def _grid_reach(errors: np.ndarray, leader: np.ndarray) -> np.ndarray:
     return np.abs(errors).sum(axis=-1).max(axis=-1, initial=0.0) + np.abs(leader).sum(axis=-1)
 
 
-def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
+def _stepwise(sim, step, recurrence, frames, lead, steps) -> None:
     """One stride of the block map ``step`` on modal error frames (2, N, nx)
     and of the leader's ``recurrence`` on its modal frames ``lead`` (2, nx),
     in place: from frame 0 at step ``steps[0]``, frame 1 at ``steps[1]``.
@@ -239,8 +243,8 @@ def _stepwise(op, sim, step, recurrence, frames, lead, steps) -> None:
             y = (p @ (y + a[:, np.newaxis] * fed)[..., np.newaxis])[..., 0] + b[:, np.newaxis] * fed
             x = rho * x + forcing_amplitude((s - 1) * dt + h) * c
             if not _grid_reach(y.T, x) <= _DIVERGENCE_LIMIT:
-                fields = op.modes @ np.column_stack([y + x[:, np.newaxis], x])
-                bad = (~np.isfinite(fields) | (np.abs(fields) > _DIVERGENCE_LIMIT)).any(axis=0)
+                fields = to_grid(np.vstack([y.T + x, x]))
+                bad = (~np.isfinite(fields) | (np.abs(fields) > _DIVERGENCE_LIMIT)).any(axis=1)
                 if bad.any():
                     agent = int(np.argmax(bad)) + 1
                     raise Divergence(step=s, t=s * dt, agent=agent if agent <= len(g) else "leader")
@@ -316,12 +320,11 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
         for bit in map(int, f"{length:b}"):
             turn = np.exp(1j * FORCING_RATE * n * dt)  # q^n
             forced, n = (rho**n + turn) * forced * rho**bit + bit * turn**2, 2 * n + bit
-        phase = np.exp(1j * FORCING_RATE * (steps[first:last, np.newaxis] * dt + h))
-        lead[first + 1 : last + 1] = (phase * forced).imag * c
+        phase = np.exp(1j * FORCING_RATE * (steps * dt + h))
         d_len, rho_len = d**length, rho**length
         for f in range(first, last):
             hat[f + 1] += d_len * hat[f]
-            lead[f + 1] += rho_len * lead[f]
+            lead[f + 1] = (phase[f] * forced).imag * c + rho_len * lead[f]
     y0[:] = y0 @ w.T
     reach = np.empty(n_frames)
     for b in _frame_blocks(n_frames):
@@ -332,18 +335,17 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
 
 def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
     """The step of each frame the run returns, every ``output_stride`` steps and the last;
-    ValueError, before they are listed, when the frames, or the frames and the mode
-    matrix with its int64 phase table, 16 nx^2 bytes, exceed physical memory.  Without
-    an agent basis the count adds the block map's blocks and inverses, 16 nx N^2 bytes."""
+    ValueError, before they are listed, when the frames, or the frames with one block of
+    them and ``_WORK_FIELDS`` working fields, each (N + 1) x nx, exceed physical memory.
+    Without an agent basis the count adds the block map's blocks and inverses, 16 nx N^2
+    bytes."""
     count = -(-sim.n_steps // sim.output_stride) + 1
-    size = 8 * count * (net.n + 1) * sim.nx
-    refuse_beyond_memory(size, f"the run returns {count} frames of")
-    held = f"the run's {count} frames and {sim.nx} x {sim.nx} mode matrix"
-    size += 16 * sim.nx**2
+    field = 8 * (net.n + 1) * sim.nx
+    refuse_beyond_memory(count * field, f"the run returns {count} frames of")
+    size, held = (count + -(-count // _FRAME_BLOCKS) + _WORK_FIELDS) * field, "working fields"
     if not _has_basis(net.g_vector):
-        held = f"the run's {count} frames, {sim.nx} x {sim.nx} mode matrix and block map"
-        size += 16 * sim.nx * net.n**2
-    refuse_beyond_memory(size, f"{held} take")
+        size, held = size + 16 * sim.nx * net.n**2, "working fields and block map"
+    refuse_beyond_memory(size, f"the run's {count} frames with its {held} take")
     return np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
 
 
@@ -360,9 +362,10 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
     a basis it walks every stride.  Raises Divergence (with step and agent)
     if a field on the grid passes the limit at a step the block map walks; an
     exactly singular implicit block diverges at step 1.  Raises ValueError,
-    before any array of the run is made, when its frames, or its frames and
-    its mode matrix with the int64 phase table it is made from, and without
-    a basis the block map, exceed physical memory (``_frame_steps``).
+    before any array of the run is made, when its frames and working fields,
+    and without a basis the block map, exceed physical memory
+    (``_frame_steps``).  A frame reaches the grid only through ``to_grid``:
+    no nx x nx mode matrix is built.
     """
     steps = _frame_steps(net, sim)
     count = len(steps)
@@ -388,21 +391,21 @@ def simulate(net: NetworkConfig, sim: SimConfig) -> Trajectory:
             step = _block_step(op, sim)
         for f in unsafe:
             pair = slice(f, f + 2)
-            _stepwise(op, sim, step, recurrence, frames[pair], lead[pair], steps[pair])
+            _stepwise(sim, step, recurrence, frames[pair], lead[pair], steps[pair])
     except np.linalg.LinAlgError:  # exactly singular: no state after step 1 is defined
         raise Divergence(step=1, t=sim.dt, agent=1)
-    return Trajectory(times=steps * sim.dt, frames=frames, leader=lead, modes=op.modes)
+    return Trajectory(times=steps * sim.dt, frames=frames, leader=lead)
 
 
 def sync_errors(traj: Trajectory) -> ErrorSeries:
     """Per-agent L2 errors to the leader, their root sum of squares, and the
     largest L2 distance between two followers, all off the modal error frames.
 
-    Discrete Parseval for the DCT-I: modes^T diag(w) modes = diag(c) for the
-    trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so ||modes y||_w^2 =
-    sum_j c_j y_j^2.  Every pair is read off one Gram product per block of
-    frames, G = (z * c) z^T, of the errors measured from follower 0, z_i =
-    y_i - y_0: ||z_i - z_j||^2 = G_ii + G_jj - 2 G_ij.  As z_0 = 0, each
+    Discrete Parseval for the DCT-I: M^T diag(w) M = diag(c) for the mode
+    matrix M, the trapezoid weights w and c = (1, 1/2, .., 1/2, 1), so
+    ||to_grid(y)||_w^2 = sum_j c_j y_j^2.  Every pair is read off one Gram
+    product per block of frames, G = (z * c) z^T, of the errors measured
+    from follower 0, z_i = y_i - y_0: ||z_i - z_j||^2 = G_ii + G_jj - 2 G_ij.  As z_0 = 0, each
     ||z_i|| is itself a pair distance, so no term outgrows the largest one
     and nothing cancels against a leader far from the followers.
     """

@@ -13,8 +13,10 @@ asserts that its config lies in that regime.
 ``modal_apply`` applies the error generator to modal error coefficients
 straight from the fields of ``heatsync.DiscreteOperator`` (production
 never forms that product: its steps only solve).
-``inverse_modes`` writes the inverse of the mode matrix out as a dense
-nx x nx array; production maps grid values to modes without forming it.
+``cosine_modes`` writes the mode matrix cos(j pi x_i) out as a dense nx x nx
+array, in any float precision, and ``inverse_modes`` its inverse;
+production maps modes to the grid and back by the FFT (``heatsync.to_grid``)
+and forms neither.
 ``dense_operator`` assembles the closed-loop generator entry by entry as a
 dense array on the grid, and ``dense_simulate`` steps it with a dense LU
 and the source evaluated afresh every step (``forcing_profile``), and
@@ -227,14 +229,14 @@ def _neumann_heat_block(nx: int, dx: float, beta: float, alpha: float) -> np.nda
 
 
 def inverse_modes(op) -> np.ndarray:
-    """The inverse of ``op.modes``, diag(1, 2, .., 2, 1) modes^T diag(w), densely.
+    """The inverse of ``cosine_modes``, diag(1, 2, .., 2, 1) modes^T diag(w), densely.
 
     The modes are orthogonal under the trapezoid weights w; row 0 of
     ``modes`` is all ones, so column 0 is w itself, bit for bit.
     """
     scale = np.full(op.grid.size, 2.0)
     scale[0] = scale[-1] = 1.0
-    return scale[:, np.newaxis] * op.modes.T * trapezoid_weights(op.grid.size)
+    return scale[:, np.newaxis] * cosine_modes(op.grid.size).T * trapezoid_weights(op.grid.size)
 
 
 def modal_apply(op, y: np.ndarray) -> np.ndarray:
@@ -346,18 +348,22 @@ class GridTrajectory:
 def on_grid(traj: Trajectory) -> GridTrajectory:
     """Every frame of a modal trajectory mapped to the grid, each follower's
     field as its error plus the leader's."""
-    leader = traj.leader @ traj.modes.T  # (n_frames, nx)
-    errors = traj.frames @ traj.modes.T  # (n_frames, N, nx)
+    modes = cosine_modes(traj.leader.shape[-1])
+    leader = traj.leader @ modes.T  # (n_frames, nx)
+    errors = traj.frames @ modes.T  # (n_frames, N, nx)
     return GridTrajectory(
         times=traj.times, z=(errors + leader[:, np.newaxis]).transpose(1, 0, 2), z_leader=leader
     )
 
 
-def cosine_modes(nx: int) -> np.ndarray:
+def cosine_modes(nx: int, rows=None, dtype=np.float64) -> np.ndarray:
     """The mode matrix cos(j pi x_i) = cos(pi i j / (nx - 1)) of the nx-point
-    grid; the phase i j reduced mod 2 (nx - 1) keeps it exact to rounding."""
-    ij = np.outer(np.arange(nx), np.arange(nx)) % (2 * (nx - 1))
-    return np.cos(np.pi * ij / (nx - 1))
+    grid, or only its ``rows`` i, in ``dtype``; the phase i j reduced mod
+    2 (nx - 1) keeps it exact to rounding, and takes one of 2 (nx - 1) values."""
+    i = np.arange(nx) if rows is None else np.asarray(rows)
+    phase = np.arange(2 * (nx - 1), dtype=dtype)
+    table = np.cos(np.arccos(dtype(-1.0)) * phase / dtype(nx - 1))  # arccos(-1): pi in dtype
+    return table[np.outer(i, np.arange(nx)) % (2 * (nx - 1))]
 
 
 def from_grid(times, z, z_leader) -> Trajectory:
@@ -370,8 +376,7 @@ def from_grid(times, z, z_leader) -> Trajectory:
         return np.linalg.solve(modes, fields.reshape(-1, modes.shape[0]).T).T.reshape(fields.shape)
 
     errors = (z - z_leader).transpose(1, 0, 2)
-    return Trajectory(times=np.asarray(times), frames=to_modes(errors), leader=to_modes(z_leader),
-                      modes=modes)
+    return Trajectory(times=np.asarray(times), frames=to_modes(errors), leader=to_modes(z_leader))
 
 
 def grid_errors(traj: GridTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -916,8 +916,8 @@ class TestSweep:
             assert line.split(",")[4] != ""
 
     def test_failed_cells_keep_column_count(self, tmp_path):
-        # cells whose simulation diverges keep their gain columns and blank
-        # the metric columns
+        # cells whose simulation diverges keep their gain and certificate
+        # columns and blank the decay rate
         cfg = write_config(
             tmp_path / "edge.json",
             {
@@ -950,11 +950,28 @@ class TestSweep:
         for line in lines[1:]:
             cells = line.split(",")
             assert len(cells) == len(header)
-            if cells[2] == "":
-                blank_rows += 1
-                assert cells[3] == "" and cells[4] == ""
+            assert cells[2] != "" and cells[3] in ("true", "false")
+            blank_rows += cells[4] == ""
         assert blank_rows >= 1
         assert (code == 1) == (blank_rows == 4)
+
+    def test_failed_fit_keeps_the_certificate(self, tmp_path):
+        # zero initial fields leave no error to fit a rate to, but every cell's
+        # certificate was solved: only the decay rate is blank, and with no row
+        # complete the sweep exits 1
+        cfg = write_config(tmp_path / "zero.json", {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]], "leader_set": [1]},
+            "k": 3.0, "g": -1.0, "sim": {"nx": 21, "t_end": 1.0}})
+        out = tmp_path / "cells.csv"
+        code = main(["sweep", cfg, "--k", "1:9:2", "--g", "-4:-2:2", "--out", str(out),
+                     "--simulate"])
+        assert code == 1
+        no_sim = tmp_path / "certificates.csv"
+        assert main(["sweep", cfg, "--k", "1:9:2", "--g", "-4:-2:2", "--out", str(no_sim)]) == 0
+        certified = no_sim.read_text().splitlines()
+        rows = out.read_text().splitlines()
+        assert rows[0] == certified[0] + ",decay_rate"
+        assert rows[1:] == [line + "," for line in certified[1:]]
 
     def test_overflowing_cell_blank(self, explicit_config, tmp_path):
         # a cell whose certificate overflows fails like any other cell

@@ -22,11 +22,12 @@ from heatsync import (
     simulate,
     spectral_abscissa,
     sync_errors,
+    to_grid,
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
 from heatsync.pdesim import (_agent_basis, _block_step, _eigen_frames, _frame_steps, _leader_step,
-                             _stepwise)
+                             _stepwise, _to_modes)
 
 from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
@@ -204,7 +205,7 @@ class TestL2Norm:
 
 def grid_apply(op, z):
     """The generator of ``op`` applied to grid values z, one row per agent."""
-    return modal_apply(op, z @ inverse_modes(op).T) @ op.modes.T
+    return modal_apply(op, z @ inverse_modes(op).T) @ cosine_modes(op.grid.size).T
 
 
 def grid_matrix(op):
@@ -212,6 +213,36 @@ def grid_matrix(op):
     m, nx = op.coupling.shape[0], op.grid.size
     units = np.eye(m * nx).reshape(m * nx, m, nx)
     return np.array([grid_apply(op, u).reshape(-1) for u in units]).T
+
+
+def longdouble_fields(y):
+    """sum_j y_j cos(j pi x_i) over the last axis of y, in long double, by
+    ``cosine_modes`` a block of grid rows at a time."""
+    nx = y.shape[-1]
+    flat = y.reshape(-1, nx).astype(np.longdouble)
+    blocks = np.array_split(np.arange(nx), -(-nx // 256))
+    return np.hstack([flat @ cosine_modes(nx, rows, np.longdouble).T
+                      for rows in blocks]).reshape(y.shape)
+
+
+class TestToGrid:
+    @pytest.mark.parametrize("nx", [16, 17, 101, 4001])
+    def test_matches_long_double_oracle(self, nx):
+        # at nx = 4001 the FFT reads within 4e-16 of the largest value, and the
+        # dense float64 product 2e-15 to 4e-15
+        rng = np.random.default_rng(nx)
+        for shape in [(nx,), (2, 3, nx)]:
+            y = rng.standard_normal(shape) / (1.0 + np.arange(nx))
+            got, want = to_grid(y), longdouble_fields(y)
+            assert got.shape == shape and got.dtype == np.float64
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("nx", [16, 17, 101, 4001])
+    def test_round_trip(self, demo_net, nx):
+        op = assemble_operator(demo_net, SimConfig(nx=nx))
+        y = np.random.default_rng(nx).standard_normal((5, nx)) / (1.0 + np.arange(nx))
+        back = _to_modes(op, to_grid(y))
+        assert np.abs(back - y).max() <= 1e-15 * np.abs(y).max()
 
 
 class TestOperator:
@@ -222,7 +253,7 @@ class TestOperator:
         # no follower, so no error: the leader obeys y' = y * rates alone
         assert op.coupling.shape == (0, 0) and op.feedback.shape == (0,)
         # the constant field is mode 0, and mode 0 decays at rate alpha
-        assert np.array_equal(op.modes[:, 0], np.ones(33))
+        assert np.array_equal(to_grid(np.eye(33)[0]), np.ones(33))
         assert op.rates[0] == 0.0
 
     def test_decoupled_blocks(self):
@@ -295,8 +326,9 @@ class TestOperator:
             m, whole = net.n, dense_operator(net, sim)
             dense, heat = whole[: m * nx, : m * nx], whole[-nx:, -nx:]
             y = rng.standard_normal((m, nx))
-            z = y @ op.modes.T
-            got = modal_apply(op, y) @ op.modes.T
+            modes = cosine_modes(nx)
+            z = y @ modes.T
+            got = modal_apply(op, y) @ modes.T
             want = (dense @ z.reshape(-1)).reshape(m, nx)
             norm = np.abs(dense).sum(axis=1).max()
             assert np.abs(got - want).max() <= 1e-12 * norm * np.abs(z).max()
@@ -309,13 +341,13 @@ class TestOperator:
                 pair = np.stack([y, y])  # the step overwrites frame 1
                 lead_block, lead_eigen = np.stack([lead, lead]), np.stack([lead, 0.0 * lead])
                 step, leader_step = _block_step(op, one), _leader_step(op, one)
-                _stepwise(op, one, step, leader_step, pair, lead_block, [0, 1])
+                _stepwise(one, step, leader_step, pair, lead_block, [0, 1])
                 basis = _agent_basis(net, op)
                 by_eigen = _eigen_frames(op, one, basis, y, lead_eigen, leader_step,
                                          _frame_steps(net, one))[0][1]
                 for a, y0, y_next in ((dense, y, pair[1]), (dense, y, by_eigen),
                                       (heat, lead, lead_block[1]), (heat, lead, lead_eigen[1])):
-                    z, z_next = y0 @ op.modes.T, y_next @ op.modes.T
+                    z, z_next = y0 @ modes.T, y_next @ modes.T
                     implicit = np.eye(len(a)) - h * a
                     explicit = np.eye(len(a)) + (sim.dt - h) * a
                     residual = implicit @ z_next.reshape(-1) - explicit @ z.reshape(-1)
@@ -751,7 +783,7 @@ class TestSyncErrors:
             elif kind == "ties":
                 frames[:, :n] = frames[:, rng.integers(0, int(rng.integers(1, n + 1)), n)]
             traj = Trajectory(times=np.arange(float(count)), frames=frames[:, :n] - frames[:, n:],
-                              leader=frames[:, n], modes=cosine_modes(nx))
+                              leader=frames[:, n])
             got = sync_errors(traj)
             want = modal_pairwise_max(traj)
             assert (np.abs(got.pairwise_max - want) <= 1e-14 * want).all()
@@ -789,7 +821,7 @@ class TestSyncErrors:
         count, n, nx = 251, 200, 17
         frames = rng.standard_normal((count, n, nx))
         traj = Trajectory(times=np.arange(float(count)), frames=frames,
-                          leader=np.zeros((count, nx)), modes=cosine_modes(nx))
+                          leader=np.zeros((count, nx)))
         tracemalloc.start()
         try:
             sync_errors(traj)

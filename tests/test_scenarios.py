@@ -147,13 +147,16 @@ class TestBeyondMemory:
         assert not out.exists()
 
     def test_oversized_sweep_grid_is_a_config_error(self, tmp_path, capsys):
+        # 10^12 values of k alone would take 8 TB: the cells are counted from
+        # the parsed ranges, before either range is built
         cfg = write_config(tmp_path / "scenario.json", {"scenario_preset": "sectionV"})
         out = tmp_path / "new" / "deep" / "sweep.csv"
-        code = main(["sweep", cfg, "--k=1:9:10000000", "--g=-4:0:10000000", "--out", str(out)])
-        cells = 10**14
-        assert_refused(code, capsys.readouterr().err, f"the sweep's {cells} cells take "
-                       f"{cli._CELL_BYTES * cells} bytes")
-        assert not (tmp_path / "new").exists()
+        for k, g, cells in [("1:9:10000000", "-4:0:10000000", 10**14),
+                            ("1:9:1000000000000", "-4:0:2", 2 * 10**12)]:
+            code = main(["sweep", cfg, f"--k={k}", f"--g={g}", "--out", str(out)])
+            assert_refused(code, capsys.readouterr().err, f"the sweep's {cells} cells take "
+                           f"{cli._CELL_BYTES * cells} bytes")
+            assert not (tmp_path / "new").exists()
 
 
 def small_machine(monkeypatch, memory=64 * 2**20):
@@ -170,33 +173,52 @@ def section_v(nx, t_end):
 
 
 class TestModeMatrix:
-    def test_mode_matrix_counts_against_memory(self, tmp_path, capsys, monkeypatch):
-        # 2 frames of 6 x 4001 samples are 0.4 MB; the mode matrix and its int64
-        # phase table are 256 MB, four times the machine
-        nx, cfg = 4001, write_config(tmp_path / "fine.json", section_v(4001, 0.01))
-        size = 8 * 2 * 6 * nx + 16 * nx**2
-        phrase = f"the run's 2 frames and {nx} x {nx} mode matrix take {size} bytes"
+    """No nx x nx mode matrix is built: frames reach the grid through ``to_grid``, so a
+    run holds its frames, a block of them, nx-long working fields and, without an agent
+    basis, the block map, and the refusal counts these."""
+
+    def test_fine_grid_runs_on_a_small_machine(self, tmp_path, capsys, monkeypatch):
+        # 2 frames of 6 x 4001 samples, a block of them and 16 working fields are
+        # 3.65 MB; the mode matrix and its int64 phase table, 256 MB, once made this
+        # run four times the machine
+        cfg = write_config(tmp_path / "fine.json", section_v(4001, 0.01))
         small_machine(monkeypatch)
         out = tmp_path / "out"
-        assert_refused(main(["simulate", cfg, "--out", str(out)]), capsys.readouterr().err,
-                       phrase, f"{64 * 2**20} bytes of physical memory")
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        assert {"errors.csv", "boundary.csv", "avg_error.csv"} <= {p.name for p in out.iterdir()}
         code = main(["sweep", cfg, "--k", "1:9:3", "--g", "-4:0:2", "--out", f"{out}/s.csv",
                      "--simulate"])
-        assert_refused(code, capsys.readouterr().err, phrase)
-        assert not out.exists()
+        assert code in (0, 1) and (out / "s.csv").exists()
+        assert "config error" not in capsys.readouterr().err
         scn = load_scenario(cfg)
-        with pytest.raises(ValueError, match="mode matrix"):
-            simulate(scn.net, scn.sim)
+        assert simulate(scn.net, scn.sim).frames.shape == (2, 5, 4001)
+
+    def test_fine_grid_peak_is_a_few_fields(self, tmp_path):
+        # 10 steps at nx = 4001 peaked at 256.84 MB with the mode matrix; now
+        # within 5 times the 2 frames and one field of each of the 6 agents, 2.88 MB
+        scn = load_scenario(write_config(tmp_path / "fine.json", section_v(4001, 0.01)))
+        net, sim = scn.net, scn.sim
+        assert sim.n_steps == 10
+        tracemalloc.start()
+        try:
+            traj = simulate(net, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frames = traj.frames.nbytes + traj.leader.nbytes
+        assert frames == 8 * 2 * (net.n + 1) * sim.nx
+        assert peak <= 5 * (frames + 8 * (net.n + 1) * sim.nx)
 
     def test_block_map_counts_against_memory(self, tmp_path, capsys, monkeypatch):
         # without an agent basis the run also holds the block map: 26 frames of
-        # 61 x 201 samples and the mode matrix are 3.20 MB, the map 11.58 MB more
+        # 61 x 201 samples, a block of 4 of them and 16 working fields are 4.51 MB,
+        # the map 11.58 MB more
         cfg = write_config(tmp_path / "path.json", SIGN_PATH)
-        size = 8 * 26 * 61 * 201 + 16 * 201**2 + 16 * 201 * 60**2
+        size = 8 * (26 + 4 + 16) * 61 * 201 + 16 * 201 * 60**2
         small_machine(monkeypatch, 8 * 2**20)
         out = tmp_path / "out"
         assert_refused(main(["simulate", cfg, "--out", str(out)]), capsys.readouterr().err,
-                       f"the run's 26 frames, 201 x 201 mode matrix and block map take {size} bytes")
+                       f"the run's 26 frames with its working fields and block map take {size} bytes")
         assert not out.exists()
         # every sweep cell has a common g, so it has a basis and no block map to count
         code = main(["sweep", cfg, "--k", "1:9:2", "--g", "-4:-2:2", "--out", f"{out}/s.csv",
@@ -204,22 +226,24 @@ class TestModeMatrix:
         assert code in (0, 1) and (out / "s.csv").exists(), capsys.readouterr().err
 
     def test_count_covers_the_run_peak(self, tmp_path):
-        # the refusal counts what the run holds at its peak: the mode matrix
-        # is built with its phase table alive, 16 nx^2 bytes, and without an
-        # agent basis the block map's blocks and inverses, 16 nx N^2 bytes
+        # the refusal counts what the run holds at its peak: its frames, the block
+        # of them it works on, 16 working fields of N + 1 agents and, without an
+        # agent basis, the block map's blocks and inverses, 16 nx N^2 bytes
         demo = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
         path = load_scenario(write_config(tmp_path / "path.json", SIGN_PATH))
+        fine = load_scenario(write_config(tmp_path / "fine.json", section_v(2001, 2.5)))
         cases = [
             (demo, SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV"), 0),
             (path.net, path.sim, 16 * 201 * 60**2),
+            (fine.net, fine.sim, 0),
         ]
         for net, sim, block_map in cases:
-            counted = (8 * len(_frame_steps(net, sim)) * (net.n + 1) * sim.nx
-                       + 16 * sim.nx**2 + block_map)
+            count, field = len(_frame_steps(net, sim)), 8 * (net.n + 1) * sim.nx
+            counted = (count + -(-count // 8) + 16) * field + block_map
             tracemalloc.start()
             try:
                 simulate(net, sim)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert 16 * sim.nx**2 <= peak <= 1.05 * counted
+            assert count * field <= peak <= 1.05 * counted
