@@ -20,6 +20,7 @@ same config reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
@@ -33,9 +34,11 @@ from .scenarios import (FEASIBILITY_MARGIN, Scenario, load_scenario, network_blo
                         refuse_beyond_memory)
 
 DEFAULT_SNAPSHOTS = (0.1, 0.5, 1.0, 2.5)
-# a sweep holds its gain and result arrays and a row of Python floats per cell: its
-# tracemalloc peak is 281-282 bytes a cell on sectionV at 9e4 and 3.6e5 cells
-_CELL_BYTES = 256
+# a sweep holds its cells as arrays, k, g, max_eig and, with --simulate, the decay rate and
+# the indices of the cells to run (8 bytes each) and the verdict (1), and formats each row
+# from them as it is written.  The certificate stacks add about 1.4 MB whatever the grid:
+# on sectionV the tracemalloc peak is 39.4 bytes a cell at 9e4 cells and 27.9 at 3.6e5
+_CELL_BYTES = 48
 
 
 def _fmt(value: float) -> str:
@@ -44,7 +47,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row of strings and Python floats, each cell as ``str`` writes it."""
+    """One line per row of strings and floats, each cell as ``str`` writes it."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
@@ -261,37 +264,34 @@ def cmd_sweep(args) -> int:
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ValueError(f"cannot write {out_path}: it is a directory")
-    run_sim = bool(args.simulate)
-    if run_sim:
+    if args.simulate:
         from .pdesim import _frame_steps, fit_decay_rate, simulate, sync_errors
 
         # a run too large to hold is refused once, for all cells, each of which has a common g
         _frame_steps(scn.net.with_gains(g=g_values[0]), scn.sim)
         window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
-    cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if run_sim else [])
-    k_cells = np.repeat(k_values, len(g_values))  # row-major: k, then g
-    g_cells = np.tile(g_values, len(k_values))
+    cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if args.simulate else [])
+    # row-major: k, then g
+    k_cells, g_cells = np.repeat(k_values, len(g_values)), np.tile(g_values, len(k_values))
     try:
         max_eig, feasible = certificate_sweep(scn.net, k_cells, g_cells)
     except HeatSyncError:  # no followers: no cell has a certificate
-        max_eig = feasible = np.full(len(k_cells), np.nan)
-    rows = []
-    for (k, g, eig), ok in zip(np.column_stack([k_cells, g_cells, max_eig]).tolist(), feasible):
-        # a failed cell keeps its gains and blanks the columns it failed to fill
-        row = [k, g] + (["", ""] if np.isnan(eig) else [eig, "true" if ok else "false"])
-        if run_sim:
-            row.append("")
-            if not np.isnan(eig):
-                try:
-                    series = sync_errors(simulate(scn.net.with_gains(k=k, g=g), scn.sim))
-                    row[-1] = fit_decay_rate(series, window)
-                except (HeatSyncError, ValueError):
-                    pass  # the run or its fit failed, the certificate stands
-        rows.append(row)
+        max_eig, feasible = np.full(cells, np.nan), np.zeros(cells, bool)
+    columns = [k_cells, g_cells, max_eig, feasible]
+    if args.simulate:
+        columns.append(np.full(cells, np.nan))  # the decay rates, fitted under a certificate
+        for c in np.flatnonzero(~np.isnan(max_eig)):
+            with contextlib.suppress(HeatSyncError, ValueError):  # a failed run or fit: no rate
+                net = scn.net.with_gains(k=k_cells[c], g=g_cells[c])
+                columns[-1][c] = fit_decay_rate(sync_errors(simulate(net, scn.sim)), window)
+    # a failed cell keeps its gains and blanks the columns it failed to fill
+    rows = ([k, g] + (["", ""] if np.isnan(eig) else [eig, "true" if ok else "false"])
+            + ["" if np.isnan(r) else r for r in rate] for k, g, eig, ok, *rate in zip(*columns))
     _write_csv(out_path, cols, rows)
     print(f"wrote {out_path} ({cells} cells)")
-    return 0 if any("" not in row for row in rows) else 1
+    # a row is complete when its last number is: a rate is fitted only under a certificate
+    return 1 if np.isnan(columns[-1] if args.simulate else max_eig).all() else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,8 +31,9 @@ the grid only through ``to_grid``, a DCT-I by FFT, so no nx x nx matrix is
 built.  Only numpy is needed.
 ``NetworkConfig`` and ``SimConfig`` live in ``scenarios``: reading a config
 loads no simulator and builds no grid.  A run is refused, as a ValueError,
-before its arrays are built when its frames and working fields exceed
-physical memory, and a spectrum when its nx-long arrays do.
+before its arrays are built when its frames and working arrays exceed
+physical memory (``_frame_steps``), and a spectrum when its nx-long and
+N x N arrays do.
 """
 from __future__ import annotations
 
@@ -48,10 +49,15 @@ from .scenarios import (FORCING_RATE, THETA, NetworkConfig, SimConfig,
 
 _DIVERGENCE_LIMIT = 1e12
 _FRAME_BLOCKS = 8  # work the size of the frames is done an eighth at a time
-# Besides its frames and the block of them it works on, a run holds nx-long arrays of every
-# agent and the leader: the start fields and their transforms, the D table and rates.  On
-# sectionV at nx = 1001 .. 4001 they peak at 9 to 16 fields of N + 1 agents.
+# Besides its frames and the two blocks of them it works on, a run holds nx-long arrays of
+# every agent and the leader: the start fields, their transforms and the rates.  On sectionV
+# at nx = 1001 .. 4001 they peak at 9 to 16 fields of N + 1 agents.
 _WORK_FIELDS = 16
+# N x N arrays a run may hold at once, while ``_agent_basis`` sums a chunk of edges: the
+# coupling, its symmetric form, eigh's vectors and the bases (2 each), the chunk's
+# differences and the two tables they are taken from (1 each) and, on a complete graph,
+# the edge list, N^2 / 2 pairs
+_SQUARES = 10
 # Every chunk of a stride costs the same Python overhead, so a run with few frames would
 # walk a long stride a step or two at a time: a chunk's D table may hold this many entries
 # per agent however few the frames.  Twice as many lift a few-frame run's peak by 70 %.
@@ -149,7 +155,7 @@ def assemble_operator(net: NetworkConfig, sim: SimConfig) -> DiscreteOperator:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         j = np.arange(sim.nx)
         rates = net.alpha - 4.0 * net.beta / sim.dx**2 * np.sin(np.pi * j * sim.dx / 2) ** 2
-        coupling = net.g_vector[:, np.newaxis] * laplacian(net.graph).astype(float)
+        coupling = net.g_vector[:, np.newaxis] * laplacian(net.graph)
         feedback = (2.0 * net.beta / sim.dx) * net.boundary_gains
     if not all(np.isfinite(part).all() for part in (rates, coupling, feedback)):
         raise ValueError("the closed-loop operator overflows: alpha, beta, k or g is too large")
@@ -174,12 +180,18 @@ def _agent_basis(net: NetworkConfig, op: DiscreteOperator):
         return None
     scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))  # a common g of 0: C = 0
     sym = op.coupling / scale[:, np.newaxis] * scale
-    vectors = np.linalg.eigh(np.stack([sym, sym - op.node0[0] * np.diag(op.feedback)]))[1]
+    vectors = np.linalg.eigh(np.stack([sym, sym - np.diag(op.node0[0] * op.feedback)]))[1]
     # eigh's values are off by about eps |C|, their Rayleigh quotients are not: u^T S^-1 C S u
-    # = sign(g) sum over the edges of ((S u)_i - (S u)_j)^2 has no cancellation
+    # = sign(g) sum over the edges of ((S u)_i - (S u)_j)^2 has no cancellation.  It is taken
+    # N/2 edges at a time, each chunk's squares summed on from the sum so far, in the order
+    # and so to the bits of one (2, E, N) table, so a chunk's tables weigh half the bases each
     i, j = np.array(net.graph.edges, dtype=int).reshape(-1, 2).T - 1
     bases = scale[:, np.newaxis] * vectors  # V and W
-    values = np.sign(g.sum()) * ((bases.take(i, axis=1) - bases.take(j, axis=1)) ** 2).sum(axis=1)
+    values, size = np.zeros((2, net.n)), max(net.n // 2, 1)
+    for lo in range(0, len(i), size):
+        diff = bases.take(i[lo : lo + size], axis=1) - bases.take(j[lo : lo + size], axis=1)
+        values = np.concatenate([values[:, None], np.square(diff, out=diff)], axis=1).sum(axis=1)
+    values *= np.sign(g.sum())
     values[1] -= op.node0[0] * (op.feedback[:, np.newaxis] * vectors[1] ** 2).sum(axis=0)
     values /= (vectors**2).sum(axis=1)
     return tuple((v, u.T / scale, lam) for v, u, lam in zip(bases, vectors, values))
@@ -258,6 +270,19 @@ def _frame_blocks(count: int, share: float = 1.0) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
+def _walks(n_steps: int, stride: int, m: int, nx: int) -> list[tuple[int, int, int, int]]:
+    """(length, first, count, chunk) of each walk of ``_eigen_frames`` over the
+    strides of an n_steps run of m agents: ``count`` strides of ``length``
+    steps from frame ``first``, walked ``chunk`` steps at a time, for the
+    strides of ``stride`` steps and then a shorter last one.  A chunk's D
+    table, m x chunk x (nx - 1) doubles, holds per agent no more than the
+    frames or ``_CHUNK_FLOOR`` entries."""
+    full, rest = divmod(n_steps, stride)
+    budget = max((full + bool(rest) + 1) * nx, _CHUNK_FLOOR)  # per agent, the size of the frames
+    return [(length, first, count, max(1, min(length, budget // max(m, count, nx - 1))))
+            for length, first, count in [(stride, 0, full)] + [(rest, full, 1)] * bool(rest)]
+
+
 def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurrence, steps):
     """The whole run in the bases, from the modal error start y (N, nx) and
     the leader's frames ``lead`` (n_frames, nx), zero past lead[0], in place,
@@ -291,14 +316,11 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
     feed = (-h / theta) * op.node0[1:] / den
 
     n_frames = len(steps)
-    full, rest = divmod(steps[-1], steps[1])  # strides of steps[1] steps, then a shorter one
     frames = np.zeros((n_frames, m, nx))
     y0, hat = frames[:, :, 0], frames[:, :, 1:]  # in the bases until the end
     y0[:], hat[0] = p ** steps[:, np.newaxis] * (w_inv @ y[:, 0]), v_inv @ y[:, 1:]
-    budget = max(n_frames * nx, _CHUNK_FLOOR)  # per agent, the size of the returned frames
-    for length, first, count in [(steps[1], 0, full)] + [(rest, full, 1)] * bool(rest):
+    for length, first, count, chunk in _walks(steps[-1], steps[1], m, nx):
         last = first + count
-        chunk = max(1, min(length, budget // max(m, count, nx - 1)))
         table = np.empty((m, chunk, nx - 1))  # D^(chunk-1-k) feed, from its end
         table[:, -1] = feed
         for k in range(chunk - 1, 0, -1):
@@ -308,12 +330,13 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
         carry = np.prod(np.broadcast_to(d, (chunk, *d.shape)), axis=0) if chunk < length else 1.0
         for start in range(length % -chunk, length, chunk):  # only the first chunk is short
             i = np.arange(max(start, 0), start + chunk)  # the chunk's in-stride steps
-            walk = (p ** i[:, np.newaxis])[..., np.newaxis] * mode0  # mode 0 at those steps
-            w_t = (g @ walk).transpose(1, 2, 0)  # G y_0 as (basis, stride, step)
-            for b in _frame_blocks(count):
+            powers = (p ** i[:, np.newaxis])[..., np.newaxis]  # times mode0: mode 0 at those steps
+            for b in _frame_blocks(count):  # a block's G y_0 weighs no more than its frames
                 if start > 0:
                     ahead[b] *= carry
-                ahead[b] += (w_t[:, b] @ table[:, chunk - i.size :]).transpose(1, 0, 2)
+                # G y_0 as (basis, stride, step), times the table, and no temporary outlives it
+                ahead[b] += ((g @ (powers * mode0[:, b])).transpose(1, 2, 0)
+                             @ table[:, chunk - i.size :]).transpose(1, 0, 2)
         # x_n = sum_k<n rho^(n-1-k) q^k, q = e^(i w dt), over the leading bits n of L:
         # x_2n = (rho^n + q^n) x_n, and x_n+1 = rho x_n + q^n where the next bit is set
         forced, n = np.zeros(nx, complex), 0
@@ -335,15 +358,20 @@ def _eigen_frames(op: DiscreteOperator, sim: SimConfig, basis, y, lead, recurren
 
 def _frame_steps(net: NetworkConfig, sim: SimConfig) -> np.ndarray:
     """The step of each frame the run returns, every ``output_stride`` steps and the last;
-    ValueError, before they are listed, when the frames, or the frames with one block of
-    them and ``_WORK_FIELDS`` working fields, each (N + 1) x nx, exceed physical memory.
-    Without an agent basis the count adds the block map's blocks and inverses, 16 nx N^2
-    bytes."""
+    ValueError, before they are listed, when the frames exceed physical memory, or the
+    frames with what the run holds beside them: two blocks of them and ``_WORK_FIELDS``
+    working fields, each (N + 1) x nx, ``_SQUARES`` N x N arrays and, with an agent basis,
+    the largest D table of ``_walks``, without one the block map's blocks and inverses,
+    16 nx N^2 bytes."""
     count = -(-sim.n_steps // sim.output_stride) + 1
     field = 8 * (net.n + 1) * sim.nx
     refuse_beyond_memory(count * field, f"the run returns {count} frames of")
-    size, held = (count + -(-count // _FRAME_BLOCKS) + _WORK_FIELDS) * field, "working fields"
-    if not _has_basis(net.g_vector):
+    size = (count + 2 * -(-count // _FRAME_BLOCKS) + _WORK_FIELDS) * field + 8 * _SQUARES * net.n**2
+    if _has_basis(net.g_vector):
+        walks = _walks(sim.n_steps, min(sim.output_stride, sim.n_steps), net.n, sim.nx)
+        table = max(8 * net.n * chunk * (sim.nx - 1) for *_, chunk in walks)
+        size, held = size + table, "working fields"
+    else:
         size, held = size + 16 * sim.nx * net.n**2, "working fields and block map"
     refuse_beyond_memory(size, f"the run's {count} frames with its {held} take")
     return np.append(np.arange(0, sim.n_steps, sim.output_stride), sim.n_steps)
@@ -451,20 +479,24 @@ def spectral_abscissa(net: NetworkConfig, sim: SimConfig) -> float:
     the cosine modes, so its eigenvalues are those of the N x N mode
     blocks: rates_0 + eig(C - node0_0 F) for the constant mode and rates_j
     + eig(C) for the others, with C the coupling and F = diag(feedback).
+    Rounding keeps order, so the largest rate j >= 1 plus eig(C) is the top
+    of every mode j >= 1, bit for bit, and no (nx - 1) x N table is built.
     The value describes the spatial discretization alone; no time step
     enters it.  Raises ValueError when finite parameters overflow into an
     abscissa that is not finite, and, before any of them is built, when its
-    nx-long arrays exceed physical memory.
+    arrays exceed physical memory.
     """
     if net.n < 1:
         raise DimensionMismatch("spectral abscissa needs at least one follower")
-    # at least the grid, the rates and the (nx - 1, N) eigenvalues of the modes j >= 1
-    refuse_beyond_memory(8 * sim.nx * (net.n + 2), "the spectrum's arrays take")
+    # the grid, the rates and the mode indices they are taken from, and four N x N arrays: the
+    # coupling, mode 0's block and the diagonal it is built from, or, while the coupling is
+    # built, the Laplacian and the edge tables
+    refuse_beyond_memory(8 * (3 * sim.nx + 4 * net.n**2), "the spectrum's arrays take")
     op = assemble_operator(net, sim)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * np.diag(op.feedback))
-        lam_rest = op.rates[1:, np.newaxis] + np.linalg.eigvals(op.coupling)
-        abscissa = np.maximum(lam0.real.max(), lam_rest.real.max())  # keeps a nan
+        lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - np.diag(op.node0[0] * op.feedback))
+        lam1 = op.rates[1:].max() + np.linalg.eigvals(op.coupling)
+        abscissa = np.maximum(lam0.real.max(), lam1.real.max())  # keeps a nan
     if not np.isfinite(abscissa):
         raise ValueError("the spectral abscissa overflows: alpha, beta, k or g is too large")
     return float(abscissa)

@@ -147,7 +147,7 @@ class NetworkConfig:
     @property
     def boundary_gains(self) -> np.ndarray:
         """k_i * m_i: zero on followers without a leader link, whatever k says."""
-        return self.k_vector * leader_mask(self.graph).astype(float).diagonal()
+        return self.k_vector * leader_mask(self.graph).diagonal()
 
     @property
     def g_vector(self) -> np.ndarray:

@@ -31,7 +31,12 @@ follower differences, pair by pair.  ``modal_pairwise_max`` loops over the
 pairs on the modal differences with the Parseval weights; production
 does the same a follower against all later ones per block of frames.  ``dense_abscissa`` takes every eigenvalue
 of the leading N*nx block of ``dense_operator``, the error generator;
-production reads them off the (N x N) mode blocks.  ``NoConvergence`` is raised by the
+production reads them off the (N x N) mode blocks.  ``table_abscissa``
+tops the whole (nx - 1) x N table of the modes j >= 1, rates_j + eig(C);
+production reads it off the largest rate.  ``unchunked_basis_values``
+sums the Rayleigh quotients of ``pdesim._agent_basis``' bases from one
+(2, E, N) table of the edge differences; production sums them N/2 edges
+at a time.  ``NoConvergence`` is raised by the
 Jacobi solver only.
 ``wirtinger_check`` probes the one-sided Wirtinger inequality on sampled
 profiles by finite differences, for acceptance check C5; production
@@ -47,6 +52,7 @@ from scipy.linalg import lu_factor, lu_solve
 from heatsync import (
     SymMatrix,
     Trajectory,
+    assemble_operator,
     connected_components,
     laplacian,
     leader_mask,
@@ -287,6 +293,31 @@ def dense_abscissa(net, sim) -> float:
     """
     m = net.n * sim.nx
     return float(np.linalg.eigvals(dense_operator(net, sim)[:m, :m]).real.max())
+
+
+def table_abscissa(net, sim) -> float:
+    """The spectral abscissa as the top of every mode block's eigenvalues: rates_0 +
+    eig(C - node0_0 F) and the whole (nx - 1) x N table rates_j + eig(C), j >= 1."""
+    op = assemble_operator(net, sim)
+    lam0 = op.rates[0] + np.linalg.eigvals(op.coupling - op.node0[0] * np.diag(op.feedback))
+    table = op.rates[1:, np.newaxis] + np.linalg.eigvals(op.coupling)
+    return float(np.maximum(lam0.real.max(), table.real.max()))
+
+
+def unchunked_basis_values(net, op) -> np.ndarray:
+    """(lam, nu) of ``heatsync.pdesim._agent_basis`` for a net with a basis, from the
+    same bases: the Rayleigh quotients sign(g) sum over the edges of ((S u)_i -
+    (S u)_j)^2, less node0_0 F's on mode 0, over |u|^2, from one (2, E, N) table of
+    the edge differences."""
+    g = net.g_vector
+    scale = np.where(g == 0.0, 1.0, np.sqrt(np.abs(g)))
+    sym = op.coupling / scale[:, np.newaxis] * scale
+    vectors = np.linalg.eigh(np.stack([sym, sym - op.node0[0] * np.diag(op.feedback)]))[1]
+    bases = scale[:, np.newaxis] * vectors
+    i, j = np.array(net.graph.edges, dtype=int).reshape(-1, 2).T - 1
+    values = np.sign(g.sum()) * ((bases.take(i, axis=1) - bases.take(j, axis=1)) ** 2).sum(axis=1)
+    values[1] -= op.node0[0] * (op.feedback[:, np.newaxis] * vectors[1] ** 2).sum(axis=0)
+    return values / (vectors**2).sum(axis=1)
 
 
 def dense_simulate(net, sim) -> GridTrajectory:

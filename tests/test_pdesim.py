@@ -26,8 +26,8 @@ from heatsync import (
     trapezoid_weights,
 )
 from heatsync.errors import Divergence, NonPositiveSeries
-from heatsync.pdesim import (_agent_basis, _block_step, _eigen_frames, _frame_steps, _leader_step,
-                             _stepwise, _to_modes)
+from heatsync.pdesim import (_SQUARES, _agent_basis, _block_step, _eigen_frames, _frame_steps,
+                             _leader_step, _stepwise, _to_modes)
 
 from conftest import demo_graph, random_connected_graph, random_graph
 from oracles import (
@@ -42,6 +42,8 @@ from oracles import (
     modal_pairwise_max,
     on_grid,
     pairwise_max,
+    table_abscissa,
+    unchunked_basis_values,
 )
 
 PI2 = np.pi**2
@@ -719,6 +721,41 @@ class TestSimulate:
             assert len(traj.frames) == frames
             assert peak <= factor * traj.frames.nbytes
 
+    def test_basis_values_match_the_unchunked_sums(self):
+        # the Rayleigh sums go N/2 edges at a time, each chunk's squares summed on from
+        # the sum so far: the bits of the (2, E, N) table's sums, on graphs of one chunk,
+        # of many and of none, with common and per-agent g of either sign
+        rng = np.random.default_rng(84)
+        path = build_graph(40, [(i, i + 1) for i in range(1, 40)], [1, 20])
+        cases = [(build_graph(10, [], [1, 2]), -2.0), (path, -2.0),
+                 (path, rng.uniform(0.5, 3.0, 40).tolist())]
+        for n, p, g in [(120, 1.0, -2.0), (150, 0.2, 1.5), (150, 0.2, None), (60, 0.01, None)]:
+            graph = random_graph(rng, n_max=n, n_min=n, edge_prob=p)
+            cases.append((graph, g or (-rng.uniform(0.5, 3.0, n)).tolist()))
+        assert {len(graph.edges) > graph.n // 2 for graph, _ in cases} == {True, False}
+        for graph, g in cases:
+            net = NetworkConfig(graph=graph, alpha=0.0, k=3.0, g=g)
+            op = assemble_operator(net, SimConfig(nx=17))
+            got = np.array([values for *_, values in _agent_basis(net, op)])
+            assert np.array_equal(got, unchunked_basis_values(net, op))
+
+    def test_basis_peak_is_a_few_squares(self):
+        # the edge tables, (2, E, N) doubles each, once peaked at 70 N^2 doubles on
+        # 300 followers with 10 % of the pairs linked (1672 MB at N = 1000); N/2 edges
+        # at a time they stay within the ``_SQUARES`` a run counts, the coupling held
+        # apart (8.1 N^2 doubles here)
+        net = NetworkConfig(graph=random_graph(np.random.default_rng(85), n_max=300, n_min=300,
+                                               edge_prob=0.1), alpha=0.0, k=3.0, g=-2.0)
+        op = assemble_operator(net, SimConfig(nx=17))
+        assert len(net.graph.edges) > 10 * net.n
+        tracemalloc.start()
+        try:
+            _agent_basis(net, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (_SQUARES - 1) * net.n**2
+
     def test_route_rule(self, demo_net):
         # the eigenbasis exactly when a diagonal scaling makes G L symmetric
         nets = [demo_net, demo_net.with_gains(g=0.0)] + route_nets(np.random.default_rng(77))
@@ -960,6 +997,20 @@ class TestSpectral:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_abscissa_is_the_table_top_bit_for_bit(self):
+        # rounding keeps order, so the largest rate j >= 1 plus eig(C) is the top of
+        # the whole (nx - 1) x N table rates_j + eig(C), to the last bit
+        rng = np.random.default_rng(62)
+        for case in range(300):
+            graph = random_graph(rng, n_max=8, n_min=1, edge_prob=float(rng.uniform()))
+            n = graph.n
+            k = rng.uniform(0.0, 8.0, n).tolist() if case % 2 else float(rng.uniform(0.0, 8.0))
+            g = rng.normal(0.0, 4.0, n).tolist() if case % 4 > 1 else float(rng.normal(0.0, 4.0))
+            net = NetworkConfig(graph=graph, alpha=float(rng.normal()),
+                                beta=float(rng.uniform(0.1, 3.0)), k=k, g=g)
+            sim = SimConfig(nx=(16, 17, 33, 101, 401)[case % 5])
+            assert spectral_abscissa(net, sim) == table_abscissa(net, sim)
 
     def test_abscissa_within_half_the_certified_margin(self):
         # read as d/dt ||e||^2 <= -m ||e||^2, a feasible certificate of margin

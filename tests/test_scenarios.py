@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatsync import cli, scenarios
+from heatsync import cli, pdesim, scenarios
 from heatsync.cli import main
-from heatsync.pdesim import _frame_steps, simulate
+from heatsync.pdesim import _frame_steps, simulate, spectral_abscissa
 from heatsync.scenarios import (CONFIG_KEYS, GRAPH_KEYS, PRESETS, NetworkConfig, SimConfig,
                                 load_scenario, network_block)
 
@@ -158,6 +158,17 @@ class TestBeyondMemory:
                            f"{cli._CELL_BYTES * cells} bytes")
             assert not (tmp_path / "new").exists()
 
+    def test_sweep_peak_is_within_its_count(self, tmp_path):
+        # the cells stay the arrays they were solved as and each row is formatted as it
+        # is written: Python rows of every cell once peaked at 282 bytes a cell here
+        from heatsync import certify  # noqa: F401  (loaded before the peak is traced)
+
+        cfg = write_config(tmp_path / "scenario.json", {"scenario_preset": "sectionV"})
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", cfg, "--k=1:9:300", "--g=-4:0:300", "--out", str(out)]
+        assert traced_peak(main, args) <= cli._CELL_BYTES * 300**2
+        assert len(out.read_text().splitlines()) == 1 + 300**2
+
 
 def small_machine(monkeypatch, memory=64 * 2**20):
     """Make physical memory read ``memory`` bytes."""
@@ -174,8 +185,9 @@ def section_v(nx, t_end):
 
 class TestModeMatrix:
     """No nx x nx mode matrix is built: frames reach the grid through ``to_grid``, so a
-    run holds its frames, a block of them, nx-long working fields and, without an agent
-    basis, the block map, and the refusal counts these."""
+    run holds its frames, two blocks of them, nx-long working fields, a few N x N arrays
+    and the D table or, without an agent basis, the block map, and the refusal counts
+    these; a spectrum holds nx-long and N x N arrays."""
 
     def test_fine_grid_runs_on_a_small_machine(self, tmp_path, capsys, monkeypatch):
         # 2 frames of 6 x 4001 samples, a block of them and 16 working fields are
@@ -211,10 +223,10 @@ class TestModeMatrix:
 
     def test_block_map_counts_against_memory(self, tmp_path, capsys, monkeypatch):
         # without an agent basis the run also holds the block map: 26 frames of
-        # 61 x 201 samples, a block of 4 of them and 16 working fields are 4.51 MB,
-        # the map 11.58 MB more
+        # 61 x 201 samples, two blocks of 4 of them, 16 working fields and 10 N x N
+        # arrays are 5.19 MB, the map 11.58 MB more
         cfg = write_config(tmp_path / "path.json", SIGN_PATH)
-        size = 8 * (26 + 4 + 16) * 61 * 201 + 16 * 201 * 60**2
+        size = 8 * (26 + 2 * 4 + 16) * 61 * 201 + 8 * 10 * 60**2 + 16 * 201 * 60**2
         small_machine(monkeypatch, 8 * 2**20)
         out = tmp_path / "out"
         assert_refused(main(["simulate", cfg, "--out", str(out)]), capsys.readouterr().err,
@@ -225,25 +237,69 @@ class TestModeMatrix:
                      "--simulate"])
         assert code in (0, 1) and (out / "s.csv").exists(), capsys.readouterr().err
 
-    def test_count_covers_the_run_peak(self, tmp_path):
-        # the refusal counts what the run holds at its peak: its frames, the block
-        # of them it works on, 16 working fields of N + 1 agents and, without an
-        # agent basis, the block map's blocks and inverses, 16 nx N^2 bytes
+    def test_count_covers_the_run_peak(self, tmp_path, counts):
+        # the refusal counts what the run holds at its peak: its frames, two blocks of
+        # them, 16 working fields of N + 1 agents, 10 N x N arrays and the largest D
+        # table or, without an agent basis, the block map's blocks and inverses, 16 nx
+        # N^2 bytes.  The first three runs peak within 5 % of it.  The last two once
+        # peaked past it: a stride of 1000 steps walked for all 101 frames at once at
+        # 3.95x the count, and a dense graph's edge tables at 4.9x
         demo = NetworkConfig(graph=demo_graph(), alpha=0.0, beta=1.0, k=3.0, g=-2.0)
         path = load_scenario(write_config(tmp_path / "path.json", SIGN_PATH))
         fine = load_scenario(write_config(tmp_path / "fine.json", section_v(2001, 2.5)))
+        long_strides = linked_net(100), SimConfig(
+            nx=101, t_end=100.0, output_stride=1000, source="paper",
+            initial_conditions=smooth_profiles(100, 101))
+        dense = linked_net(200), SimConfig(
+            nx=101, t_end=0.01, source="paper", initial_conditions=smooth_profiles(200, 101))
         cases = [
-            (demo, SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV"), 0),
-            (path.net, path.sim, 16 * 201 * 60**2),
-            (fine.net, fine.sim, 0),
+            (demo, SimConfig(nx=1001, t_end=0.01, source="paper", initial_conditions="sectionV"),
+             1.05),
+            (path.net, path.sim, 1.05),
+            (fine.net, fine.sim, 1.05),
+            (*long_strides, 1.0),
+            (*dense, 1.0),
         ]
-        for net, sim, block_map in cases:
+        for net, sim, bound in cases:
             count, field = len(_frame_steps(net, sim)), 8 * (net.n + 1) * sim.nx
-            counted = (count + -(-count // 8) + 16) * field + block_map
-            tracemalloc.start()
-            try:
-                simulate(net, sim)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert count * field <= peak <= 1.05 * counted
+            peak = traced_peak(simulate, net, sim)
+            assert count * field <= peak <= bound * counts[-1]
+
+    def test_spectrum_count_covers_its_peak(self, counts):
+        # the spectrum counts three nx-long arrays and four N x N ones, no longer an
+        # (nx - 1) x N table of eigenvalues: it once counted 51 kB here, against a
+        # 3.85 MB peak
+        peak = traced_peak(spectral_abscissa, linked_net(400), SimConfig(nx=16))
+        assert peak <= counts[-1] == 8 * (3 * 16 + 4 * 400**2)
+
+
+def linked_net(n, seed=0):
+    """n followers with 10 % of the pairs linked, k = pi^2 / 2 and g = -2."""
+    graph = random_graph(np.random.default_rng(seed), n_max=n, n_min=n, edge_prob=0.1)
+    return NetworkConfig(graph=graph, alpha=0.0, beta=1.0, k=np.pi**2 / 2, g=-2.0)
+
+
+def smooth_profiles(n, nx, seed=1):
+    """n followers' start fields of four cosine modes each, and a leader at zero."""
+    x = np.linspace(0.0, 1.0, nx)
+    modes = np.cos(np.outer(np.arange(4), np.pi * x))
+    return np.random.default_rng(seed).standard_normal((n, 4)) @ modes, np.zeros(nx)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """The sizes that ``pdesim``'s memory refusals count, in order, as it runs."""
+    sizes, refuse = [], pdesim.refuse_beyond_memory
+    monkeypatch.setattr(pdesim, "refuse_beyond_memory",
+                        lambda size, what: sizes.append(size) or refuse(size, what))
+    return sizes
+
+
+def traced_peak(run, *args) -> int:
+    """The tracemalloc peak of ``run(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
