@@ -2,12 +2,19 @@
 
 This module holds the command line and the formats of its reports and
 CSVs; configs are read, and a design report's network block written, by
-``scenarios``.  Exit codes: 0 success (certificate feasible where
-applicable), 1 a negative answer about a valid scenario (infeasible,
-uncontrollable, divergence: a HeatSyncError, printed as ``error: ...``), 2
-usage or config error (a ValueError, printed as ``config error: ...``),
-which includes a run or a sweep grid the machine cannot hold, refused
-before anything of it is built.
+``scenarios``.  ``main`` reads ``COMMAND CONFIG`` and the command's options
+off one table, ``_COMMANDS``: an option is ``--name value`` or
+``--name=value``, spelled in full, and a value may begin with ``-``.
+Exit codes: 0 success (certificate feasible where applicable), 1 a
+negative answer about a valid scenario (infeasible, uncontrollable,
+divergence: a HeatSyncError, printed as ``error: ...``), 2 a usage error
+(a ``usage:`` line and one ``heatsync: error: ...`` line) or a config error
+(a ValueError, printed as ``config error: ...``), which includes a run or a
+sweep grid the machine cannot hold, refused before anything of it is built.
+``entrypoint``, the route of the console script and of ``python -m
+heatsync``, flushes stdout and stderr once ``main`` returns and ends the
+process with ``os._exit``, so the interpreter's teardown, atexit hooks
+included, does not run; ``main`` itself returns the code to its caller.
 A command imports only the layers it runs: ``certify`` and ``sweep`` the
 certificates (``sweep`` solves its whole grid with
 ``certify.certificate_sweep``), ``design`` the gain synthesis, which loads
@@ -19,10 +26,9 @@ same config reproduces outputs byte for byte.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
-import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -55,8 +61,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _resolved_params(scn: Scenario, command: str) -> dict:
     net, sim = scn.net, scn.sim
-    gains_k = net.k_scalar if net.k_scalar is not None else list(net.k_vector)
-    gains_g = net.g_scalar if net.g_scalar is not None else list(net.g_vector)
     return {
         "command": command,
         "version": __version__,
@@ -66,8 +70,8 @@ def _resolved_params(scn: Scenario, command: str) -> dict:
         "leader_set": ";".join(str(v) for v in sorted(net.graph.leader_set)),
         "alpha": net.alpha,
         "beta": net.beta,
-        "k": gains_k if isinstance(gains_k, float) else json.dumps(gains_k),
-        "g": gains_g if isinstance(gains_g, float) else json.dumps(gains_g),
+        "k": net.k_scalar if net.k_scalar is not None else json.dumps(list(net.k_vector)),
+        "g": net.g_scalar if net.g_scalar is not None else json.dumps(list(net.g_vector)),
         "nx": sim.nx,
         "dt": sim.dt,
         "t_end": sim.t_end,
@@ -90,44 +94,31 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
-def _report_path(config_path, kind: str) -> Path:
-    p = Path(config_path)
-    return p.with_name(p.stem + f".{kind}.json")
-
-
 def cmd_certify(args) -> int:
     from .certify import certificate_matrix, evaluate_certificate
 
-    scn = load_scenario(args.config)
+    scn = load_scenario(args["config"])
     cert = evaluate_certificate(certificate_matrix(scn.net))
     print(f"certificate size: {2 * scn.net.n} x {2 * scn.net.n}")
     print(f"max eigenvalue:   {_fmt(cert.max_eig)}")
     print(f"feasible:         {'true' if cert.feasible else 'false'}")
     print(f"margin:           {_fmt(cert.margin)}")
     report = _resolved_params(scn, "certify")
-    report.update(
-        {
-            "max_eig": cert.max_eig,
-            "feasible": cert.feasible,
-            "margin": cert.margin,
-        }
-    )
-    _write_json(_report_path(args.config, "certify"), report)
+    report.update(max_eig=cert.max_eig, feasible=cert.feasible, margin=cert.margin)
+    _write_json(Path(args["config"]).with_suffix(".certify.json"), report)
     return 0 if cert.feasible else 1
 
 
 def cmd_design(args) -> int:
     from .gains import design as design_gains
 
-    scn = load_scenario(args.config)
+    scn = load_scenario(args["config"])
     if "k" in scn.raw or "g" in scn.raw:
         print("note: k/g in config are ignored; design synthesizes them", file=sys.stderr)
     gd = design_gains(scn.net.graph, scn.net.alpha, scn.net.beta)
     for plan in gd.per_component:
-        print(
-            f"component {plan.component}: n={len(plan.component)}, s={plan.leader_count}, "
-            f"k window ({_fmt(plan.window.lo)}, {_fmt(plan.window.hi)})"
-        )
+        print(f"component {plan.component}: n={len(plan.component)}, s={plan.leader_count}, "
+              f"k window ({_fmt(plan.window.lo)}, {_fmt(plan.window.hi)})")
     print(f"chosen k:         {_fmt(gd.k)}")
     print(f"coupling gain g:  {_fmt(gd.g)}")
     print(f"max eigenvalue:   {_fmt(gd.certificate.max_eig)}")
@@ -153,7 +144,7 @@ def cmd_design(args) -> int:
             for p in gd.per_component
         ],
     }
-    _write_json(_report_path(args.config, "design"), report)
+    _write_json(Path(args["config"]).with_suffix(".design.json"), report)
     return 0
 
 
@@ -166,6 +157,8 @@ def _parse_snapshots(text: str, t_end: float) -> list[float]:
         times = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"bad snapshot list {text!r}: {exc}") from exc
+    if not times:
+        raise ValueError(f"--snapshots names no time, got {text!r}")
     if not np.isfinite(times).all():
         raise ValueError(f"snapshot times must be finite, got {text!r}")
     if not all(_in_horizon(t, t_end) for t in times):
@@ -176,13 +169,13 @@ def _parse_snapshots(text: str, t_end: float) -> list[float]:
 def cmd_simulate(args) -> int:
     from .pdesim import simulate, sync_errors, to_grid
 
-    scn = load_scenario(args.config)
+    scn = load_scenario(args["config"])
     snapshots = (
-        _parse_snapshots(args.snapshots, scn.sim.t_end)
-        if args.snapshots
+        _parse_snapshots(args["snapshots"], scn.sim.t_end)
+        if args["snapshots"] is not None
         else [t for t in DEFAULT_SNAPSHOTS if _in_horizon(t, scn.sim.t_end)]
     )
-    out_dir = _output_dir(Path(args.out))
+    out_dir = _output_dir(Path(args["out"]))
     traj = simulate(scn.net, scn.sim)
     series = sync_errors(traj)
     n = scn.net.n
@@ -216,9 +209,7 @@ def cmd_simulate(args) -> int:
 
     manifest = _resolved_params(scn, "simulate")
     manifest["snapshots"] = ";".join(f"{t:g}" for t in snapshots)
-    manifest["snapshot_times_resolved"] = ";".join(
-        _fmt(series.times[i]) for i in snap_idx
-    )
+    manifest["snapshot_times_resolved"] = ";".join(_fmt(series.times[i]) for i in snap_idx)
     manifest["t_final"] = float(series.times[-1])  # the last time written, n_steps dt
     manifest["outputs"] = "errors.csv;boundary.csv;avg_error.csv"
     _write_json(out_dir / "manifest.json", manifest)
@@ -229,7 +220,7 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     from .pdesim import analytic_open_loop_spectrum, spectral_abscissa
 
-    scn = load_scenario(args.config)
+    scn = load_scenario(args["config"])
     absc = spectral_abscissa(scn.net, scn.sim)
     modes = analytic_open_loop_spectrum(scn.net.alpha, scn.net.beta, n_modes=6)
     print("analytic open-loop modes:", ", ".join(_fmt(m) for m in modes))
@@ -256,22 +247,22 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
 def cmd_sweep(args) -> int:
     from .certify import certificate_sweep
 
-    scn = load_scenario(args.config)
-    k_range, g_range = _parse_range(args.k, "k"), _parse_range(args.g, "g")
+    scn = load_scenario(args["config"])
+    k_range, g_range = _parse_range(args["k"], "k"), _parse_range(args["g"], "g")
     cells = k_range[2] * g_range[2]
     refuse_beyond_memory(_CELL_BYTES * cells, f"the sweep's {cells} cells take")
     k_values, g_values = np.linspace(*k_range), np.linspace(*g_range)
-    out_path = Path(args.out)
+    out_path = Path(args["out"])
     if out_path.is_dir():
         raise ValueError(f"cannot write {out_path}: it is a directory")
-    if args.simulate:
+    if args["simulate"]:
         from .pdesim import _frame_steps, fit_decay_rate, simulate, sync_errors
 
         # a run too large to hold is refused once, for all cells, each of which has a common g
         _frame_steps(scn.net.with_gains(g=g_values[0]), scn.sim)
         window = (min(0.5, scn.sim.t_end / 5.0), min(2.0, scn.sim.t_end))
     _output_dir(out_path.parent).mkdir(parents=True, exist_ok=True)
-    cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if args.simulate else [])
+    cols = ["k", "g", "max_eig_omega", "feasible"] + (["decay_rate"] if args["simulate"] else [])
     # row-major: k, then g
     k_cells, g_cells = np.repeat(k_values, len(g_values)), np.tile(g_values, len(k_values))
     try:
@@ -279,7 +270,7 @@ def cmd_sweep(args) -> int:
     except HeatSyncError:  # no followers: no cell has a certificate
         max_eig, feasible = np.full(cells, np.nan), np.zeros(cells, bool)
     columns = [k_cells, g_cells, max_eig, feasible]
-    if args.simulate:
+    if args["simulate"]:
         columns.append(np.full(cells, np.nan))  # the decay rates, fitted under a certificate
         for c in np.flatnonzero(~np.isnan(max_eig)):
             with contextlib.suppress(HeatSyncError, ValueError):  # a failed run or fit: no rate
@@ -291,68 +282,84 @@ def cmd_sweep(args) -> int:
     _write_csv(out_path, cols, rows)
     print(f"wrote {out_path} ({cells} cells)")
     # a row is complete when its last number is: a rate is fitted only under a certificate
-    return 1 if np.isnan(columns[-1] if args.simulate else max_eig).all() else 0
+    return 1 if np.isnan(columns[-1] if args["simulate"] else max_eig).all() else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatsync",
-        description=(
-            "Certify, synthesize and simulate leader synchronization of "
-            "coupled one-dimensional heat equations."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("certify", help="check the synchronization certificate")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("design", help="synthesize boundary and coupling gains")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("simulate", help="run the closed loop and write CSVs")
-    p.add_argument("config")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--snapshots", help="comma-separated times for avg_error.csv")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("spectrum", help="analytic modes and discrete abscissa")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="grid sweep over gains")
-    p.add_argument("config")
-    p.add_argument("--k", required=True, help="boundary gain range lo:hi:n")
-    p.add_argument("--g", required=True, help="coupling gain range lo:hi:n")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--simulate", action="store_true", help="also fit decay rates")
-    p.set_defaults(func=cmd_sweep)
-    return parser
+# each command's handler, help line and options, the options spelled as its usage line
+# spells them: an option in brackets may be left out, and one without a value is a flag
+_COMMANDS = {
+    "certify": (cmd_certify, "check the synchronization certificate", {}),
+    "design": (cmd_design, "synthesize boundary and coupling gains", {}),
+    "simulate": (cmd_simulate, "run the closed loop and write CSVs", {
+        "--out OUT": "output directory",
+        "[--snapshots SNAPSHOTS]": "comma-separated times for avg_error.csv"}),
+    "spectrum": (cmd_spectrum, "analytic modes and discrete abscissa", {}),
+    "sweep": (cmd_sweep, "grid sweep over gains", {
+        "--k K": "boundary gain range lo:hi:n",
+        "--g G": "coupling gain range lo:hi:n",
+        "--out OUT": "output CSV path",
+        "[--simulate]": "also fit decay rates"}),
+}
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    # argparse treats "-4:0:3" as a flag; fold range values into --k=... form.
-    merged, tokens = [], iter(argv)
-    for tok in tokens:
-        value = next(tokens, None) if tok in ("--k", "--g") else None
-        merged.append(tok if value is None else f"{tok}={value}")
-    return merged
+def _help(command: str | None) -> str:
+    """The usage line, then what ``heatsync`` or ``heatsync COMMAND`` does and takes."""
+    if command is None:
+        usage = f"[--version] {{{','.join(_COMMANDS)}}} CONFIG [OPTIONS]"
+        text = ("Certify, synthesize and simulate leader synchronization of coupled 1-D heat\n"
+                "equations.  'heatsync COMMAND --help' prints a command's options.")
+        rows = {name: line for name, (_, line, _) in _COMMANDS.items()}
+    else:
+        _, text, options = _COMMANDS[command]
+        usage = " ".join([command, "CONFIG", *options])
+        rows = {option.strip("[]"): line for option, line in options.items()}
+    return "\n".join([f"usage: heatsync {usage}", "", text, "",
+                      *(f"  {name:<25}{line}" for name, line in rows.items())])
+
+
+def _refuse(command: str | None, message: str) -> int:
+    print(_help(command).partition("\n")[0], f"heatsync: error: {message}", sep="\n",
+          file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command line: ``COMMAND CONFIG`` and the command's options, in any order.
+
+    Options are ``--name value`` or ``--name=value``, and a value may begin with ``-``.
+    The handler reads an option not given as None and a flag given as True.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help", "--version"):
+        print(__version__ if command == "--version" else _help(None))
+        return 0
+    if command not in _COMMANDS:
+        return _refuse(None, f"unknown command {command!r}" if argv else "no command given")
+    handler, _, options = _COMMANDS[command]
+    spelling = {option.strip("[]").split()[0]: option for option in options}  # --k: --k K
+    args, tokens = dict.fromkeys(["config", *(name[2:] for name in spelling)]), iter(argv[1:])
+    for token in tokens:
+        name, given, value = token.partition("=")
+        if token in ("-h", "--help"):
+            print(_help(command))
+            return 0
+        if " " in spelling.get(name, ""):  # an option that takes a value
+            args[name[2:]] = value if given else next(tokens, None)
+            if args[name[2:]] is None:
+                return _refuse(command, f"{name} needs a value")
+        elif name in spelling and not given:  # a flag
+            args[name[2:]] = True
+        elif not token.startswith("-") and args["config"] is None:
+            args["config"] = token
+        else:
+            return _refuse(command, f"unrecognized argument {token!r}")
+    missing = ["CONFIG"] * (args["config"] is None) + [
+        name for name, option in spelling.items() if option[0] != "[" and args[name[2:]] is None]
+    if missing:
+        return _refuse(command, f"the following arguments are required: {', '.join(missing)}")
     try:
-        args = parser.parse_args(_merge_range_flags(list(argv)))
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         # input that is not a scenario: the package raises ValueError on it,
         # and HeatSyncError only on valid input
@@ -365,9 +372,11 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     code = main()
-    # the OS takes the heap back at exit: frozen objects skip the teardown collections
-    gc.freeze()
-    sys.exit(code)
+    # the OS takes the memory and files back: end here, once what was printed is out,
+    # and skip the interpreter's teardown
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

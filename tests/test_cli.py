@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import re
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import heatsync
-from heatsync.cli import entrypoint, load_scenario, main
+from heatsync.cli import load_scenario, main
 from heatsync.pdesim import simulate
 from heatsync.scenarios import CONFIG_KEYS, FEASIBILITY_MARGIN, demo_initial_profiles
 
@@ -453,6 +452,65 @@ class TestParsing:
         assert isinstance(scn.sim.nx, int) and isinstance(scn.sim.output_stride, int)
 
 
+class TestDispatch:
+    """The command line's grammar: ``COMMAND CONFIG`` and ``--name value`` or ``--name=value``."""
+
+    SWEEP = ["--k", "1:9:3", "--g", "-4:0:2", "--out"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus", "{cfg}", "--out", "{out}"],
+            [],
+            ["simulate", "{cfg}", "--out", "{out}", "--bogus"],
+            ["sweep", "{cfg}", *SWEEP, "{out}", "--sim"],
+            ["sweep", "{cfg}", *SWEEP, "{out}", "--simulate=yes"],
+            ["simulate", "--out", "{out}"],
+            ["simulate", "{cfg}", "--snapshots", "0.1", "--out"],
+            ["sweep", "{cfg}", "--k", "1:9:3", "--out", "{out}"],
+            ["simulate", "{cfg}", "{cfg}", "--out", "{out}"],
+            ["certify", "{cfg}", "-x"],
+        ],
+        ids=["unknown-command", "no-command", "unknown-option", "abbreviated-option",
+             "flag-with-value", "missing-config", "missing-value", "missing-required-option",
+             "second-positional", "single-dash"],
+    )
+    def test_usage_error_exits_2(self, explicit_config, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(cfg=explicit_config, out=out) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: heatsync") and error.startswith("heatsync: error: ")
+        assert not out.exists()
+        assert not list(tmp_path.glob("explicit.*.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "{cfg}", "--k", "1:9:3", "--g", "-4:0:3", "--out", "{out}"],
+            ["sweep", "{cfg}", "--k=1:9:3", "--g=-4:0:3", "--out={out}"],
+            ["sweep", "--g", "-4:0:3", "--out", "{out}", "--k", "1:9:3", "{cfg}"],
+        ],
+        ids=["spaced", "joined", "options-first"],
+    )
+    def test_accepted_spellings(self, explicit_config, tmp_path, argv):
+        # a value may begin with "-", and options may come before the config
+        out = tmp_path / "sweep.csv"
+        assert main([a.format(cfg=explicit_config, out=out) for a in argv]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "k,g,max_eig_omega,feasible" and len(lines) == 1 + 9
+        assert [line.split(",")[1] for line in lines[1:4]] == ["-4.0", "-2.0", "0.0"]
+
+    def test_command_help_lists_its_options(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: heatsync sweep CONFIG") and captured.err == ""
+        for option in ("--k K", "--g G", "--out OUT", "--simulate"):
+            assert f"\n  {option} " in captured.out
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", list(heatsync.PRESETS))
     def test_preset_is_its_config(self, tmp_path, monkeypatch, capsys, name):
@@ -656,6 +714,15 @@ class TestSimulate:
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("snapshots", [["--snapshots="], ["--snapshots", " , "]])
+    def test_empty_snapshot_list_exits_2(self, explicit_config, tmp_path, capsys, snapshots):
+        # a list given but naming no time is refused, not read as the default times
+        out_dir = tmp_path / "snap"
+        assert main(["simulate", explicit_config, "--out", str(out_dir), *snapshots]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --snapshots") and err.count("\n") == 1
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("snapshots", ["0.1,5", "-0.1,0.2", "0.6"])
@@ -1123,29 +1190,29 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
 
-    def test_entrypoint_freezes_the_heap_once_main_returns(self, tmp_path, preset_config,
-                                                          monkeypatch):
-        # the interpreter's teardown collections skip a frozen heap; importing the
-        # CLI or calling main freezes nothing, so library callers are unaffected
-        proc = fresh_python(["-c", "import gc, heatsync.cli; print(gc.get_freeze_count())"],
-                            text=True)
-        assert proc.stdout == "0\n", proc.stderr
+    def test_entrypoint_flushes_before_it_ends_the_process(self, tmp_path, preset_config,
+                                                            monkeypatch):
+        # entrypoint ends the process without the interpreter's teardown, which would have
+        # flushed stdout: through a pipe stdout is block-buffered, so an unflushed report is lost
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         infeasible = write_config(tmp_path / "k12.json", {
             "graph": {"n": 5, "edges": [[1, 3], [2, 4], [3, 4], [4, 5]], "leader_set": [1, 2, 3]},
             "k": 12.0, "g": -2.0})
         missing = str(tmp_path / "missing.json")
-        for args, code in ((["certify", preset_config], 0), (["certify", infeasible], 1),
-                           (["certify", missing], 2)):
-            assert main(args) == code
-            assert gc.get_freeze_count() == 0
-            monkeypatch.setattr(sys, "argv", ["heatsync", *args])
-            try:
-                with pytest.raises(SystemExit) as exit_:
-                    entrypoint()
-                assert exit_.value.code == code
-                assert gc.get_freeze_count() > 0
-            finally:
-                gc.unfreeze()
+        for config, code in ((preset_config, 0), (infeasible, 1), (missing, 2)):
+            report = Path(config).with_suffix(".certify.json")
+            proc = fresh_python(["-m", "heatsync", "certify", config], text=True)
+            assert proc.returncode == code, proc.stderr
+            if code == 2:
+                assert proc.stdout == "" and not report.exists()
+                assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+            else:
+                assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
+                    "certificate size", "max eigenvalue", "feasible", "margin"]
+                assert proc.stderr == ""
+                assert json.loads(report.read_text())["feasible"] is (code == 0)
+            # a library caller's main returns the code and the process goes on
+            assert main(["certify", config]) == code
 
 
 class TestLoading:
@@ -1155,12 +1222,19 @@ class TestLoading:
     # the certificates stay unloaded unless a command judges one
     NO_CERTIFICATES = ("heatsync.certify", "heatsync.gains")
 
+    # the command line is read without argparse, whose messages look up translations
+    PARSING = {"argparse", "gettext", "locale"}
+
     def loaded(self, args, cwd):
-        """The heatsync modules a fresh ``python`` process imports to run ``args``."""
+        """The heatsync modules a fresh ``python`` process imports to run ``args``.
+
+        The process must import none of ``PARSING``.
+        """
         proc = fresh_python(["-X", "importtime", *args], text=True, cwd=cwd)
         assert proc.returncode == 0, proc.stderr
         names = {line.split("|")[2].strip() for line in proc.stderr.splitlines()
                  if line.startswith("import time:")}
+        assert names.isdisjoint(self.PARSING), sorted(names & self.PARSING)
         return {name for name in names if name.startswith("heatsync")}
 
     @pytest.mark.parametrize(
